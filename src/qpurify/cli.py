@@ -30,7 +30,7 @@ from .config import ExperimentConfig, PRESETS, load_config_file
 from .errors import ConfigError, DegenerateRoundError, NoThresholdError
 from .montecarlo import init_ensemble, run_protocol
 from .oracle import run_conformance_checks
-from .recurrence import SubensembleState, find_thresholds, iterate
+from .recurrence import find_thresholds, iterate, scan_werner_grid
 
 _COEFFICIENT_COLUMNS = [
     f"P_f{flag:02b}_b{bell:02b}" for flag in range(4) for bell in range(4)
@@ -174,33 +174,24 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         placement=config.placement,
     )
     primary = find_thresholds(family, config.engine_initial_state(), **common)
+    grid = scan_werner_grid(
+        family, settings.werner_grid, flag_mode=config.initial["flag_mode"], **common
+    )
 
-    grid_reports: dict[str, dict | None] = {}
-    points = [
-        (x, regime, "primary") for x, regime in primary.evaluations
-    ]
-    purify_values = [primary.f_purify] if primary.f_purify is not None else []
-    secure_values = [primary.f_secure] if primary.f_secure is not None else []
-    for fid in settings.werner_grid:
-        initial = SubensembleState.werner(fid, flag_mode=config.initial["flag_mode"])
-        try:
-            scan = find_thresholds(family, initial, **common)
-        except NoThresholdError:
-            grid_reports[repr(fid)] = None
-            continue
-        grid_reports[repr(fid)] = scan.as_dict()
-        points.extend((x, regime, f"werner_{fid}") for x, regime in scan.evaluations)
-        if scan.f_purify is not None:
-            purify_values.append(scan.f_purify)
-        if scan.f_secure is not None:
-            secure_values.append(scan.f_secure)
+    found = {"primary": primary}
+    found.update((f"werner_{fid}", scan) for fid, scan in grid.items() if scan is not None)
+    points = [(x, regime, source) for source, scan in found.items() for x, regime in scan.evaluations]
+    purify_values = [scan.f_purify for scan in found.values() if scan.f_purify is not None]
+    secure_values = [scan.f_secure for scan in found.values() if scan.f_secure is not None]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "config": config.effective(),
         "primary": primary.as_dict(),
-        "werner_grid": grid_reports,
+        "werner_grid": {
+            repr(fid): None if scan is None else scan.as_dict() for fid, scan in grid.items()
+        },
         "grid_summary": {
             "f_purify_min": min(purify_values) if purify_values else None,
             "f_purify_max": max(purify_values) if purify_values else None,

@@ -20,7 +20,6 @@ from .recurrence import PLACEMENTS, SubensembleState
 
 __all__ = ["ScanSettings", "ExperimentConfig", "PRESETS", "load_config_file"]
 
-_MODES = ("engine", "mc")
 _FLAG_MODES = ("fixed", "random")
 _SCAN_FAMILIES: dict[str, Callable[[float], NoiseModel]] = {
     "product": NoiseModel.from_one_qubit_depolarizing,
@@ -74,6 +73,15 @@ def _get_int(doc: dict, key: str, path: str, default, lo=None) -> int:
     return value
 
 
+def _get_number_list(doc: dict, key: str, path: str, default, length: int) -> list[float]:
+    value = doc.get(key, default)
+    if not isinstance(value, list) or len(value) != length or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) for x in value
+    ):
+        raise ConfigError(f"{path}.{key}: expected a list of {length} numbers, got {value!r}")
+    return [float(x) for x in value]
+
+
 def _get_choice(doc: dict, key: str, path: str, default, choices) -> str:
     value = doc.get(key, default)
     if value not in choices:
@@ -96,9 +104,7 @@ def _validate_noise(doc, path: str) -> dict:
         _get_number(doc, "f00", path, None, 0.0, 1.0)
     elif family == "explicit":
         _reject_unknown(doc, {"family", "f"}, path)
-        f = doc.get("f")
-        if not isinstance(f, list) or len(f) != 16:
-            raise ConfigError(f"{path}.f: expected a list of 16 probabilities")
+        _get_number_list(doc, "f", path, None, 16)
     else:
         raise ConfigError(
             f"{path}.family: must be one of ('product', 'uniform', 'explicit'), got {family!r}"
@@ -113,15 +119,11 @@ def _validate_noise(doc, path: str) -> dict:
 def _validate_initial(doc, path: str) -> dict:
     doc = _require_mapping(doc, path)
     _reject_unknown(doc, {"bell_probs", "flag_mode"}, path)
-    probs = doc.get("bell_probs", [0.85, 0.05, 0.05, 0.05])
-    if not isinstance(probs, list) or len(probs) != 4:
-        raise ConfigError(f"{path}.bell_probs: expected a list of 4 probabilities")
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in probs):
-        raise ConfigError(f"{path}.bell_probs: entries must be numbers")
+    probs = _get_number_list(doc, "bell_probs", path, [0.85, 0.05, 0.05, 0.05], 4)
     if any(x < 0 for x in probs) or abs(sum(probs) - 1.0) > 1e-9:
         raise ConfigError(f"{path}.bell_probs: not a probability distribution: {probs}")
     flag_mode = _get_choice(doc, "flag_mode", path, "fixed", _FLAG_MODES)
-    return {"bell_probs": [float(x) for x in probs], "flag_mode": flag_mode}
+    return {"bell_probs": probs, "flag_mode": flag_mode}
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,8 @@ class ScanSettings:
             for x in grid
         ):
             raise ConfigError(f"{path}.werner_grid: expected a list of fidelities in (0.25, 1]")
+        if len(set(grid)) != len(grid):
+            raise ConfigError(f"{path}.werner_grid: repeated fidelity in {grid}")
         return cls(
             family=family,
             lo=lo,
@@ -186,7 +190,6 @@ class ScanSettings:
 class ExperimentConfig:
     noise: dict
     initial: dict = field(default_factory=lambda: {"bell_probs": [0.85, 0.05, 0.05, 0.05], "flag_mode": "fixed"})
-    mode: str | None = None
     rounds: int = 10
     pairs: int = 1_000_000
     seed: int = 0
@@ -200,22 +203,18 @@ class ExperimentConfig:
         doc = _require_mapping(doc, source)
         _reject_unknown(
             doc,
-            {"noise", "initial", "mode", "rounds", "pairs", "seed", "chunk_size",
-             "placement", "fixpoint_tol", "scan"},
+            {"noise", "initial", "rounds", "pairs", "seed", "chunk_size", "placement",
+             "fixpoint_tol", "scan"},
             source,
         )
         if "noise" not in doc:
             raise ConfigError(f"{source}: missing required key 'noise'")
-        mode = doc.get("mode")
-        if mode is not None and mode not in _MODES:
-            raise ConfigError(f"{source}.mode: must be one of {_MODES}, got {mode!r}")
         return cls(
             noise=_validate_noise(doc["noise"], f"{source}.noise"),
             initial=_validate_initial(
                 doc.get("initial", {"bell_probs": [0.85, 0.05, 0.05, 0.05]}),
                 f"{source}.initial",
             ),
-            mode=mode,
             rounds=_get_int(doc, "rounds", source, 10, 1),
             pairs=_get_int(doc, "pairs", source, 1_000_000, 2),
             seed=_get_int(doc, "seed", source, 0, 0),
@@ -232,7 +231,8 @@ class ExperimentConfig:
         return cls.from_document(PRESETS[name], source=f"preset {name}")
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return dataclasses.replace(self, seed=seed)
+        """Copy with the seed replaced, validated like the ``seed`` key."""
+        return dataclasses.replace(self, seed=_get_int({"seed": seed}, "seed", "override", None, 0))
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel.from_config(self.noise)
@@ -247,7 +247,6 @@ class ExperimentConfig:
         return {
             "noise": dict(self.noise),
             "initial": dict(self.initial),
-            "mode": self.mode,
             "rounds": self.rounds,
             "pairs": self.pairs,
             "seed": self.seed,

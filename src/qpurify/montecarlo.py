@@ -1,14 +1,15 @@
 """Stochastic simulation of a finite population of pairs.
 
 Each pair is one byte, ``(flag << 2) | bell``, in a flat contiguous
-array.  A round shuffles the population, pairs adjacent records as
-(control, target), samples one noise event per pair of pairs (the
-control pair receives the first rotation's label shift, the target the
-second, both recorded on the flags), applies the rotation relabeling,
-the bilateral-CNOT label map and the coincidence measurement, and keeps
-the control records whose target measurement coincided, with the flag
-combined through the normative table.  An odd leftover record after the
-shuffle is discarded (an O(1/N) effect).
+array: the same packing as a category of the exact engine.  A round
+shuffles the population, pairs adjacent records as (control, target),
+samples one noise event per pair of pairs, and then takes the whole
+round (noise shifts on labels and flags, rotation, bilateral CNOT,
+coincidence measurement, flag combination) as one lookup in the
+engine's event cell table, :func:`qpurify.recurrence.event_cell_table`.
+Records whose cell is :data:`~qpurify.recurrence.DISCARDED` are
+dropped.  An odd leftover record after the shuffle is discarded (an
+O(1/N) effect).
 
 Randomness is organized as independent generator streams keyed by
 (seed, purpose, round, chunk); per-round noise draws are chunked in
@@ -21,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import ProtocolHaltError
-from .flags import FLAG_UPDATE_TABLE
-from .noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, NoiseModel
-from .recurrence import BEFORE_ROTATION, PLACEMENTS, SubensembleState
+from .noise import NoiseModel
+from .recurrence import BEFORE_ROTATION, DISCARDED, SubensembleState, event_cell_table
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -43,40 +42,12 @@ __all__ = [
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
-_DISCARD = 255
-
-_ROT3 = np.array([0, 1, 3, 2], dtype=np.uint8)
-#: Rotation relabeling applied to a packed record (flag untouched).
-_ROT_PACKED = np.array([(r & 0b1100) | _ROT3[r & 3] for r in range(16)], dtype=np.uint8)
-
-#: Packed record XOR masks for noise event e: shift lands on bell and flag.
-_CONTROL_MASK = (EVENT_CONTROL_SHIFTS.astype(np.uint8) * 5).astype(np.uint8)
-_TARGET_MASK = (EVENT_TARGET_SHIFTS.astype(np.uint8) * 5).astype(np.uint8)
-
 # Stream purposes (first spawn-key component).
 _INIT_BELLS = 0
 _INIT_FLAGS = 1
 _SHUFFLE = 2
 _NOISE = 3
 _SACRIFICE = 4
-
-
-def _combine_table() -> np.ndarray:
-    """Survivor record for (control, target) after BCNOT + measurement."""
-    table = np.full((16, 16), _DISCARD, dtype=np.uint8)
-    for r1 in range(16):
-        flag1, bell1 = r1 >> 2, r1 & 3
-        for r2 in range(16):
-            flag2, bell2 = r2 >> 2, r2 & 3
-            source = bell1 ^ (bell2 & 0b10)
-            target = bell2 ^ (bell1 & 0b01)
-            if target & 1:
-                continue
-            table[r1, r2] = (int(FLAG_UPDATE_TABLE[flag1, flag2]) << 2) | source
-    return table
-
-
-_COMBINE = _combine_table()
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -181,11 +152,10 @@ def _sample_events_chunked(
     noise: NoiseModel, seed: int, round_index: int, chunk_size: int, count: int
 ) -> np.ndarray:
     events = np.empty(count, dtype=np.int64)
-    flat = noise.f.ravel()
     for chunk, start in enumerate(range(0, count, chunk_size)):
         stop = min(start + chunk_size, count)
         gen = _stream(seed, _NOISE, round_index, chunk)
-        events[start:stop] = gen.choice(16, size=stop - start, p=flat)
+        events[start:stop] = noise.sample_events(gen, stop - start)
     return events
 
 
@@ -196,8 +166,7 @@ def run_round(
 
     Raises :class:`ProtocolHaltError` when fewer than two pairs remain.
     """
-    if placement not in PLACEMENTS:
-        raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
+    cells = event_cell_table(placement)
     n = ensemble.size
     if n < 2:
         raise ProtocolHaltError(f"cannot pair {n} remaining record(s)")
@@ -206,23 +175,11 @@ def run_round(
     order = _stream(ensemble.seed, _SHUFFLE, round_index).permutation(n)
     shuffled = ensemble.pairs[order]
     m = n // 2
-    control = shuffled[0::2][:m].copy()
-    target = shuffled[1::2][:m].copy()
-
     events = _sample_events_chunked(
         noise, ensemble.seed, round_index, ensemble.chunk_size, m
     )
-    if placement == BEFORE_ROTATION:
-        control ^= _CONTROL_MASK[events]
-        target ^= _TARGET_MASK[events]
-        control = _ROT_PACKED[control]
-        target = _ROT_PACKED[target]
-    else:
-        control = _ROT_PACKED[control] ^ _CONTROL_MASK[events]
-        target = _ROT_PACKED[target] ^ _TARGET_MASK[events]
-
-    combined = _COMBINE[control, target]
-    survivors = combined[combined != _DISCARD]
+    combined = cells[shuffled[0 : 2 * m : 2], shuffled[1 : 2 * m : 2], events]
+    survivors = combined[combined != DISCARDED]
     ensemble.pairs = survivors
     ensemble.round_counter = round_index
     keep_fraction = survivors.size / m
@@ -322,6 +279,8 @@ def check_minimum_fidelity(
     keep_mask[chosen] = False
     ensemble.pairs = ensemble.pairs[keep_mask]
     ensemble.check_counter += 1
+
+    from scipy import stats  # imported here: it dominates start-up and only this check needs it
 
     successes = int(np.count_nonzero((sacrificed & 3) == 0))
     alpha = 1.0 - confidence

@@ -7,6 +7,11 @@ full noisy purification round is executed on density matrices with the
 error flags carried as classical side labels.  The label-based engine in
 :mod:`qpurify.recurrence` must agree with this module to 1e-10; the
 ``verify`` CLI subcommand and the acceptance tests run the comparison.
+The dense round reads neither the engine's event cell table
+(:func:`qpurify.recurrence.event_cell_table`) nor the :mod:`qpurify.bell`
+label maps it is composed from; those maps are what the conformance
+checks compare against.  The oracle stays an independent referee and
+shares only the normative flag table.
 
 Qubit ordering on the two-pair space is fixed once and used everywhere:
 (alice_control, alice_target, bob_control, bob_target).  The control
@@ -37,6 +42,7 @@ from .recurrence import (
     KEEP_PROBABILITY_FLOOR,
     PLACEMENTS,
     SubensembleState,
+    check_placement,
     one_round,
 )
 
@@ -221,8 +227,7 @@ def oracle_one_round(
     DegenerateRoundError on vanishing keep probability and
     AssertionError if a kept branch is not Bell-diagonal.
     """
-    if placement not in PLACEMENTS:
-        raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
+    check_placement(placement)
     unitaries = build_protocol_unitaries()
     rotation, bcnot = unitaries["rotation"], unitaries["bcnot"]
     kraus = _noise_kraus_16()

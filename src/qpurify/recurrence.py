@@ -19,8 +19,13 @@ of pairs, and pushes everything through the label algebra:
 
 The round map is generated by exhaustively enumerating every
 (control category, target category, noise event) combination; no
-closed-form recurrence is transcribed anywhere.  The per-round cost is
-a 16x16x16 weighted histogram.
+closed-form recurrence is transcribed anywhere.  The enumeration is the
+event cell table (:func:`event_cell_table`), composed once per placement
+from the label maps of :mod:`qpurify.bell`, the event shifts of
+:mod:`qpurify.noise` and the flag table of :mod:`qpurify.flags`.  It is
+the only encoding of a round: :mod:`qpurify.montecarlo` advances its
+records through the same table.  The per-round cost is a 16x16x16
+weighted histogram.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bell import rotation_step3
+from .bell import bcnot_map, measurement_coincides, rotation_step3
 from .errors import DegenerateRoundError, InsufficientTailError, NoThresholdError
 from .flags import FLAG_UPDATE_TABLE
 from .noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, NoiseModel
@@ -41,6 +46,9 @@ __all__ = [
     "BEFORE_ROTATION",
     "BEFORE_BCNOT",
     "PLACEMENTS",
+    "DISCARDED",
+    "check_placement",
+    "event_cell_table",
     "KEEP_PROBABILITY_FLOOR",
     "SubensembleState",
     "fidelity",
@@ -70,47 +78,51 @@ KEEP_PROBABILITY_FLOOR = 1e-9
 DEPOLARIZED_FIDELITY = 0.25
 
 _STATE_ATOL = 1e-12
-_DISCARD_CELL = 16
 
-_ROT3 = np.array([int(rotation_step3(b)) for b in range(4)], dtype=np.int64)
+#: Cell index of a discarded pair of pairs in :func:`event_cell_table`.
+DISCARDED = 16
 
 
-def _check_placement(placement: str) -> str:
+def check_placement(placement: str) -> None:
+    """Raise ValueError unless ``placement`` is one of :data:`PLACEMENTS`."""
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
-    return placement
 
 
 @lru_cache(maxsize=None)
-def _event_cell_table(placement: str) -> np.ndarray:
+def event_cell_table(placement: str) -> np.ndarray:
     """Output cell for every (control, target, noise event) combination.
 
     Index axes are (control category, target category, noise event);
     categories pack ``flag * 4 + bell`` and events pack ``mu * 4 + nu``,
     with sigma_mu shifting the control pair and sigma_nu the target
-    pair.  Entries are the surviving ``flag * 4 + bell`` cell, or 16
-    for a discarded pair of pairs.
+    pair.  Entries are the surviving ``flag * 4 + bell`` cell, or
+    :data:`DISCARDED` for a discarded pair of pairs.  The read-only
+    uint8 table is composed from the label primitives of
+    :mod:`qpurify.bell` and the flag table of :mod:`qpurify.flags`.
     """
-    _check_placement(placement)
-    j1 = np.arange(16).reshape(16, 1, 1)
-    j2 = np.arange(16).reshape(1, 16, 1)
-    s1 = EVENT_CONTROL_SHIFTS.astype(np.int64).reshape(1, 1, 16)
-    s2 = EVENT_TARGET_SHIFTS.astype(np.int64).reshape(1, 1, 16)
-    flag1, bell1 = j1 >> 2, j1 & 3
-    flag2, bell2 = j2 >> 2, j2 & 3
-    if placement == BEFORE_ROTATION:
-        bell1 = _ROT3[bell1 ^ s1]
-        bell2 = _ROT3[bell2 ^ s2]
-    else:
-        bell1 = _ROT3[bell1] ^ s1
-        bell2 = _ROT3[bell2] ^ s2
-    flag1 = flag1 ^ s1
-    flag2 = flag2 ^ s2
-    source = bell1 ^ (bell2 & 0b10)
-    target = bell2 ^ (bell1 & 0b01)
-    new_flag = FLAG_UPDATE_TABLE.astype(np.int64)[flag1, flag2]
-    cell = np.where((target & 1) == 0, new_flag * 4 + source, _DISCARD_CELL)
-    return np.broadcast_to(cell, (16, 16, 16)).copy()
+    check_placement(placement)
+    labels = range(4)
+    rotated = np.array([rotation_step3(b) for b in labels], dtype=np.uint8)
+    after_bcnot = [[bcnot_map(b1, b2) for b2 in labels] for b1 in labels]
+    source = np.array([[s for s, _ in row] for row in after_bcnot], dtype=np.uint8)
+    kept = np.array([[measurement_coincides(t) for _, t in row] for row in after_bcnot])
+
+    category = np.arange(16, dtype=np.uint8)[:, None]
+    flag, bell = category >> 2, category & 3
+
+    def noisy(shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(flag, bell) of each category under each event's shift, before the BCNOT."""
+        if placement == BEFORE_ROTATION:
+            return flag ^ shifts, rotated[bell ^ shifts]
+        return flag ^ shifts, rotated[bell] ^ shifts
+
+    flag1, bell1 = (a[:, None, :] for a in noisy(EVENT_CONTROL_SHIFTS))
+    flag2, bell2 = (a[None, :, :] for a in noisy(EVENT_TARGET_SHIFTS))
+    cell = FLAG_UPDATE_TABLE[flag1, flag2] * 4 + source[bell1, bell2]
+    table = np.where(kept[bell1, bell2], cell, DISCARDED).astype(np.uint8)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,18 +217,16 @@ def one_round(
     always flips exactly one pair's amplitude makes every measurement
     anti-coincide.)
     """
-    table = _event_cell_table(_check_placement(placement))
+    table = event_cell_table(placement)
     v = state.p.ravel()
     weights = np.einsum("i,j,e->ije", v, v, noise.f.ravel())
-    totals = np.bincount(
-        table.ravel(), weights=weights.ravel(), minlength=_DISCARD_CELL + 1
-    )
-    keep = float(totals[:_DISCARD_CELL].sum())
+    totals = np.bincount(table.ravel(), weights=weights.ravel(), minlength=DISCARDED + 1)
+    keep = float(totals[:DISCARDED].sum())
     if keep < KEEP_PROBABILITY_FLOOR:
         raise DegenerateRoundError(
             f"keep probability {keep:.3e} below {KEEP_PROBABILITY_FLOOR:.0e}"
         )
-    return SubensembleState(totals[:_DISCARD_CELL].reshape(4, 4) / keep), keep
+    return SubensembleState(totals[:DISCARDED].reshape(4, 4) / keep), keep
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,92 @@
+"""Command-line exit codes, option handling and deterministic output."""
+
+import json
+
+import pytest
+
+from qpurify.cli import main
+
+DEGENERATE = {
+    # sigma_x on the target pair's qubit every time: every measurement of a
+    # pure Phi+ input anti-coincides, so the keep probability is 0
+    "noise": {"family": "explicit", "f": [0, 1] + [0] * 14},
+    "initial": {"bell_probs": [1, 0, 0, 0]},
+}
+#: Both ends of this range are secure, so no boundary is bracketed.
+NO_THRESHOLD = {
+    "noise": {"family": "product", "f0": 0.97},
+    "scan": {"lo": 0.96, "hi": 0.99, "werner_grid": [0.85]},
+}
+SMALL_MC = {"noise": {"family": "uniform", "f00": 0.97}, "pairs": 20_000, "rounds": 3, "seed": 5}
+
+
+def write_config(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run(argv, out):
+    return main([*argv, "--out", str(out), "--deterministic"])
+
+
+def test_iterate_preset_succeeds(tmp_path):
+    assert run(["iterate", "--preset", "fig1"], tmp_path / "out") == 0
+    metadata = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert metadata["command"] == "iterate"
+    assert "mode" not in metadata["config"]
+    assert "timestamp" not in metadata
+
+
+@pytest.mark.parametrize("command", ["iterate", "mc", "scan"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    assert run([command, "--preset", "fig1", "--seed", "-1"], tmp_path / "out") == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_config_file_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"noise": {"family": "product", "f0": 0.97}, "mode": "mc"})
+    assert run(["iterate", "--config", path], tmp_path / "out") == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_preset_and_config_are_exclusive(tmp_path, capsys):
+    path = write_config(tmp_path, SMALL_MC)
+    assert run(["iterate", "--preset", "fig1", "--config", path], tmp_path / "out") == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+
+
+def test_config_or_preset_required(tmp_path, capsys):
+    assert run(["iterate"], tmp_path / "out") == 2
+    assert "required" in capsys.readouterr().err
+
+
+def test_degenerate_dynamics_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path, DEGENERATE)
+    assert run(["iterate", "--config", path], tmp_path / "out") == 3
+    assert "degenerate" in capsys.readouterr().err
+
+
+def test_no_threshold_exits_4(tmp_path, capsys):
+    path = write_config(tmp_path, NO_THRESHOLD)
+    assert run(["scan", "--config", path], tmp_path / "out") == 4
+    assert "no threshold" in capsys.readouterr().err
+
+
+def output_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["iterate", "--preset", "fig1"], ["mc", "--config", None], ["mc", "--config", None, "--format", "json"]],
+    ids=["iterate", "mc-csv", "mc-json"],
+)
+def test_deterministic_reruns_are_byte_identical(tmp_path, argv):
+    argv = [write_config(tmp_path, SMALL_MC) if a is None else a for a in argv]
+    assert run(argv, tmp_path / "a") == 0
+    assert run(argv, tmp_path / "b") == 0
+    first = output_bytes(tmp_path / "a")
+    assert first == output_bytes(tmp_path / "b")
+    assert "metadata.json" in first and len(first) == 2

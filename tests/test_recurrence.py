@@ -185,13 +185,14 @@ class TestOneRound:
         # both categories are drawn i.i.d. from the same distribution, so
         # relabeling the draw slots cannot change the outcome
         state, noise = random_state(5), random_noise(5)
-        table = recurrence._event_cell_table(BEFORE_ROTATION)
         v = state.p.ravel()
         w_direct = np.einsum("i,j,e->ije", v, v, noise.f.ravel())
         w_relabel = np.einsum("j,i,e->ije", v, v, noise.f.ravel())
-        direct = np.bincount(table.ravel(), weights=w_direct.ravel(), minlength=17)
-        relabel = np.bincount(table.ravel(), weights=w_relabel.ravel(), minlength=17)
-        assert np.max(np.abs(direct - relabel)) < 1e-15
+        for placement in (BEFORE_ROTATION, BEFORE_BCNOT):
+            table = recurrence.event_cell_table(placement)
+            direct = np.bincount(table.ravel(), weights=w_direct.ravel(), minlength=17)
+            relabel = np.bincount(table.ravel(), weights=w_relabel.ravel(), minlength=17)
+            assert np.max(np.abs(direct - relabel)) < 1e-15
 
     def test_rejects_unknown_placement(self):
         with pytest.raises(ValueError, match="placement"):
