@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -52,10 +53,22 @@ def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
+def _is_finite_number(value) -> bool:
+    """True for an int or float (not a bool) whose float value is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _get_number(doc: dict, key: str, path: str, default, lo=None, hi=None) -> float:
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
     value = float(value)
     if lo is not None and value < lo:
         raise ConfigError(f"{path}.{key}: must be >= {lo}, got {value}")
@@ -75,8 +88,8 @@ def _get_int(doc: dict, key: str, path: str, default, lo=None) -> int:
 
 def _get_number_list(doc: dict, key: str, path: str, default, length: int) -> list[float]:
     value = doc.get(key, default)
-    if not isinstance(value, list) or len(value) != length or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in value
+    if not isinstance(value, list) or len(value) != length or not all(
+        _is_finite_number(x) for x in value
     ):
         raise ConfigError(f"{path}.{key}: expected a list of {length} numbers, got {value!r}")
     return [float(x) for x in value]

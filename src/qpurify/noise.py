@@ -76,9 +76,10 @@ class NoiseModel:
             f = f.reshape(4, 4)
         if f.shape != (4, 4):
             raise ValueError(f"noise table must have 16 entries, got shape {f.shape}")
-        if f.min() < 0.0:
+        # written so that a NaN fails both checks
+        if not f.min() >= 0.0:
             raise ValueError(f"noise probabilities must be nonnegative, min {f.min()}")
-        if abs(f.sum() - 1.0) > PROBABILITY_ATOL:
+        if not abs(f.sum() - 1.0) <= PROBABILITY_ATOL:
             raise ValueError(f"noise probabilities sum to {f.sum()!r}, not 1")
         f.setflags(write=False)
         object.__setattr__(self, "f", f)

@@ -24,8 +24,17 @@ event cell table (:func:`event_cell_table`), composed once per placement
 from the label maps of :mod:`qpurify.bell`, the event shifts of
 :mod:`qpurify.noise` and the flag table of :mod:`qpurify.flags`.  It is
 the only encoding of a round: :mod:`qpurify.montecarlo` advances its
-records through the same table.  The per-round cost is a 16x16x16
-weighted histogram.
+records through the same table.
+
+Because control and target are drawn independently from ``p``, a round
+is a quadratic form in the sixteen coefficients.  Summing the table's
+events against one noise model gives the round tensor
+(:func:`round_tensor`), a 256x17 array whose row ``i * 16 + j`` holds
+the probability that control category ``i`` and target category ``j``
+land in each output cell (the last column is :data:`DISCARDED`).  A
+round is then one vector-matrix product, ``outer(v, v).ravel() @ Q``,
+followed by renormalization; :func:`iterate` builds ``Q`` once and
+repeats that product on a bare 16-vector.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ __all__ = [
     "DISCARDED",
     "check_placement",
     "event_cell_table",
+    "round_tensor",
     "KEEP_PROBABILITY_FLOOR",
     "SubensembleState",
     "fidelity",
@@ -125,6 +135,60 @@ def event_cell_table(placement: str) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _tensor_bins(placement: str) -> np.ndarray:
+    """Flat index into the 256x17 round tensor of every event-table entry."""
+    pair = np.arange(256).reshape(16, 16, 1)
+    return (pair * (DISCARDED + 1) + event_cell_table(placement)).ravel()
+
+
+def round_tensor(noise: NoiseModel, placement: str = BEFORE_ROTATION) -> np.ndarray:
+    """The round map of one noise model as a 256x17 quadratic form ``Q``.
+
+    ``Q[i * 16 + j, c]`` is the probability, over the noise event, that
+    control category ``i`` and target category ``j`` end in output cell
+    ``c`` (column :data:`DISCARDED` collects the discarded pairs of
+    pairs), so one round's unnormalized output is
+    ``outer(v, v).ravel() @ Q``.  Each row sums to 1.
+    """
+    totals = np.bincount(
+        _tensor_bins(placement),
+        weights=np.tile(noise.f.ravel(), 256),
+        minlength=256 * (DISCARDED + 1),
+    )
+    return totals.reshape(256, DISCARDED + 1)
+
+
+def _step(v: np.ndarray, tensor: np.ndarray) -> tuple[np.ndarray, float]:
+    """One round on a flat 16-vector: the renormalized output and the keep probability."""
+    totals = (v[:, None] * v).ravel() @ tensor
+    kept = totals[:DISCARDED]
+    keep = float(kept.sum())
+    if keep < KEEP_PROBABILITY_FLOOR:
+        raise DegenerateRoundError(
+            f"keep probability {keep:.3e} below {KEEP_PROBABILITY_FLOOR:.0e}"
+        )
+    return kept / keep, keep
+
+
+def _checked_rows(rows: np.ndarray) -> np.ndarray:
+    """Validate rows of sixteen coefficients as distributions; return them clipped at 0.
+
+    Every coefficient must be at least ``-_STATE_ATOL`` and every row must
+    sum to 1 within ``_STATE_ATOL``.  The comparisons are written so that
+    a NaN fails them.
+    """
+    low = rows.min()
+    if not low >= -_STATE_ATOL:
+        raise ValueError(f"state has negative or NaN coefficient {low:.3e}")
+    rows = np.clip(rows, 0.0, None)
+    deviation = np.abs(rows.sum(axis=-1) - 1.0).ravel()
+    if not deviation.max() <= _STATE_ATOL:
+        worst = float(rows.reshape(-1, 16)[deviation.argmax()].sum())
+        raise ValueError(f"state coefficients sum to {worst!r}, not 1")
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class SubensembleState:
     """Joint distribution ``p[flag, bell]`` over flags and Bell labels.
@@ -143,11 +207,7 @@ class SubensembleState:
             p = p.reshape(4, 4)
         if p.shape != (4, 4):
             raise ValueError(f"state must have 16 coefficients, got shape {p.shape}")
-        if p.min() < -_STATE_ATOL:
-            raise ValueError(f"state has negative coefficient {p.min():.3e}")
-        p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > _STATE_ATOL:
-            raise ValueError(f"state coefficients sum to {p.sum()!r}, not 1")
+        p = _checked_rows(p.reshape(16)).reshape(4, 4)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -161,7 +221,7 @@ class SubensembleState:
         probs = np.array(bell_probs, dtype=float)
         if probs.shape != (4,):
             raise ValueError("bell_probs must have exactly 4 entries")
-        if probs.min() < 0.0 or probs.sum() <= 0.0 or abs(probs.sum() - 1.0) > 1e-9:
+        if not (probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError(f"bell_probs is not a probability distribution: {probs}")
         probs = probs / probs.sum()
         p = np.zeros((4, 4))
@@ -217,16 +277,8 @@ def one_round(
     always flips exactly one pair's amplitude makes every measurement
     anti-coincide.)
     """
-    table = event_cell_table(placement)
-    v = state.p.ravel()
-    weights = np.einsum("i,j,e->ije", v, v, noise.f.ravel())
-    totals = np.bincount(table.ravel(), weights=weights.ravel(), minlength=DISCARDED + 1)
-    keep = float(totals[:DISCARDED].sum())
-    if keep < KEEP_PROBABILITY_FLOOR:
-        raise DegenerateRoundError(
-            f"keep probability {keep:.3e} below {KEEP_PROBABILITY_FLOOR:.0e}"
-        )
-    return SubensembleState(totals[:DISCARDED].reshape(4, 4) / keep), keep
+    v, keep = _step(state.p.ravel(), round_tensor(noise, placement))
+    return SubensembleState(v), keep
 
 
 @dataclass(frozen=True)
@@ -240,51 +292,68 @@ class TrajectoryPoint:
 
 @dataclass
 class Trajectory:
-    """Per-round records of one fixpoint iteration (round 0 = input)."""
+    """Per-round records of one fixpoint iteration (round 0 = input).
 
-    points: list[TrajectoryPoint]
+    ``coefficients`` holds the sixteen coefficients of every round, one
+    row per round, and ``keeps`` the keep probability of the round that
+    produced each row (1 for round 0).  The per-round
+    :class:`TrajectoryPoint` records are built from them on request.
+    """
+
+    coefficients: np.ndarray
+    keeps: np.ndarray
     converged: bool
     final_change: float
     placement: str
 
     @property
     def rounds(self) -> int:
-        return len(self.points) - 1
+        return len(self.coefficients) - 1
+
+    @property
+    def points(self) -> list[TrajectoryPoint]:
+        return [
+            TrajectoryPoint(n, f, fc, keep, SubensembleState(row))
+            for n, (f, fc, keep, row) in enumerate(
+                zip(
+                    self.fidelities().tolist(),
+                    self.conditional_fidelities().tolist(),
+                    self.keeps.tolist(),
+                    self.coefficients,
+                )
+            )
+        ]
 
     @property
     def final_state(self) -> SubensembleState:
-        return self.points[-1].state
+        return SubensembleState(self.coefficients[-1])
 
     @property
     def limiting_fidelity(self) -> float:
         """Fidelity at the last recorded round (the F_max estimate)."""
-        return self.points[-1].fidelity
+        return float(self.fidelities()[-1])
 
     @property
     def limiting_conditional_fidelity(self) -> float:
-        return self.points[-1].conditional_fidelity
+        return float(self.conditional_fidelities()[-1])
 
     def fidelities(self) -> np.ndarray:
-        return np.array([pt.fidelity for pt in self.points])
+        """Phi+ weight summed over flags: columns ``flag * 4 + 0``."""
+        return self.coefficients[:, 0::4].sum(axis=1)
 
     def conditional_fidelities(self) -> np.ndarray:
-        return np.array([pt.conditional_fidelity for pt in self.points])
+        """Weight on flag == bell: columns ``k * 4 + k``."""
+        return self.coefficients[:, 0::5].sum(axis=1)
 
     def keep_probabilities(self) -> np.ndarray:
-        return np.array([pt.keep_probability for pt in self.points])
+        return self.keeps.copy()
 
     def rows(self) -> list[list[float]]:
         """CSV rows: round, F, F_cond, keep probability, 16 coefficients."""
-        return [
-            [
-                pt.round_index,
-                pt.fidelity,
-                pt.conditional_fidelity,
-                pt.keep_probability,
-                *pt.state.p.ravel().tolist(),
-            ]
-            for pt in self.points
-        ]
+        table = np.column_stack(
+            [self.fidelities(), self.conditional_fidelities(), self.keeps, self.coefficients]
+        )
+        return [[n, *row] for n, row in enumerate(table.tolist())]
 
 
 def iterate(
@@ -299,22 +368,25 @@ def iterate(
     Convergence means the sup-norm change of the sixteen coefficients
     drops below ``fixpoint_tol``.  The trajectory always starts with a
     round-0 record of the input state (keep probability 1 by convention).
+    The round tensor is built once and each round advances a bare
+    16-vector; the rows are validated like :class:`SubensembleState`
+    once the iteration stops.
     """
-    points = [TrajectoryPoint(0, fidelity(state), conditional_fidelity(state), 1.0, state)]
+    tensor = round_tensor(noise, placement)
+    v = state.p.ravel()
+    rows, keeps = [v], [1.0]
     converged = False
     change = np.inf
-    current = state
-    for n in range(1, max_rounds + 1):
-        new_state, keep = one_round(current, noise, placement)
-        change = float(np.max(np.abs(new_state.p - current.p)))
-        points.append(
-            TrajectoryPoint(n, fidelity(new_state), conditional_fidelity(new_state), keep, new_state)
-        )
-        current = new_state
+    for _ in range(max_rounds):
+        new, keep = _step(v, tensor)
+        change = float(np.abs(new - v).max())
+        rows.append(new)
+        keeps.append(keep)
+        v = new
         if change < fixpoint_tol:
             converged = True
             break
-    return Trajectory(points, converged, change, placement)
+    return Trajectory(_checked_rows(np.array(rows)), np.array(keeps), converged, change, placement)
 
 
 class Regime(str, Enum):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from qpurify import cli
 from qpurify.cli import main
+from qpurify.flags import FLAG_UPDATE_TABLE
 
 DEGENERATE = {
     # sigma_x on the target pair's qubit every time: every measurement of a
@@ -49,6 +51,33 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {"noise": {"family": "product", "f0": 0.97}, "mode": "mc"})
     assert run(["iterate", "--config", path], tmp_path / "out") == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+NON_FINITE = [
+    # written with json.dumps, which emits the NaN literal that json.loads accepts
+    ("iterate", {"noise": {"family": "explicit", "f": [float("nan")] + [0.0] * 15}, "rounds": 3}),
+    ("scan", {"noise": {"family": "product", "f0": 0.97}, "scan": {"bisect_tol": float("nan")}}),
+]
+
+
+@pytest.mark.parametrize("command, doc", NON_FINITE, ids=["explicit-f", "bisect-tol"])
+def test_non_finite_number_exits_2(tmp_path, capsys, command, doc):
+    path = write_config(tmp_path, doc)
+    assert "NaN" in (tmp_path / "config.json").read_text()
+    assert run([command, "--config", path], tmp_path / "out") == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_verification_exits_1(monkeypatch, capsys):
+    corrupted = FLAG_UPDATE_TABLE.copy()
+    corrupted[1, 2] ^= 1
+    real = cli.run_conformance_checks
+    monkeypatch.setattr(cli, "run_conformance_checks", lambda: real(round_samples=2, flag_table=corrupted))
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] flag combination table" in captured.out
+    assert "verification FAILED" in captured.err
 
 
 def test_preset_and_config_are_exclusive(tmp_path, capsys):

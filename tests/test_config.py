@@ -8,6 +8,7 @@ from qpurify.config import PRESETS, ExperimentConfig, ScanSettings, load_config_
 from qpurify.errors import ConfigError
 
 PRODUCT = {"family": "product", "f0": 0.97}
+NAN = float("nan")
 
 
 def with_noise(**extra):
@@ -44,6 +45,12 @@ REJECTED = [
     (with_noise(scan={"werner_grid": [0.2]}), "werner_grid"),
     (with_noise(scan={"werner_grid": [0.85, 0.95, 0.85]}), "repeated fidelity"),
     (with_noise(scan={"max_rounds": 0}), "max_rounds"),
+    # json.loads accepts NaN and Infinity; none of them may reach the engine
+    ({"noise": {"family": "explicit", "f": [NAN] + [0.0] * 15}, "rounds": 3}, "list of 16 numbers"),
+    (with_noise(scan={"bisect_tol": NAN}), "bisect_tol: must be finite"),
+    ({"noise": {"family": "product", "f0": float("inf")}}, "f0: must be finite"),
+    ({"noise": {"family": "product", "f0": 10**400}}, "f0: must be finite"),
+    (with_noise(initial={"bell_probs": [NAN, 0.05, 0.05, 0.05]}), "list of 4 numbers"),
 ]
 
 

@@ -82,6 +82,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="16 entries"):
             NoiseModel(np.full(8, 0.125))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        f = np.zeros(16)
+        f[0] = bad
+        with pytest.raises(ValueError):
+            NoiseModel(f)
+
 
 class TestSampling:
     def test_identity_channel_always_identity(self):

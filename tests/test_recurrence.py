@@ -73,6 +73,36 @@ def ideal_recurrence(bell_probs):
     return out, n
 
 
+def reference_round(v, noise, placement=BEFORE_ROTATION):
+    """One round as a per-event weighted histogram of the event cell table.
+
+    Every (control, target, event) weight lands in its output cell; this
+    is the round map computed without the contracted round tensor.
+    """
+    table = recurrence.event_cell_table(placement)
+    weights = np.einsum("i,j,e->ije", v, v, noise.f.ravel())
+    totals = np.bincount(table.ravel(), weights=weights.ravel(), minlength=17)
+    keep = totals[:16].sum()
+    return totals[:16] / keep, keep
+
+
+def reference_iterate(state, noise, max_rounds, placement=BEFORE_ROTATION, tol=1e-12):
+    """Loop of reference rounds under the stop rule of ``iterate``."""
+    v = state.p.ravel()
+    rows, keeps = [v], [1.0]
+    converged = False
+    for _ in range(max_rounds):
+        new, keep = reference_round(v, noise, placement)
+        change = np.max(np.abs(new - v))
+        rows.append(new)
+        keeps.append(keep)
+        v = new
+        if change < tol:
+            converged = True
+            break
+    return np.array(rows), np.array(keeps), converged
+
+
 def random_state(seed):
     rng = np.random.default_rng(seed)
     return SubensembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
@@ -108,6 +138,15 @@ class TestSubensembleState:
     def test_rejects_bad_flag_mode(self):
         with pytest.raises(ValueError, match="flag_mode"):
             SubensembleState.from_bell_probs(WERNER_085, flag_mode="banana")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        p = np.full(16, 1.0 / 16.0)
+        p[3] = bad
+        with pytest.raises(ValueError):
+            SubensembleState(p)
+        with pytest.raises(ValueError, match="probability distribution"):
+            SubensembleState.from_bell_probs([bad, 0.0, 0.0, 1.0])
 
 
 class TestFidelities:
@@ -199,6 +238,57 @@ class TestOneRound:
             one_round(random_state(0), random_noise(0), "after_measurement")
 
 
+class TestRoundTensor:
+    @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
+    def test_rows_are_distributions_over_cells(self, placement):
+        tensor = recurrence.round_tensor(random_noise(3), placement)
+        assert tensor.shape == (256, 17)
+        assert tensor.min() >= 0.0
+        assert np.max(np.abs(tensor.sum(axis=1) - 1.0)) < 1e-15
+
+    @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_round_matches_reference_histogram(self, placement, seed):
+        state, noise = random_state(seed), random_noise(seed)
+        out, keep = one_round(state, noise, placement)
+        expected, expected_keep = reference_round(state.p.ravel(), noise, placement)
+        assert np.max(np.abs(out.p.ravel() - expected)) < 1e-15
+        assert abs(keep - expected_keep) < 1e-15
+
+    @pytest.mark.parametrize(
+        "noise, initial, max_rounds, placement, converged",
+        [
+            # near threshold: spectral radius ~0.994, still moving after 2,000 rounds
+            (NoiseModel.from_one_qubit_depolarizing(0.8986), SubensembleState.werner(0.85),
+             2000, BEFORE_ROTATION, False),
+            (NoiseModel.from_uniform_residual(0.97), SubensembleState.werner(0.85),
+             500, BEFORE_ROTATION, True),
+            (NoiseModel.from_one_qubit_depolarizing(0.95),
+             SubensembleState.from_bell_probs([0.8, 0.1, 0.05, 0.05], flag_mode="random"),
+             500, BEFORE_BCNOT, True),
+        ],
+        ids=["near-threshold", "fig1", "bcnot-random-flags"],
+    )
+    def test_iterate_matches_reference_loop(self, noise, initial, max_rounds, placement, converged):
+        traj = iterate(initial, noise, max_rounds=max_rounds, placement=placement)
+        rows, keeps, reference_converged = reference_iterate(initial, noise, max_rounds, placement)
+        assert traj.converged == reference_converged == converged
+        assert traj.rounds == len(rows) - 1
+        assert np.max(np.abs(traj.coefficients - rows)) < 1e-12
+        assert np.max(np.abs(traj.keep_probabilities() - keeps)) < 1e-12
+
+    def test_round_buffer_is_not_preallocated(self):
+        # a pure Phi+ input is a fixpoint of the noiseless map: one round
+        traj = iterate(SubensembleState.from_bell_probs([1, 0, 0, 0]), NoiseModel.identity(),
+                       max_rounds=10**15)
+        assert traj.converged and traj.rounds == 1
+
+    def test_non_finite_rows_fail_the_batched_check(self, monkeypatch):
+        monkeypatch.setattr(recurrence, "round_tensor", lambda noise, placement: np.full((256, 17), np.nan))
+        with pytest.raises(ValueError, match="NaN"):
+            iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=3)
+
+
 class TestIterate:
     def test_noiseless_werner_07_converges_to_unity(self):
         traj = iterate(SubensembleState.werner(0.7), NoiseModel.identity(), max_rounds=200)
@@ -236,6 +326,20 @@ class TestIterate:
         tail = ratios[4:]
         assert np.all(tail < 1.0)
         assert np.max(np.abs(tail - np.median(tail))) < 0.2
+
+    def test_points_agree_with_rows_and_state_functions(self):
+        traj = iterate(SubensembleState.werner(0.85), NoiseModel.from_uniform_residual(0.97), max_rounds=12)
+        rows = traj.rows()
+        assert len(traj.points) == len(rows) == traj.rounds + 1
+        for point, row in zip(traj.points, rows):
+            assert row == [point.round_index, point.fidelity, point.conditional_fidelity,
+                           point.keep_probability, *point.state.p.ravel().tolist()]
+            assert point.fidelity == pytest.approx(fidelity(point.state), abs=1e-15)
+            assert point.conditional_fidelity == pytest.approx(
+                conditional_fidelity(point.state), abs=1e-15
+            )
+        assert np.array_equal(traj.final_state.p, traj.points[-1].state.p)
+        assert traj.limiting_fidelity == traj.points[-1].fidelity
 
     def test_rows_schema(self):
         traj = iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=2)
@@ -297,6 +401,21 @@ class TestThresholds:
         assert scan.f_purify == pytest.approx(0.8983, abs=5e-4)
         assert scan.f_secure == pytest.approx(0.8988, abs=5e-4)
         assert 0.0 < scan.f_secure - scan.f_purify < 1e-3
+
+    def test_insecure_band_is_pinned(self):
+        # default scan settings on the product family: the purification
+        # threshold lies below the security threshold, leaving a band of
+        # noise in which the state purifies but the flags are not perfectly
+        # correlated with the Bell labels
+        scan = find_thresholds(
+            NoiseModel.from_one_qubit_depolarizing,
+            SubensembleState.werner(0.85),
+            bisect_tol=1e-5,
+            max_rounds=3000,
+        )
+        assert scan.f_purify == pytest.approx(0.8983056640624999, abs=1e-5)
+        assert scan.f_secure == pytest.approx(0.8987451171874999, abs=1e-5)
+        assert scan.f_secure - scan.f_purify > 3e-4
 
     def test_all_secure_range_raises(self):
         with pytest.raises(NoThresholdError):
