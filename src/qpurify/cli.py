@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 Every data file embeds the full effective configuration (defaults made
 explicit) and each run writes a ``metadata.json`` sidecar; with
 ``--deterministic`` the timestamp is suppressed so identical
-(config, seed, chunk size) runs produce byte-identical files.
+(config, seed) runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -141,7 +141,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         config.pairs,
         flag_mode=config.initial["flag_mode"],
         seed=config.seed,
-        chunk_size=config.chunk_size,
     )
     trajectory = run_protocol(
         ensemble, config.noise_model(), config.rounds, placement=config.placement
@@ -171,6 +170,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         secure_tol=settings.secure_tol,
         purify_margin=settings.purify_margin,
         max_rounds=settings.max_rounds,
+        fixpoint_tol=config.fixpoint_tol,
         placement=config.placement,
     )
     primary = find_thresholds(family, config.engine_initial_state(), **common)

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigError
+from .montecarlo import MAX_PAIRS
 from .noise import NoiseModel
 from .recurrence import PLACEMENTS, SubensembleState
 
@@ -77,12 +78,14 @@ def _get_number(doc: dict, key: str, path: str, default, lo=None, hi=None) -> fl
     return value
 
 
-def _get_int(doc: dict, key: str, path: str, default, lo=None) -> int:
+def _get_int(doc: dict, key: str, path: str, default, lo=None, hi=None) -> int:
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(f"{path}.{key}: must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{path}.{key}: must be <= {hi}, got {value}")
     return value
 
 
@@ -206,7 +209,6 @@ class ExperimentConfig:
     rounds: int = 10
     pairs: int = 1_000_000
     seed: int = 0
-    chunk_size: int = 65536
     placement: str = "before_rotation"
     fixpoint_tol: float = 1e-12
     scan: ScanSettings = field(default_factory=ScanSettings)
@@ -216,8 +218,7 @@ class ExperimentConfig:
         doc = _require_mapping(doc, source)
         _reject_unknown(
             doc,
-            {"noise", "initial", "rounds", "pairs", "seed", "chunk_size", "placement",
-             "fixpoint_tol", "scan"},
+            {"noise", "initial", "rounds", "pairs", "seed", "placement", "fixpoint_tol", "scan"},
             source,
         )
         if "noise" not in doc:
@@ -229,9 +230,8 @@ class ExperimentConfig:
                 f"{source}.initial",
             ),
             rounds=_get_int(doc, "rounds", source, 10, 1),
-            pairs=_get_int(doc, "pairs", source, 1_000_000, 2),
+            pairs=_get_int(doc, "pairs", source, 1_000_000, 2, MAX_PAIRS - 1),
             seed=_get_int(doc, "seed", source, 0, 0),
-            chunk_size=_get_int(doc, "chunk_size", source, 65536, 1),
             placement=_get_choice(doc, "placement", source, "before_rotation", PLACEMENTS),
             fixpoint_tol=_get_number(doc, "fixpoint_tol", source, 1e-12, 0.0, 1.0),
             scan=ScanSettings.from_document(doc.get("scan", {}), f"{source}.scan"),
@@ -263,7 +263,6 @@ class ExperimentConfig:
             "rounds": self.rounds,
             "pairs": self.pairs,
             "seed": self.seed,
-            "chunk_size": self.chunk_size,
             "placement": self.placement,
             "fixpoint_tol": self.fixpoint_tol,
             "scan": self.scan.as_dict(),

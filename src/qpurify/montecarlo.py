@@ -1,20 +1,29 @@
 """Stochastic simulation of a finite population of pairs.
 
-Each pair is one byte, ``(flag << 2) | bell``, in a flat contiguous
-array: the same packing as a category of the exact engine.  A round
-shuffles the population, pairs adjacent records as (control, target),
-samples one noise event per pair of pairs, and then takes the whole
-round (noise shifts on labels and flags, rotation, bilateral CNOT,
-coincidence measurement, flag combination) as one lookup in the
-engine's event cell table, :func:`qpurify.recurrence.event_cell_table`.
-Records whose cell is :data:`~qpurify.recurrence.DISCARDED` are
-dropped.  An odd leftover record after the shuffle is discarded (an
-O(1/N) effect).
+A round's outcome depends on nothing but how many pairs sit in each of
+the sixteen (flag, Bell) categories, so the population is held as a
+16-entry count vector, packed ``flag * 4 + bell`` like a category of
+the exact engine.  A round samples exactly the distribution of
+"pair the population uniformly at random, drop an odd leftover":
+
+1. an odd population loses one uniformly chosen pair;
+2. the controls are a uniformly chosen half (a multivariate
+   hypergeometric draw), the targets the rest;
+3. each control category draws its partners from the remaining
+   targets, giving the 16x16 counts of (control, target) pairs;
+4. each (control, target) cell draws its noise events from one
+   multinomial;
+5. the event counts go through the engine's event cell table,
+   :func:`qpurify.recurrence.event_cell_table`, whose
+   :data:`~qpurify.recurrence.DISCARDED` column collects the discarded
+   pairs of pairs.
+
+A round therefore costs O(16^3) whatever the population size.  Counts
+are limited to fewer than :data:`MAX_PAIRS` pairs, numpy's bound for a
+multivariate hypergeometric draw.
 
 Randomness is organized as independent generator streams keyed by
-(seed, purpose, round, chunk); per-round noise draws are chunked in
-fixed-size blocks, so a fixed (seed, chunk_size) reproduces results
-bit-identically regardless of how chunks would be scheduled.
+(seed, purpose, round), so a fixed seed reproduces a run bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .noise import NoiseModel
 from .recurrence import BEFORE_ROTATION, DISCARDED, SubensembleState, event_cell_table
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
+    "MAX_PAIRS",
     "Ensemble",
     "RoundStats",
     "McTrajectory",
@@ -40,14 +49,20 @@ __all__ = [
     "total_variation",
 ]
 
-DEFAULT_CHUNK_SIZE = 1 << 16
+#: Populations must stay below this size (numpy's limit for
+#: ``Generator.multivariate_hypergeometric``).
+MAX_PAIRS = 10**9
 
 # Stream purposes (first spawn-key component).
-_INIT_BELLS = 0
-_INIT_FLAGS = 1
-_SHUFFLE = 2
-_NOISE = 3
-_SACRIFICE = 4
+_INIT = 0
+_PAIRING = 1
+_NOISE = 2
+_SACRIFICE = 3
+
+#: Categories ``flag * 4 + bell`` holding a Phi+ pair, and those whose flag
+#: equals the Bell label.  Plain lists: no numpy work at import.
+_PHI_PLUS = [flag * 4 for flag in range(4)]
+_FLAG_MATCHES = [label * 4 + label for label in range(4)]
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -56,34 +71,37 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class Ensemble:
-    """A concrete finite population of (bell, flag) records."""
+    """A finite population, as counts of pairs per ``flag * 4 + bell`` category."""
 
-    pairs: np.ndarray
+    counts: np.ndarray
     seed: int
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     round_counter: int = 0
     check_counter: int = 0
 
+    def __post_init__(self):
+        counts = np.array(self.counts)
+        if counts.shape != (16,) or counts.dtype.kind not in "iu" or counts.min() < 0:
+            raise ValueError(f"counts must be 16 nonnegative integers, got {self.counts!r}")
+        self.counts = counts.astype(np.int64)
+
     @property
     def size(self) -> int:
-        return int(self.pairs.size)
+        return int(self.counts.sum())
 
     def joint_distribution(self) -> np.ndarray:
         """Empirical (flag, bell) frequencies, shaped like a state's ``p``."""
-        if self.pairs.size == 0:
+        n = self.size
+        if n == 0:
             return np.zeros((4, 4))
-        counts = np.bincount(self.pairs, minlength=16)[:16]
-        return counts.reshape(4, 4) / self.pairs.size
+        return self.counts.reshape(4, 4) / n
 
     def fidelity(self) -> float:
-        if self.pairs.size == 0:
-            return float("nan")
-        return float(np.mean((self.pairs & 3) == 0))
+        n = self.size
+        return float(self.counts[_PHI_PLUS].sum() / n) if n else float("nan")
 
     def conditional_fidelity(self) -> float:
-        if self.pairs.size == 0:
-            return float("nan")
-        return float(np.mean((self.pairs >> 2) == (self.pairs & 3)))
+        n = self.size
+        return float(self.counts[_FLAG_MATCHES].sum() / n) if n else float("nan")
 
     def as_state(self) -> SubensembleState:
         return SubensembleState(self.joint_distribution())
@@ -94,30 +112,17 @@ def init_ensemble(
     n_pairs: int,
     flag_mode: str = "fixed",
     seed: int = 0,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> Ensemble:
-    """Sample ``n_pairs`` i.i.d. records with Bell labels drawn from ``bell_probs``.
+    """Sample ``n_pairs`` i.i.d. pairs with Bell labels drawn from ``bell_probs``.
 
     ``bell_probs`` is indexed by packed label (Phi+, Psi+, Phi-, Psi-).
     Flags start at (00) (``flag_mode="fixed"``) or uniformly random
     (``"random"``; used to verify independence from initialization).
     """
-    probs = np.array(bell_probs, dtype=float)
-    if probs.shape != (4,) or probs.min() < 0.0 or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"bell_probs is not a probability distribution: {probs}")
-    probs = probs / probs.sum()
-    if n_pairs < 2:
-        raise ValueError(f"need at least 2 pairs, got {n_pairs}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    bells = _stream(seed, _INIT_BELLS).choice(4, size=n_pairs, p=probs).astype(np.uint8)
-    if flag_mode == "fixed":
-        flags = np.zeros(n_pairs, dtype=np.uint8)
-    elif flag_mode == "random":
-        flags = _stream(seed, _INIT_FLAGS).integers(0, 4, size=n_pairs, dtype=np.uint8)
-    else:
-        raise ValueError(f"flag_mode must be 'fixed' or 'random', got {flag_mode!r}")
-    return Ensemble((flags << 2) | bells, seed, chunk_size)
+    if not 2 <= n_pairs < MAX_PAIRS:
+        raise ValueError(f"need at least 2 and fewer than {MAX_PAIRS} pairs, got {n_pairs}")
+    joint = SubensembleState.from_bell_probs(bell_probs, flag_mode=flag_mode).p.ravel()
+    return Ensemble(_stream(seed, _INIT).multinomial(n_pairs, joint), seed)
 
 
 @dataclass(frozen=True)
@@ -148,15 +153,32 @@ def _snapshot(round_index: int, ensemble: Ensemble, keep_fraction: float) -> Rou
     )
 
 
-def _sample_events_chunked(
-    noise: NoiseModel, seed: int, round_index: int, chunk_size: int, count: int
-) -> np.ndarray:
-    events = np.empty(count, dtype=np.int64)
-    for chunk, start in enumerate(range(0, count, chunk_size)):
-        stop = min(start + chunk_size, count)
-        gen = _stream(seed, _NOISE, round_index, chunk)
-        events[start:stop] = noise.sample_events(gen, stop - start)
-    return events
+def _pairing(counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """16x16 counts of (control, target) pairs of a uniformly random pairing.
+
+    Distributed exactly like shuffling the population, pairing adjacent
+    pairs as (control, target) and dropping an odd leftover.
+    """
+    if counts.sum() % 2:
+        counts = counts - gen.multivariate_hypergeometric(counts, 1)
+    controls = gen.multivariate_hypergeometric(counts, counts.sum() // 2)
+    targets = counts - controls
+    matching = np.zeros((16, 16), dtype=np.int64)
+    for i in np.flatnonzero(controls):
+        matching[i] = gen.multivariate_hypergeometric(targets, controls[i])
+        targets -= matching[i]
+    return matching
+
+
+def _combine(events: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Output counts of each cell from event counts per (control, target, event).
+
+    ``events`` holds one count per entry of the event cell table
+    ``cells``, in its index order; the last of the 17 output counts is
+    :data:`DISCARDED`.
+    """
+    totals = np.bincount(cells.ravel(), weights=events.ravel(), minlength=DISCARDED + 1)
+    return totals.astype(np.int64)  # sums of integers below 2**53: exact
 
 
 def run_round(
@@ -169,26 +191,21 @@ def run_round(
     cells = event_cell_table(placement)
     n = ensemble.size
     if n < 2:
-        raise ProtocolHaltError(f"cannot pair {n} remaining record(s)")
+        raise ProtocolHaltError(f"cannot pair {n} remaining pair(s)")
     round_index = ensemble.round_counter + 1
 
-    order = _stream(ensemble.seed, _SHUFFLE, round_index).permutation(n)
-    shuffled = ensemble.pairs[order]
-    m = n // 2
-    events = _sample_events_chunked(
-        noise, ensemble.seed, round_index, ensemble.chunk_size, m
+    matching = _pairing(ensemble.counts, _stream(ensemble.seed, _PAIRING, round_index))
+    events = _stream(ensemble.seed, _NOISE, round_index).multinomial(
+        matching.ravel(), noise.f.ravel()
     )
-    combined = cells[shuffled[0 : 2 * m : 2], shuffled[1 : 2 * m : 2], events]
-    survivors = combined[combined != DISCARDED]
-    ensemble.pairs = survivors
+    ensemble.counts = _combine(events, cells)[:DISCARDED]
     ensemble.round_counter = round_index
-    keep_fraction = survivors.size / m
-    return _snapshot(round_index, ensemble, keep_fraction)
+    return _snapshot(round_index, ensemble, ensemble.size / (n // 2))
 
 
 @dataclass
 class McTrajectory:
-    """Empirical per-round records, including the round-0 snapshot."""
+    """Empirical per-round snapshots, including round 0."""
 
     points: list[RoundStats]
     halted: bool
@@ -261,9 +278,9 @@ def check_minimum_fidelity(
 ) -> MinimumFidelityCheck:
     """Estimate the fidelity by measuring and removing a random fraction.
 
-    Counts Phi+ outcomes among the sacrificed records and forms a
+    Counts Phi+ outcomes among the sacrificed pairs and forms a
     Clopper-Pearson interval at the given confidence; the check passes
-    iff the lower bound exceeds ``f_min``.  The sacrificed records are
+    iff the lower bound exceeds ``f_min``.  The sacrificed pairs are
     removed from the ensemble.
     """
     if not 0.0 < sacrifice_fraction < 1.0:
@@ -273,16 +290,13 @@ def check_minimum_fidelity(
     if k == 0:
         raise ValueError(f"sacrifice of {sacrifice_fraction} of {n} pairs selects none")
     gen = _stream(ensemble.seed, _SACRIFICE, ensemble.round_counter, ensemble.check_counter)
-    chosen = gen.choice(n, size=k, replace=False)
-    sacrificed = ensemble.pairs[chosen]
-    keep_mask = np.ones(n, dtype=bool)
-    keep_mask[chosen] = False
-    ensemble.pairs = ensemble.pairs[keep_mask]
+    sacrificed = gen.multivariate_hypergeometric(ensemble.counts, k)
+    ensemble.counts = ensemble.counts - sacrificed
     ensemble.check_counter += 1
 
     from scipy import stats  # imported here: it dominates start-up and only this check needs it
 
-    successes = int(np.count_nonzero((sacrificed & 3) == 0))
+    successes = int(sacrificed[_PHI_PLUS].sum())
     alpha = 1.0 - confidence
     low = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2, successes, k - successes + 1))
     high = 1.0 if successes == k else float(stats.beta.ppf(1 - alpha / 2, successes + 1, k - successes))

@@ -23,8 +23,8 @@ closed-form recurrence is transcribed anywhere.  The enumeration is the
 event cell table (:func:`event_cell_table`), composed once per placement
 from the label maps of :mod:`qpurify.bell`, the event shifts of
 :mod:`qpurify.noise` and the flag table of :mod:`qpurify.flags`.  It is
-the only encoding of a round: :mod:`qpurify.montecarlo` advances its
-records through the same table.
+the only encoding of a round: :mod:`qpurify.montecarlo` pushes its
+sampled event counts through the same table.
 
 Because control and target are drawn independently from ``p``, a round
 is a quadratic form in the sixteen coefficients.  Summing the table's
@@ -499,6 +499,7 @@ def find_thresholds(
     purify_margin: float = 1e-4,
     max_rounds: int = 2000,
     placement: str = BEFORE_ROTATION,
+    fixpoint_tol: float = 1e-12,
 ) -> ThresholdScan:
     """Bisect the purification and security boundaries of a noise family.
 
@@ -518,6 +519,7 @@ def find_thresholds(
             secure_tol=secure_tol,
             purify_margin=purify_margin,
             max_rounds=max_rounds,
+            fixpoint_tol=fixpoint_tol,
             placement=placement,
         )
         evaluations.append((x, report.regime.value))

@@ -80,6 +80,30 @@ def test_failed_verification_exits_1(monkeypatch, capsys):
     assert "verification FAILED" in captured.err
 
 
+def test_population_over_the_sampler_limit_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {**SMALL_MC, "pairs": 10**9})
+    assert run(["mc", "--config", path], tmp_path / "out") == 2
+    assert "pairs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_uses_the_top_level_fixpoint_tol(tmp_path):
+    # at product f0 = 0.9 a loose tolerance stops iterating before the
+    # conditional fidelity reaches 1, so that end is labelled insecure
+    scan = {"noise": {"family": "product", "f0": 0.97},
+            "scan": {"lo": 0.88, "hi": 0.9, "bisect_tol": 0.01, "werner_grid": []}}
+    regimes = {}
+    for tol in (1e-12, 1e-3):
+        path = write_config(tmp_path, {**scan, "fixpoint_tol": tol})
+        assert run(["scan", "--config", path], tmp_path / repr(tol)) == 0
+        report = json.loads((tmp_path / repr(tol) / "thresholds.json").read_text())
+        assert report["config"]["fixpoint_tol"] == tol
+        regimes[tol] = {e["parameter"]: e["regime"] for e in report["primary"]["evaluations"]}
+    assert regimes[1e-12][0.9] == "PURIFY_SECURE"
+    assert regimes[1e-3][0.9] == "PURIFY_INSECURE"
+    assert regimes[1e-12] != regimes[1e-3]
+
+
 def test_preset_and_config_are_exclusive(tmp_path, capsys):
     path = write_config(tmp_path, SMALL_MC)
     assert run(["iterate", "--preset", "fig1", "--config", path], tmp_path / "out") == 2

@@ -37,7 +37,7 @@ REJECTED = [
     (with_noise(pairs=1), "pairs: must be >= 2"),
     (with_noise(seed=-1), "seed: must be >= 0"),
     (with_noise(seed=1.5), "expected an integer"),
-    (with_noise(chunk_size=0), "chunk_size: must be >= 1"),
+    (with_noise(chunk_size=65536), "unknown key"),
     (with_noise(placement="after_measurement"), "placement"),
     (with_noise(fixpoint_tol=-1e-3), "fixpoint_tol"),
     (with_noise(scan={"lo": 0.9, "hi": 0.9}), "need lo < hi"),
@@ -51,6 +51,8 @@ REJECTED = [
     ({"noise": {"family": "product", "f0": float("inf")}}, "f0: must be finite"),
     ({"noise": {"family": "product", "f0": 10**400}}, "f0: must be finite"),
     (with_noise(initial={"bell_probs": [NAN, 0.05, 0.05, 0.05]}), "list of 4 numbers"),
+    # numpy's multivariate hypergeometric draw needs fewer than 10**9 pairs
+    (with_noise(pairs=10**9), "pairs: must be <= 999999999"),
 ]
 
 
@@ -76,7 +78,7 @@ ACCEPTED = [
 def test_effective_round_trip(doc):
     config = ExperimentConfig.from_document(doc)
     effective = config.effective()
-    assert "mode" not in effective
+    assert "mode" not in effective and "chunk_size" not in effective
     again = ExperimentConfig.from_document(effective)
     assert again == config
     assert again.effective() == effective

@@ -1,17 +1,21 @@
-"""Finite-population Monte Carlo: per-record reference, engine agreement, halting."""
+"""Finite-population Monte Carlo: exactness of the count sampler, engine agreement, halting."""
 
 import hashlib
+import itertools
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import qpurify.montecarlo as montecarlo
 from qpurify.bell import BellLabel, bcnot_map, measurement_coincides, pauli_shift, rotation_step3
 from qpurify.errors import ProtocolHaltError
 from qpurify.flags import flag_update, record_error
 from qpurify.montecarlo import (
+    MAX_PAIRS,
     Ensemble,
     check_minimum_fidelity,
     init_ensemble,
@@ -20,26 +24,34 @@ from qpurify.montecarlo import (
     total_variation,
 )
 from qpurify.noise import NoiseModel
-from qpurify.recurrence import BEFORE_BCNOT, BEFORE_ROTATION, SubensembleState, iterate
+from qpurify.recurrence import (
+    BEFORE_BCNOT,
+    BEFORE_ROTATION,
+    DISCARDED,
+    SubensembleState,
+    event_cell_table,
+    iterate,
+)
 
 WERNER_07 = [0.7, 0.1, 0.1, 0.1]
+PLACEMENTS = [BEFORE_ROTATION, BEFORE_BCNOT]
+
+#: (placement, seed) -> (survivors, SHA-256 of the counts) after three rounds
+#: from 3001 random-flag Werner-0.7 pairs under :func:`dirichlet_noise`.
+PINNED_COUNTS = {
+    (BEFORE_ROTATION, 7): (49, "e66777e23f9512d32212a5fd5f468671fe9b9e705317aa134cc7aa06449bc61f"),
+    (BEFORE_ROTATION, 8): (48, "0774985948fbc2fea24940afd3facd40cfe91025fb90fffcdae9b1b28a1f0574"),
+    (BEFORE_BCNOT, 7): (35, "89f11bd785114e723d9320c3bceb6f6bfa31660333de4b9a3f0a8003155340a8"),
+    (BEFORE_BCNOT, 8): (37, "a3bead54fd1acaa4fc3e8203ba80d6de43b3ec815a9ddc63162b7bcffdebbbff"),
+}
 
 
-def reference_round(ensemble, noise, placement):
-    """One round walked record by record with the scalar label primitives.
+def dirichlet_noise(seed=3):
+    return NoiseModel.from_probabilities(np.random.default_rng(seed).dirichlet(np.ones(16)))
 
-    Draws the shuffle and the noise events from the same streams as
-    :func:`run_round`, then pushes each (control, target, event) through
-    plain-Python calls; returns the surviving records in order.
-    """
-    round_index = ensemble.round_counter + 1
-    n = ensemble.size
-    order = montecarlo._stream(ensemble.seed, montecarlo._SHUFFLE, round_index).permutation(n)
-    shuffled = ensemble.pairs[order].tolist()
-    m = n // 2
-    events = montecarlo._sample_events_chunked(
-        noise, ensemble.seed, round_index, ensemble.chunk_size, m
-    ).tolist()
+
+def scalar_survivor(control, target, event, placement):
+    """Output cell of one pair of pairs, walked with the scalar label primitives; None if discarded."""
 
     def noisy(record, mu):
         flag, bell = record >> 2, BellLabel(record & 3)
@@ -49,45 +61,132 @@ def reference_round(ensemble, noise, placement):
             bell = rotation_step3(bell).shifted(pauli_shift(mu))
         return record_error(flag, mu), bell
 
-    survivors = []
-    for k, event in enumerate(events):
-        flag1, bell1 = noisy(shuffled[2 * k], event >> 2)
-        flag2, bell2 = noisy(shuffled[2 * k + 1], event & 3)
-        source, target = bcnot_map(bell1, bell2)
-        if measurement_coincides(target):
-            survivors.append((int(flag_update(flag1, flag2)) << 2) | int(source))
-    return survivors
+    flag1, bell1 = noisy(control, event >> 2)
+    flag2, bell2 = noisy(target, event & 3)
+    source, target_label = bcnot_map(bell1, bell2)
+    if not measurement_coincides(target_label):
+        return None
+    return (int(flag_update(flag1, flag2)) << 2) | int(source)
+
+
+def records_of(counts):
+    return np.repeat(np.arange(16), counts)
+
+
+def reference_round(records, noise, placement, gen):
+    """Per-record reference round: shuffle, pair adjacent records, drop an odd leftover.
+
+    Returns the 17 output counts (the last one counts discarded pairs of pairs).
+    """
+    shuffled = gen.permutation(records)
+    m = shuffled.size // 2
+    events = noise.sample_events(gen, m)
+    cells = event_cell_table(placement)[shuffled[0 : 2 * m : 2], shuffled[1 : 2 * m : 2], events]
+    return np.bincount(cells, minlength=DISCARDED + 1)
 
 
 class TestRunRoundMatchesReference:
-    @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
+    @pytest.mark.parametrize("placement", PLACEMENTS)
     @pytest.mark.parametrize("flag_mode", ["fixed", "random"])
     def test_record_for_record(self, placement, flag_mode):
-        noise = NoiseModel.from_probabilities(np.random.default_rng(3).dirichlet(np.ones(16)))
-        ensemble = init_ensemble(WERNER_07, 3001, flag_mode=flag_mode, seed=7, chunk_size=97)
-        for _ in range(3):
-            expected = reference_round(ensemble, noise, placement)
-            stats = run_round(ensemble, noise, placement)
-            assert ensemble.pairs.dtype == np.uint8
-            assert ensemble.pairs.tolist() == expected
-            assert stats.survivors == len(expected)
+        # a shuffled per-record round, binned into event counts per
+        # (control, target, event) and combined by the count round, lands
+        # every record where the scalar walk puts it
+        noise = dirichlet_noise()
+        counts = init_ensemble(WERNER_07, 3001, flag_mode=flag_mode, seed=7).counts
+        gen = np.random.default_rng(11)
+        shuffled = gen.permutation(records_of(counts))
+        m = shuffled.size // 2
+        controls, targets = shuffled[0 : 2 * m : 2], shuffled[1 : 2 * m : 2]
+        events = noise.sample_events(gen, m)
+        walked = [scalar_survivor(c, t, e, placement) for c, t, e in zip(controls, targets, events)]
+        expected = Counter(cell for cell in walked if cell is not None)
 
-    @pytest.mark.parametrize(
-        "placement, survivors, digest",
-        [
-            (BEFORE_ROTATION, 51, "e3d2c625a26568ed65cc3cf1c58eaac488693f7f6f12860e6027fc325488658f"),
-            (BEFORE_BCNOT, 44, "0d25b26481d0b5e612eba27dd0e118a47ec6e56006fbe874e32cc5f8da4a56b7"),
-        ],
-    )
-    def test_seed_and_chunk_size_pin_the_records(self, placement, survivors, digest):
-        # digests of the surviving records after each of three rounds; a
+        per_cell = np.bincount((controls * 16 + targets) * 16 + events, minlength=16**3)
+        combined = montecarlo._combine(per_cell, event_cell_table(placement))
+        assert combined[:DISCARDED].tolist() == [expected[c] for c in range(16)]
+        assert combined[DISCARDED] == walked.count(None)
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("records", [[0, 7, 9, 9], [0, 0, 7, 9, 14]], ids=["N4", "N5"])
+    def test_exact_enumeration(self, placement, records):
+        # every ordering of the N records times every pair of noise events,
+        # against the sampler's outcome frequencies over a fixed set of seeds
+        noise = dirichlet_noise()
+        f = noise.f.ravel()
+        m = len(records) // 2
+        orderings = Counter(itertools.permutations(records))  # equal records: fewer distinct orders
+        total = sum(orderings.values())
+        exact: Counter = Counter()
+        for order, repeats in orderings.items():
+            for events in itertools.product(range(16), repeat=m):
+                weight = np.prod(f[list(events)]) * repeats / total
+                cells = [
+                    scalar_survivor(order[2 * k], order[2 * k + 1], events[k], placement)
+                    for k in range(m)
+                ]
+                exact[tuple(sorted(c for c in cells if c is not None))] += weight
+        assert sum(exact.values()) == pytest.approx(1.0)
+
+        counts = np.bincount(records, minlength=16)
+        draws = 4000
+        sampled: Counter = Counter()
+        for seed in range(draws):
+            ensemble = Ensemble(counts, seed=seed)
+            run_round(ensemble, noise, placement)
+            assert ensemble.round_counter == 1
+            sampled[tuple(records_of(ensemble.counts).tolist())] += 1
+        assert set(sampled) <= set(exact)
+
+        # pool outcomes expected fewer than five times into one bin
+        outcomes = sorted(exact, key=exact.get, reverse=True)
+        expected = np.array([exact[o] * draws for o in outcomes])
+        observed = np.array([sampled[o] for o in outcomes], dtype=float)
+        small = expected < 5
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("n", [301, 3001])
+    def test_moments_match_per_record_sampler(self, placement, n):
+        noise = dirichlet_noise()
+        counts = init_ensemble(WERNER_07, n, flag_mode="random", seed=5).counts
+        records = records_of(counts)
+        repeats = 1500
+        gen = np.random.default_rng(n)
+        reference = np.array([reference_round(records, noise, placement, gen) for _ in range(repeats)])
+        ensemble_runs = []
+        for seed in range(repeats):
+            ensemble = Ensemble(counts, seed=seed)
+            run_round(ensemble, noise, placement)
+            ensemble_runs.append(np.append(ensemble.counts, n // 2 - ensemble.size))
+        sampled = np.array(ensemble_runs)
+
+        def moments(x):
+            centred = x - x.mean(axis=0)
+            var = (centred**2).mean(axis=0)
+            return x.mean(axis=0), var, (centred**4).mean(axis=0)
+
+        mean_r, var_r, m4_r = moments(reference)
+        mean_s, var_s, m4_s = moments(sampled)
+        se_mean = np.sqrt((var_r + var_s) / repeats)
+        se_var = np.sqrt((m4_r - var_r**2 + m4_s - var_s**2) / repeats)
+        assert np.all(np.abs(mean_s - mean_r) <= 5 * se_mean + 1e-12)
+        assert np.all(np.abs(var_s - var_r) <= 5 * se_var + 1e-12)
+        assert np.all(sampled.sum(axis=1) == n // 2) and np.all(reference.sum(axis=1) == n // 2)
+
+    @pytest.mark.parametrize("placement, seed", list(PINNED_COUNTS))
+    def test_seed_pins_the_counts(self, placement, seed):
+        # digests of the count vector after init and each of three rounds; a
         # change to the streams, the sampling or the table moves them
-        noise = NoiseModel.from_probabilities(np.random.default_rng(3).dirichlet(np.ones(16)))
-        ensemble = init_ensemble(WERNER_07, 3001, flag_mode="random", seed=7, chunk_size=97)
-        sha = hashlib.sha256()
+        survivors, digest = PINNED_COUNTS[placement, seed]
+        noise = dirichlet_noise()
+        ensemble = init_ensemble(WERNER_07, 3001, flag_mode="random", seed=seed)
+        sha = hashlib.sha256(ensemble.counts.astype("<i8").tobytes())
         for _ in range(3):
             run_round(ensemble, noise, placement)
-            sha.update(ensemble.pairs.tobytes())
+            sha.update(ensemble.counts.astype("<i8").tobytes())
         assert ensemble.size == survivors
         assert sha.hexdigest() == digest
 
@@ -112,7 +211,7 @@ class TestEngineAgreement:
 
 class TestHalting:
     def test_run_round_on_one_record_raises(self):
-        ensemble = Ensemble(np.zeros(1, dtype=np.uint8), seed=0)
+        ensemble = Ensemble(np.eye(16, dtype=np.int64)[0], seed=0)
         with pytest.raises(ProtocolHaltError):
             run_round(ensemble, NoiseModel.identity())
 
@@ -128,9 +227,26 @@ class TestHalting:
 class TestValidation:
     def test_rejects_unknown_placement(self):
         ensemble = init_ensemble(WERNER_07, 100, seed=0)
+        counts = ensemble.counts.copy()
         with pytest.raises(ValueError, match="placement"):
             run_round(ensemble, NoiseModel.identity(), "after_measurement")
-        assert ensemble.size == 100 and ensemble.round_counter == 0
+        assert ensemble.counts.tolist() == counts.tolist() and ensemble.round_counter == 0
+
+    @pytest.mark.parametrize("n_pairs", [1, MAX_PAIRS])
+    def test_rejects_population_size(self, n_pairs):
+        with pytest.raises(ValueError, match="pairs"):
+            init_ensemble(WERNER_07, n_pairs)
+
+    @pytest.mark.parametrize("counts", [[1] * 15, [-1] + [2] * 15, [0.5] * 16])
+    def test_rejects_bad_counts(self, counts):
+        with pytest.raises(ValueError, match="counts"):
+            Ensemble(counts, seed=0)
+
+    def test_init_draws_the_joint_cells(self):
+        fixed = init_ensemble(WERNER_07, 10_000, seed=4)
+        assert fixed.size == 10_000 and fixed.counts[4:].sum() == 0
+        flags = init_ensemble(WERNER_07, 10_000, flag_mode="random", seed=4).counts.reshape(4, 4)
+        assert flags.sum() == 10_000 and np.all(flags.sum(axis=1) > 2000)
 
 
 class TestMinimumFidelityCheck:
@@ -142,6 +258,21 @@ class TestMinimumFidelityCheck:
         assert check.estimate == 1.0 and check.ci_high == 1.0
         assert 0.9 < check.ci_low < 1.0
         assert ensemble.size == 900
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.99])
+    def test_clopper_pearson_coverage(self, confidence):
+        # a population of known fidelity 0.8; each seed sacrifices 5% of it
+        counts = np.zeros(16, dtype=np.int64)
+        counts[0], counts[5], counts[10] = 1600, 300, 100
+        checks = 3000
+        covered = 0
+        for seed in range(checks):
+            ensemble = Ensemble(counts, seed=seed)
+            check = check_minimum_fidelity(ensemble, 0.05, f_min=0.5, confidence=confidence)
+            assert check.sacrificed == 100 and ensemble.size == 1900
+            covered += check.ci_low <= 0.8 <= check.ci_high
+        slack = 3 * np.sqrt(confidence * (1 - confidence) / checks)
+        assert covered / checks >= confidence - slack
 
     def test_cli_import_leaves_scipy_unloaded(self):
         code = "import sys, qpurify.cli; sys.exit('scipy' in sys.modules)"
