@@ -29,6 +29,7 @@ from . import __version__
 from .config import ExperimentConfig, PRESETS, load_config_file
 from .errors import ConfigError, DegenerateRoundError, NoThresholdError
 from .montecarlo import init_ensemble, run_protocol
+from .noise import NOISE_FAMILIES
 from .oracle import run_conformance_checks
 from .recurrence import find_thresholds, iterate, scan_werner_grid
 
@@ -136,12 +137,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    ensemble = init_ensemble(
-        config.initial["bell_probs"],
-        config.pairs,
-        flag_mode=config.initial["flag_mode"],
-        seed=config.seed,
-    )
+    ensemble = init_ensemble(config.engine_initial_state(), config.pairs, seed=config.seed)
     trajectory = run_protocol(
         ensemble, config.noise_model(), config.rounds, placement=config.placement
     )
@@ -161,22 +157,12 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    settings = config.scan
-    family = settings.family_constructor()
-    common = dict(
-        lo=settings.lo,
-        hi=settings.hi,
-        bisect_tol=settings.bisect_tol,
-        secure_tol=settings.secure_tol,
-        purify_margin=settings.purify_margin,
-        max_rounds=settings.max_rounds,
-        fixpoint_tol=config.fixpoint_tol,
-        placement=config.placement,
-    )
-    primary = find_thresholds(family, config.engine_initial_state(), **common)
-    grid = scan_werner_grid(
-        family, settings.werner_grid, flag_mode=config.initial["flag_mode"], **common
-    )
+    options = config.scan.as_dict()
+    _, family = NOISE_FAMILIES[options.pop("family")]
+    werner_grid = options.pop("werner_grid")
+    options.update(fixpoint_tol=config.fixpoint_tol, placement=config.placement)
+    primary = find_thresholds(family, config.engine_initial_state(), **options)
+    grid = scan_werner_grid(family, werner_grid, flag_mode=config.initial.flag_mode, **options)
 
     found = {"primary": primary}
     found.update((f"werner_{fid}", scan) for fid, scan in grid.items() if scan is not None)

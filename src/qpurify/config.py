@@ -1,9 +1,15 @@
-"""Experiment configuration: parsing, validation, defaults, presets.
+"""Experiment configuration: parsing, defaults, presets.
 
-Configuration documents are JSON mappings.  Unknown keys are rejected,
-every default is made explicit by :meth:`ExperimentConfig.effective`,
-and that effective form is embedded in all output files so a run is
-reproducible from its own metadata.
+Configuration documents are JSON mappings.  Each key is declared once, as
+a dataclass field holding its default and its parser; the allowed keys and
+the echo :meth:`ExperimentConfig.effective`, which makes every default
+explicit and is embedded in all output files, are derived from the fields.
+This module checks the shape of outside JSON (mappings, unknown and missing
+keys, finite non-boolean numbers, list lengths, ranges of plain settings).
+What a value means is checked by the constructor that owns it:
+:class:`~qpurify.noise.NoiseModel` for the noise and
+:meth:`~qpurify.recurrence.SubensembleState.from_bell_probs` for the
+initial state.
 """
 
 from __future__ import annotations
@@ -12,21 +18,22 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigError
 from .montecarlo import MAX_PAIRS
-from .noise import NoiseModel
-from .recurrence import PLACEMENTS, SubensembleState
+from .noise import NOISE_FAMILIES, NoiseModel
+from .recurrence import BEFORE_ROTATION, PLACEMENTS, SubensembleState
 
-__all__ = ["ScanSettings", "ExperimentConfig", "PRESETS", "load_config_file"]
+__all__ = ["ScanSettings", "InitialSettings", "ExperimentConfig", "PRESETS", "load_config_file"]
 
-_FLAG_MODES = ("fixed", "random")
-_SCAN_FAMILIES: dict[str, Callable[[float], NoiseModel]] = {
-    "product": NoiseModel.from_one_qubit_depolarizing,
-    "uniform": NoiseModel.from_uniform_residual,
-}
+#: The one list-valued noise parameter: the explicit family's 16-entry table.
+_TABLE_KEY = "f"
+
+#: Families a scan can bisect: those with one probability as parameter.
+_SCAN_FAMILIES = tuple(name for name, (key, _) in NOISE_FAMILIES.items() if key != _TABLE_KEY)
 
 #: Named configurations.  ``fig1`` pins the white-noise trajectory setup:
 #: uniform-residual noise at 97% noise fidelity, Werner 0.85 input with
@@ -48,8 +55,8 @@ def _require_mapping(doc, path: str) -> dict:
     return doc
 
 
-def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(doc) - allowed)
+def _reject_unknown(doc: dict, allowed, path: str) -> None:
+    unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
 
@@ -64,67 +71,96 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _get_number(doc: dict, key: str, path: str, default, lo=None, hi=None) -> float:
-    value = doc.get(key, default)
+def _check_range(value, path: str, lo, hi) -> None:
+    if lo is not None and value < lo:
+        raise ConfigError(f"{path}: must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{path}: must be <= {hi}, got {value}")
+
+
+def _number(value, path: str, lo=None, hi=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     if not _is_finite_number(value):
-        raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
     value = float(value)
-    if lo is not None and value < lo:
-        raise ConfigError(f"{path}.{key}: must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{path}.{key}: must be <= {hi}, got {value}")
+    _check_range(value, path, lo, hi)
     return value
 
 
-def _get_int(doc: dict, key: str, path: str, default, lo=None, hi=None) -> int:
-    value = doc.get(key, default)
+def _integer(value, path: str, lo=None, hi=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{path}.{key}: must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{path}.{key}: must be <= {hi}, got {value}")
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    _check_range(value, path, lo, hi)
     return value
 
 
-def _get_number_list(doc: dict, key: str, path: str, default, length: int) -> list[float]:
-    value = doc.get(key, default)
+def _number_list(value, path: str, length: int) -> tuple[float, ...]:
     if not isinstance(value, list) or len(value) != length or not all(
         _is_finite_number(x) for x in value
     ):
-        raise ConfigError(f"{path}.{key}: expected a list of {length} numbers, got {value!r}")
-    return [float(x) for x in value]
+        raise ConfigError(f"{path}: expected a list of {length} numbers, got {value!r}")
+    return tuple(float(x) for x in value)
 
 
-def _get_choice(doc: dict, key: str, path: str, default, choices) -> str:
-    value = doc.get(key, default)
+def _choice(value, path: str, choices: tuple) -> str:
     if value not in choices:
-        raise ConfigError(f"{path}.{key}: must be one of {choices}, got {value!r}")
+        raise ConfigError(f"{path}: must be one of {choices}, got {value!r}")
     return value
 
 
-def _validate_noise(doc, path: str) -> dict:
+def _as_is(value, path: str):
+    return value
+
+
+def _key(default, parse: Callable, **bounds):
+    """A configuration key: its default and its parser, ``parse(value, path, **bounds)``."""
+    return field(default=default, metadata={"parse": partial(parse, **bounds)})
+
+
+def _settings(doc, path: str, cls):
+    """Build ``cls`` from a mapping with one key per field; absent keys take their default.
+
+    The constructor checks what the values mean; its ValueError becomes a ConfigError.
+    """
     doc = _require_mapping(doc, path)
-    family = doc.get("family")
-    if family == "product":
-        _reject_unknown(doc, {"family", "f0"}, path)
-        if "f0" not in doc:
-            raise ConfigError(f"{path}: product family requires 'f0'")
-        _get_number(doc, "f0", path, None, 0.0, 1.0)
-    elif family == "uniform":
-        _reject_unknown(doc, {"family", "f00"}, path)
-        if "f00" not in doc:
-            raise ConfigError(f"{path}: uniform family requires 'f00'")
-        _get_number(doc, "f00", path, None, 0.0, 1.0)
-    elif family == "explicit":
-        _reject_unknown(doc, {"family", "f"}, path)
-        _get_number_list(doc, "f", path, None, 16)
+    fields = dataclasses.fields(cls)
+    _reject_unknown(doc, (f.name for f in fields), path)
+    values = {}
+    for f in fields:
+        if f.name in doc:
+            values[f.name] = f.metadata["parse"](doc[f.name], f"{path}.{f.name}")
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{path}: missing required key {f.name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _plain(value):
+    """A parsed value as JSON data: settings objects as mappings, tuples as lists."""
+    if isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return {name: _plain(getattr(value, name)) for name in value.__dataclass_fields__}
+
+
+def _noise(doc, path: str) -> dict:
+    """The shape of a noise document; :class:`NoiseModel` checks its meaning."""
+    doc = _require_mapping(doc, path)
+    family = _choice(doc.get("family"), f"{path}.family", tuple(NOISE_FAMILIES))
+    key, _ = NOISE_FAMILIES[family]
+    _reject_unknown(doc, ("family", key), path)
+    if key not in doc:
+        raise ConfigError(f"{path}: {family} family requires {key!r}")
+    if key == _TABLE_KEY:
+        _number_list(doc[key], f"{path}.{key}", 16)
     else:
-        raise ConfigError(
-            f"{path}.family: must be one of ('product', 'uniform', 'explicit'), got {family!r}"
-        )
+        _number(doc[key], f"{path}.{key}")
     try:
         NoiseModel.from_config(doc)
     except ValueError as exc:
@@ -132,110 +168,72 @@ def _validate_noise(doc, path: str) -> dict:
     return dict(doc)
 
 
-def _validate_initial(doc, path: str) -> dict:
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"bell_probs", "flag_mode"}, path)
-    probs = _get_number_list(doc, "bell_probs", path, [0.85, 0.05, 0.05, 0.05], 4)
-    if any(x < 0 for x in probs) or abs(sum(probs) - 1.0) > 1e-9:
-        raise ConfigError(f"{path}.bell_probs: not a probability distribution: {probs}")
-    flag_mode = _get_choice(doc, "flag_mode", path, "fixed", _FLAG_MODES)
-    return {"bell_probs": probs, "flag_mode": flag_mode}
+def _werner_grid(grid, path: str) -> tuple[float, ...]:
+    if not isinstance(grid, list) or not all(_is_finite_number(x) and 0.25 < x <= 1.0 for x in grid):
+        raise ConfigError(f"{path}: expected a list of fidelities in (0.25, 1]")
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"{path}: repeated fidelity in {grid}")
+    return tuple(float(x) for x in grid)
+
+
+@dataclass(frozen=True)
+class InitialSettings:
+    """The input ensemble: Bell-label probabilities and how flags start."""
+
+    bell_probs: tuple[float, ...] = _key((0.85, 0.05, 0.05, 0.05), _number_list, length=4)
+    flag_mode: str = _key("fixed", _as_is)
+
+    def __post_init__(self):
+        self.state  # building the state checks the distribution and the flag mode
+
+    @cached_property
+    def state(self) -> SubensembleState:
+        return SubensembleState.from_bell_probs(self.bell_probs, flag_mode=self.flag_mode)
 
 
 @dataclass(frozen=True)
 class ScanSettings:
-    family: str = "product"
-    lo: float = 0.88
-    hi: float = 0.92
-    bisect_tol: float = 1e-5
-    werner_grid: tuple[float, ...] = (0.75, 0.85, 0.95)
-    secure_tol: float = 1e-6
-    purify_margin: float = 1e-4
-    max_rounds: int = 3000
+    """Threshold-scan settings.
+
+    Every setting but ``family`` and ``werner_grid`` is the
+    :func:`~qpurify.recurrence.find_thresholds` parameter of that name.
+    """
+
+    family: str = _key("product", _choice, choices=_SCAN_FAMILIES)
+    lo: float = _key(0.88, _number, lo=0.0, hi=1.0)
+    hi: float = _key(0.92, _number, lo=0.0, hi=1.0)
+    bisect_tol: float = _key(1e-5, _number, lo=1e-12, hi=0.1)
+    werner_grid: tuple[float, ...] = _key((0.75, 0.85, 0.95), _werner_grid)
+    secure_tol: float = _key(1e-6, _number, lo=0.0, hi=1.0)
+    purify_margin: float = _key(1e-4, _number, lo=0.0, hi=0.5)
+    max_rounds: int = _key(3000, _integer, lo=1)
+
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
     @classmethod
     def from_document(cls, doc, path: str = "scan") -> "ScanSettings":
-        doc = _require_mapping(doc, path)
-        _reject_unknown(
-            doc,
-            {"family", "lo", "hi", "bisect_tol", "werner_grid", "secure_tol",
-             "purify_margin", "max_rounds"},
-            path,
-        )
-        family = _get_choice(doc, "family", path, "product", tuple(_SCAN_FAMILIES))
-        lo = _get_number(doc, "lo", path, 0.88, 0.0, 1.0)
-        hi = _get_number(doc, "hi", path, 0.92, 0.0, 1.0)
-        if not lo < hi:
-            raise ConfigError(f"{path}: need lo < hi, got [{lo}, {hi}]")
-        grid = doc.get("werner_grid", [0.75, 0.85, 0.95])
-        if not isinstance(grid, list) or any(
-            isinstance(x, bool) or not isinstance(x, (int, float)) or not 0.25 < x <= 1.0
-            for x in grid
-        ):
-            raise ConfigError(f"{path}.werner_grid: expected a list of fidelities in (0.25, 1]")
-        if len(set(grid)) != len(grid):
-            raise ConfigError(f"{path}.werner_grid: repeated fidelity in {grid}")
-        return cls(
-            family=family,
-            lo=lo,
-            hi=hi,
-            bisect_tol=_get_number(doc, "bisect_tol", path, 1e-5, 1e-12, 0.1),
-            werner_grid=tuple(float(x) for x in grid),
-            secure_tol=_get_number(doc, "secure_tol", path, 1e-6, 0.0, 1.0),
-            purify_margin=_get_number(doc, "purify_margin", path, 1e-4, 0.0, 0.5),
-            max_rounds=_get_int(doc, "max_rounds", path, 3000, 1),
-        )
-
-    def family_constructor(self) -> Callable[[float], NoiseModel]:
-        return _SCAN_FAMILIES[self.family]
+        return _settings(doc, path, cls)
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "lo": self.lo,
-            "hi": self.hi,
-            "bisect_tol": self.bisect_tol,
-            "werner_grid": list(self.werner_grid),
-            "secure_tol": self.secure_tol,
-            "purify_margin": self.purify_margin,
-            "max_rounds": self.max_rounds,
-        }
+        return _plain(self)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    noise: dict
-    initial: dict = field(default_factory=lambda: {"bell_probs": [0.85, 0.05, 0.05, 0.05], "flag_mode": "fixed"})
-    rounds: int = 10
-    pairs: int = 1_000_000
-    seed: int = 0
-    placement: str = "before_rotation"
-    fixpoint_tol: float = 1e-12
-    scan: ScanSettings = field(default_factory=ScanSettings)
+    noise: dict = field(metadata={"parse": _noise})
+    initial: InitialSettings = _key(InitialSettings(), _settings, cls=InitialSettings)
+    rounds: int = _key(10, _integer, lo=1)
+    pairs: int = _key(1_000_000, _integer, lo=2, hi=MAX_PAIRS - 1)
+    seed: int = _key(0, _integer, lo=0)
+    placement: str = _key(BEFORE_ROTATION, _choice, choices=PLACEMENTS)
+    fixpoint_tol: float = _key(1e-12, _number, lo=0.0, hi=1.0)
+    scan: ScanSettings = _key(ScanSettings(), _settings, cls=ScanSettings)
 
     @classmethod
     def from_document(cls, doc, source: str = "config") -> "ExperimentConfig":
-        doc = _require_mapping(doc, source)
-        _reject_unknown(
-            doc,
-            {"noise", "initial", "rounds", "pairs", "seed", "placement", "fixpoint_tol", "scan"},
-            source,
-        )
-        if "noise" not in doc:
-            raise ConfigError(f"{source}: missing required key 'noise'")
-        return cls(
-            noise=_validate_noise(doc["noise"], f"{source}.noise"),
-            initial=_validate_initial(
-                doc.get("initial", {"bell_probs": [0.85, 0.05, 0.05, 0.05]}),
-                f"{source}.initial",
-            ),
-            rounds=_get_int(doc, "rounds", source, 10, 1),
-            pairs=_get_int(doc, "pairs", source, 1_000_000, 2, MAX_PAIRS - 1),
-            seed=_get_int(doc, "seed", source, 0, 0),
-            placement=_get_choice(doc, "placement", source, "before_rotation", PLACEMENTS),
-            fixpoint_tol=_get_number(doc, "fixpoint_tol", source, 1e-12, 0.0, 1.0),
-            scan=ScanSettings.from_document(doc.get("scan", {}), f"{source}.scan"),
-        )
+        return _settings(doc, source, cls)
 
     @classmethod
     def from_preset(cls, name: str) -> "ExperimentConfig":
@@ -245,28 +243,18 @@ class ExperimentConfig:
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """Copy with the seed replaced, validated like the ``seed`` key."""
-        return dataclasses.replace(self, seed=_get_int({"seed": seed}, "seed", "override", None, 0))
+        parse = self.__dataclass_fields__["seed"].metadata["parse"]
+        return dataclasses.replace(self, seed=parse(seed, "override.seed"))
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel.from_config(self.noise)
 
     def engine_initial_state(self) -> SubensembleState:
-        return SubensembleState.from_bell_probs(
-            self.initial["bell_probs"], flag_mode=self.initial["flag_mode"]
-        )
+        return self.initial.state
 
     def effective(self) -> dict:
         """Full configuration with every default made explicit."""
-        return {
-            "noise": dict(self.noise),
-            "initial": dict(self.initial),
-            "rounds": self.rounds,
-            "pairs": self.pairs,
-            "seed": self.seed,
-            "placement": self.placement,
-            "fixpoint_tol": self.fixpoint_tol,
-            "scan": self.scan.as_dict(),
-        }
+        return _plain(self)
 
 
 def load_config_file(path: str | Path) -> ExperimentConfig:

@@ -103,26 +103,12 @@ class Ensemble:
         n = self.size
         return float(self.counts[_FLAG_MATCHES].sum() / n) if n else float("nan")
 
-    def as_state(self) -> SubensembleState:
-        return SubensembleState(self.joint_distribution())
 
-
-def init_ensemble(
-    bell_probs,
-    n_pairs: int,
-    flag_mode: str = "fixed",
-    seed: int = 0,
-) -> Ensemble:
-    """Sample ``n_pairs`` i.i.d. pairs with Bell labels drawn from ``bell_probs``.
-
-    ``bell_probs`` is indexed by packed label (Phi+, Psi+, Phi-, Psi-).
-    Flags start at (00) (``flag_mode="fixed"``) or uniformly random
-    (``"random"``; used to verify independence from initialization).
-    """
+def init_ensemble(state: SubensembleState, n_pairs: int, seed: int = 0) -> Ensemble:
+    """Sample ``n_pairs`` i.i.d. pairs from the (flag, bell) distribution of ``state``."""
     if not 2 <= n_pairs < MAX_PAIRS:
         raise ValueError(f"need at least 2 and fewer than {MAX_PAIRS} pairs, got {n_pairs}")
-    joint = SubensembleState.from_bell_probs(bell_probs, flag_mode=flag_mode).p.ravel()
-    return Ensemble(_stream(seed, _INIT).multinomial(n_pairs, joint), seed)
+    return Ensemble(_stream(seed, _INIT).multinomial(n_pairs, state.p.ravel()), seed)
 
 
 @dataclass(frozen=True)
@@ -213,15 +199,6 @@ class McTrajectory:
     @property
     def final(self) -> RoundStats:
         return self.points[-1]
-
-    def fidelities(self) -> np.ndarray:
-        return np.array([pt.fidelity for pt in self.points])
-
-    def conditional_fidelities(self) -> np.ndarray:
-        return np.array([pt.conditional_fidelity for pt in self.points])
-
-    def survivors(self) -> np.ndarray:
-        return np.array([pt.survivors for pt in self.points])
 
     def rows(self) -> list[list[float]]:
         """CSV rows matching the engine schema plus survivors and stddev."""

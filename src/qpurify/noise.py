@@ -20,19 +20,24 @@ Two named families cover the usual parameterizations:
 
 Models serialize to the configuration forms ``{"family": "product",
 "f0": x}``, ``{"family": "uniform", "f00": x}`` and ``{"family":
-"explicit", "f": [16 numbers]}``.
+"explicit", "f": [16 numbers]}``; :data:`NOISE_FAMILIES` names each
+family's parameter key and constructor, and is the only place the
+families are told apart.  The constructors check what the parameter
+means (a probability, a normalized table).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .bell import PAULI_LABEL_SHIFT, PauliIndex
+from .bell import PAULI_LABEL_SHIFT
 
 __all__ = [
     "NoiseModel",
+    "NOISE_FAMILIES",
     "EVENT_CONTROL_SHIFTS",
     "EVENT_TARGET_SHIFTS",
     "EVENT_COMBINED_SHIFTS",
@@ -58,8 +63,11 @@ EVENT_COMBINED_SHIFTS = EVENT_CONTROL_SHIFTS ^ EVENT_TARGET_SHIFTS
 
 def _check_probability(value: float, name: str) -> float:
     value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    # written so that a NaN fails both checks
+    if not value >= 0.0:
+        raise ValueError(f"{name}: must be >= 0.0, got {value}")
+    if not value <= 1.0:
+        raise ValueError(f"{name}: must be <= 1.0, got {value}")
     return value
 
 
@@ -122,14 +130,10 @@ class NoiseModel:
         """Build a model from one of the three serialized forms."""
         if not isinstance(doc, dict) or "family" not in doc:
             raise ValueError("noise config must be a mapping with a 'family' key")
-        family = doc["family"]
-        if family == "product":
-            return cls.from_one_qubit_depolarizing(doc["f0"])
-        if family == "uniform":
-            return cls.from_uniform_residual(doc["f00"])
-        if family == "explicit":
-            return cls.from_probabilities(doc["f"])
-        raise ValueError(f"unknown noise family {family!r}")
+        if doc["family"] not in NOISE_FAMILIES:
+            raise ValueError(f"unknown noise family {doc['family']!r}")
+        key, build = NOISE_FAMILIES[doc["family"]]
+        return build(doc[key])
 
     def to_config(self) -> dict:
         """Serialized form; preserves the family the model was built from."""
@@ -138,19 +142,6 @@ class NoiseModel:
         return {"family": "explicit", "f": self.f.ravel().tolist()}
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def no_error_probability(self) -> float:
-        return float(self.f[0, 0])
-
-    def sample(self, rng: np.random.Generator) -> tuple[PauliIndex, PauliIndex]:
-        """Draw one (mu, nu) rotation pair from the joint distribution."""
-        event = int(rng.choice(16, p=self.f.ravel()))
-        return PauliIndex(event >> 2), PauliIndex(event & 3)
-
-    def sample_events(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` event indices ``mu * 4 + nu`` at once."""
-        return rng.choice(16, size=size, p=self.f.ravel())
 
     def label_shift_distribution(self) -> np.ndarray:
         """Probability of each combined packed label shift.
@@ -161,3 +152,12 @@ class NoiseModel:
         from both laboratories).
         """
         return np.bincount(EVENT_COMBINED_SHIFTS, weights=self.f.ravel(), minlength=4)
+
+
+#: The serialized noise families: name -> (parameter key, constructor).
+#: ``explicit`` takes the 16-entry table, the others one probability.
+NOISE_FAMILIES: dict[str, tuple[str, Callable]] = {
+    "product": ("f0", NoiseModel.from_one_qubit_depolarizing),
+    "uniform": ("f00", NoiseModel.from_uniform_residual),
+    "explicit": ("f", NoiseModel.from_probabilities),
+}

@@ -9,9 +9,10 @@ error flags carried as classical side labels.  The label-based engine in
 ``verify`` CLI subcommand and the acceptance tests run the comparison.
 The dense round reads neither the engine's event cell table
 (:func:`qpurify.recurrence.event_cell_table`) nor the :mod:`qpurify.bell`
-label maps it is composed from; those maps are what the conformance
-checks compare against.  The oracle stays an independent referee and
-shares only the normative flag table.
+label maps and :mod:`qpurify.noise` event shifts it is composed from;
+those tables are what the conformance checks compare against.  The
+oracle stays an independent referee and shares only the normative flag
+table.
 
 Qubit ordering on the two-pair space is fixed once and used everywhere:
 (alice_control, alice_target, bob_control, bob_target).  The control
@@ -36,7 +37,7 @@ from .bell import (
 )
 from .errors import DegenerateRoundError
 from .flags import FLAG_UPDATE_TABLE, flag_update
-from .noise import NoiseModel
+from .noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, NoiseModel
 from .recurrence import (
     BEFORE_ROTATION,
     KEEP_PROBABILITY_FLOOR,
@@ -351,13 +352,19 @@ def run_conformance_checks(
     report.add("rotation relabeling vs dense conjugation", not mismatches, "; ".join(mismatches))
 
     derived_shifts = derive_two_sided_shift_table()
-    mismatches = []
-    for label in range(4):
-        for event in range(16):
-            expected = label ^ PAULI_LABEL_SHIFT[event >> 2] ^ PAULI_LABEL_SHIFT[event & 3]
-            if derived_shifts[label, event] != expected:
-                mismatches.append(f"(label {label}, mu {event >> 2}, nu {event & 3})")
-    report.add("two-sided Pauli shifts vs dense conjugation", not mismatches, "; ".join(mismatches))
+    for side, shipped, pauli_of in (
+        ("control", EVENT_CONTROL_SHIFTS, lambda event: event >> 2),
+        ("target", EVENT_TARGET_SHIFTS, lambda event: event & 3),
+    ):
+        # column p * 4 is sigma_p alone on the first qubit of a pair
+        mismatches = [
+            f"(label {label}, event {event})"
+            for label in range(4)
+            for event in range(16)
+            if label ^ shipped[event] != derived_shifts[label, pauli_of(event) * 4]
+        ]
+        name = f"{side}-pair event shifts vs dense conjugation"
+        report.add(name, not mismatches, "; ".join(mismatches))
 
     if bcnot_table is None:
         bcnot_table = np.zeros((4, 4, 2), dtype=np.uint8)

@@ -39,7 +39,8 @@ repeats that product on a bare 16-vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -304,7 +305,6 @@ class Trajectory:
     keeps: np.ndarray
     converged: bool
     final_change: float
-    placement: str
 
     @property
     def rounds(self) -> int:
@@ -345,9 +345,6 @@ class Trajectory:
         """Weight on flag == bell: columns ``k * 4 + k``."""
         return self.coefficients[:, 0::5].sum(axis=1)
 
-    def keep_probabilities(self) -> np.ndarray:
-        return self.keeps.copy()
-
     def rows(self) -> list[list[float]]:
         """CSV rows: round, F, F_cond, keep probability, 16 coefficients."""
         table = np.column_stack(
@@ -386,7 +383,7 @@ def iterate(
         if change < fixpoint_tol:
             converged = True
             break
-    return Trajectory(_checked_rows(np.array(rows)), np.array(keeps), converged, change, placement)
+    return Trajectory(_checked_rows(np.array(rows)), np.array(keeps), converged, change)
 
 
 class Regime(str, Enum):
@@ -404,18 +401,6 @@ class RegimeReport:
     converged: bool
     initial_fidelity: float
     degenerate: bool = False
-    trajectory: Trajectory | None = field(default=None, repr=False)
-
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime.value,
-            "f_max": self.f_max,
-            "conditional_limit": self.conditional_limit,
-            "rounds": self.rounds,
-            "converged": self.converged,
-            "initial_fidelity": self.initial_fidelity,
-            "degenerate": self.degenerate,
-        }
 
 
 def classify_regime(
@@ -456,7 +441,7 @@ def classify_regime(
         regime = Regime.PURIFY_INSECURE
     else:
         regime = Regime.NO_PURIFICATION
-    return RegimeReport(regime, f_max, cond_limit, traj.rounds, traj.converged, f0, trajectory=traj)
+    return RegimeReport(regime, f_max, cond_limit, traj.rounds, traj.converged, f0)
 
 
 @dataclass
@@ -510,6 +495,9 @@ def find_thresholds(
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    # a zero, negative or NaN tolerance would never end (or skip) the bisection
+    if not 0.0 < bisect_tol < math.inf:
+        raise ValueError(f"bisect_tol must be positive and finite, got {bisect_tol}")
     evaluations: list[tuple[float, str]] = []
 
     def regime_at(x: float) -> Regime:

@@ -53,6 +53,10 @@ REJECTED = [
     (with_noise(initial={"bell_probs": [NAN, 0.05, 0.05, 0.05]}), "list of 4 numbers"),
     # numpy's multivariate hypergeometric draw needs fewer than 10**9 pairs
     (with_noise(pairs=10**9), "pairs: must be <= 999999999"),
+    # what a document means is checked by the constructor that owns it
+    ({"noise": {"family": "uniform", "f00": -0.1}}, "f00: must be >= 0.0"),
+    (with_noise(initial={"bell_probs": [0.6, 0.1, 0.1, 0.1]}), "probability distribution"),
+    (with_noise(initial={"flag_mode": 3}), "flag_mode"),
 ]
 
 
@@ -82,6 +86,28 @@ def test_effective_round_trip(doc):
     again = ExperimentConfig.from_document(effective)
     assert again == config
     assert again.effective() == effective
+
+
+def test_effective_pins_every_default():
+    assert ExperimentConfig.from_document({"noise": PRODUCT}).effective() == {
+        "noise": {"family": "product", "f0": 0.97},
+        "initial": {"bell_probs": [0.85, 0.05, 0.05, 0.05], "flag_mode": "fixed"},
+        "rounds": 10,
+        "pairs": 1_000_000,
+        "seed": 0,
+        "placement": "before_rotation",
+        "fixpoint_tol": 1e-12,
+        "scan": {
+            "family": "product",
+            "lo": 0.88,
+            "hi": 0.92,
+            "bisect_tol": 1e-5,
+            "werner_grid": [0.75, 0.85, 0.95],
+            "secure_tol": 1e-6,
+            "purify_margin": 1e-4,
+            "max_rounds": 3000,
+        },
+    }
 
 
 def test_effective_survives_json(tmp_path):

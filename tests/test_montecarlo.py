@@ -33,7 +33,6 @@ from qpurify.recurrence import (
     iterate,
 )
 
-WERNER_07 = [0.7, 0.1, 0.1, 0.1]
 PLACEMENTS = [BEFORE_ROTATION, BEFORE_BCNOT]
 
 #: (placement, seed) -> (survivors, SHA-256 of the counts) after three rounds
@@ -44,6 +43,10 @@ PINNED_COUNTS = {
     (BEFORE_BCNOT, 7): (35, "89f11bd785114e723d9320c3bceb6f6bfa31660333de4b9a3f0a8003155340a8"),
     (BEFORE_BCNOT, 8): (37, "a3bead54fd1acaa4fc3e8203ba80d6de43b3ec815a9ddc63162b7bcffdebbbff"),
 }
+
+
+def werner_07(flag_mode="fixed"):
+    return SubensembleState.from_bell_probs([0.7, 0.1, 0.1, 0.1], flag_mode=flag_mode)
 
 
 def dirichlet_noise(seed=3):
@@ -80,7 +83,7 @@ def reference_round(records, noise, placement, gen):
     """
     shuffled = gen.permutation(records)
     m = shuffled.size // 2
-    events = noise.sample_events(gen, m)
+    events = gen.choice(16, size=m, p=noise.f.ravel())
     cells = event_cell_table(placement)[shuffled[0 : 2 * m : 2], shuffled[1 : 2 * m : 2], events]
     return np.bincount(cells, minlength=DISCARDED + 1)
 
@@ -93,12 +96,12 @@ class TestRunRoundMatchesReference:
         # (control, target, event) and combined by the count round, lands
         # every record where the scalar walk puts it
         noise = dirichlet_noise()
-        counts = init_ensemble(WERNER_07, 3001, flag_mode=flag_mode, seed=7).counts
+        counts = init_ensemble(werner_07(flag_mode), 3001, seed=7).counts
         gen = np.random.default_rng(11)
         shuffled = gen.permutation(records_of(counts))
         m = shuffled.size // 2
         controls, targets = shuffled[0 : 2 * m : 2], shuffled[1 : 2 * m : 2]
-        events = noise.sample_events(gen, m)
+        events = gen.choice(16, size=m, p=noise.f.ravel())
         walked = [scalar_survivor(c, t, e, placement) for c, t, e in zip(controls, targets, events)]
         expected = Counter(cell for cell in walked if cell is not None)
 
@@ -151,7 +154,7 @@ class TestRunRoundMatchesReference:
     @pytest.mark.parametrize("n", [301, 3001])
     def test_moments_match_per_record_sampler(self, placement, n):
         noise = dirichlet_noise()
-        counts = init_ensemble(WERNER_07, n, flag_mode="random", seed=5).counts
+        counts = init_ensemble(werner_07("random"), n, seed=5).counts
         records = records_of(counts)
         repeats = 1500
         gen = np.random.default_rng(n)
@@ -182,7 +185,7 @@ class TestRunRoundMatchesReference:
         # change to the streams, the sampling or the table moves them
         survivors, digest = PINNED_COUNTS[placement, seed]
         noise = dirichlet_noise()
-        ensemble = init_ensemble(WERNER_07, 3001, flag_mode="random", seed=seed)
+        ensemble = init_ensemble(werner_07("random"), 3001, seed=seed)
         sha = hashlib.sha256(ensemble.counts.astype("<i8").tobytes())
         for _ in range(3):
             run_round(ensemble, noise, placement)
@@ -194,11 +197,10 @@ class TestRunRoundMatchesReference:
 class TestEngineAgreement:
     def test_fig1_like_run_within_five_sigma(self):
         noise = NoiseModel.from_uniform_residual(0.97)
-        bell_probs = [0.85, 0.05, 0.05, 0.05]
         rounds = 4
-        ensemble = init_ensemble(bell_probs, 400_000, seed=1)
-        mc = run_protocol(ensemble, noise, rounds)
-        engine = iterate(SubensembleState.from_bell_probs(bell_probs), noise, max_rounds=rounds)
+        initial = SubensembleState.from_bell_probs([0.85, 0.05, 0.05, 0.05])
+        mc = run_protocol(init_ensemble(initial, 400_000, seed=1), noise, rounds)
+        engine = iterate(initial, noise, max_rounds=rounds)
         assert not mc.halted
         assert mc.final.survivors > 5000
         for sample, exact in zip(mc.points, engine.points):
@@ -216,7 +218,7 @@ class TestHalting:
             run_round(ensemble, NoiseModel.identity())
 
     def test_run_protocol_stops_when_population_runs_out(self):
-        ensemble = init_ensemble(WERNER_07, 5, seed=2)
+        ensemble = init_ensemble(werner_07(), 5, seed=2)
         trajectory = run_protocol(ensemble, NoiseModel.identity(), 20)
         assert trajectory.halted
         assert trajectory.final.survivors < 2
@@ -226,7 +228,7 @@ class TestHalting:
 
 class TestValidation:
     def test_rejects_unknown_placement(self):
-        ensemble = init_ensemble(WERNER_07, 100, seed=0)
+        ensemble = init_ensemble(werner_07(), 100, seed=0)
         counts = ensemble.counts.copy()
         with pytest.raises(ValueError, match="placement"):
             run_round(ensemble, NoiseModel.identity(), "after_measurement")
@@ -235,7 +237,7 @@ class TestValidation:
     @pytest.mark.parametrize("n_pairs", [1, MAX_PAIRS])
     def test_rejects_population_size(self, n_pairs):
         with pytest.raises(ValueError, match="pairs"):
-            init_ensemble(WERNER_07, n_pairs)
+            init_ensemble(werner_07(), n_pairs)
 
     @pytest.mark.parametrize("counts", [[1] * 15, [-1] + [2] * 15, [0.5] * 16])
     def test_rejects_bad_counts(self, counts):
@@ -243,15 +245,16 @@ class TestValidation:
             Ensemble(counts, seed=0)
 
     def test_init_draws_the_joint_cells(self):
-        fixed = init_ensemble(WERNER_07, 10_000, seed=4)
+        fixed = init_ensemble(werner_07(), 10_000, seed=4)
         assert fixed.size == 10_000 and fixed.counts[4:].sum() == 0
-        flags = init_ensemble(WERNER_07, 10_000, flag_mode="random", seed=4).counts.reshape(4, 4)
+        flags = init_ensemble(werner_07("random"), 10_000, seed=4).counts.reshape(4, 4)
         assert flags.sum() == 10_000 and np.all(flags.sum(axis=1) > 2000)
 
 
 class TestMinimumFidelityCheck:
     def test_pure_population_passes_and_loses_the_sacrifice(self):
-        ensemble = init_ensemble([1.0, 0.0, 0.0, 0.0], 1000, seed=0)
+        pure = SubensembleState.from_bell_probs([1.0, 0.0, 0.0, 0.0])
+        ensemble = init_ensemble(pure, 1000, seed=0)
         check = check_minimum_fidelity(ensemble, 0.1, f_min=0.9)
         assert check.passed
         assert check.sacrificed == 100

@@ -1,10 +1,9 @@
-"""Noise-channel construction, sampling and serialization."""
+"""Noise-channel construction, validation, label-shift marginals and serialization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpurify.bell import PauliIndex
 from qpurify.noise import EVENT_COMBINED_SHIFTS, NoiseModel
 
 
@@ -90,37 +89,6 @@ class TestValidation:
             NoiseModel(f)
 
 
-class TestSampling:
-    def test_identity_channel_always_identity(self):
-        model = NoiseModel.identity()
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert model.sample(rng) == (PauliIndex.I, PauliIndex.I)
-
-    def test_fixed_seed_is_reproducible(self):
-        model = NoiseModel.from_one_qubit_depolarizing(0.9)
-        draws1 = [model.sample(np.random.default_rng(123)) for _ in range(1)]
-        seq1 = model.sample_events(np.random.default_rng(123), 1000)
-        seq2 = model.sample_events(np.random.default_rng(123), 1000)
-        assert np.array_equal(seq1, seq2)
-        assert draws1 == [model.sample(np.random.default_rng(123))]
-
-    def test_empirical_frequencies_within_5_sigma(self):
-        model = NoiseModel.from_one_qubit_depolarizing(0.9)
-        events = model.sample_events(np.random.default_rng(7), 1_000_000)
-        counts = np.bincount(events, minlength=16)
-        n = events.size
-        for e in range(16):
-            p = model.f.ravel()[e]
-            sigma = np.sqrt(n * p * (1 - p))
-            assert abs(counts[e] - n * p) < 5 * sigma
-
-    def test_sample_returns_pauli_indices(self):
-        model = NoiseModel.from_uniform_residual(0.5)
-        mu, nu = model.sample(np.random.default_rng(5))
-        assert isinstance(mu, PauliIndex) and isinstance(nu, PauliIndex)
-
-
 class TestShiftDistribution:
     def test_identity(self):
         assert np.array_equal(
@@ -143,7 +111,7 @@ class TestShiftDistribution:
 
     def test_matches_empirical_shift_histogram(self):
         model = NoiseModel.from_one_qubit_depolarizing(0.9)
-        events = model.sample_events(np.random.default_rng(11), 500_000)
+        events = np.random.default_rng(11).choice(16, size=500_000, p=model.f.ravel())
         shifts = EVENT_COMBINED_SHIFTS[events]
         counts = np.bincount(shifts, minlength=4)
         q = model.label_shift_distribution()

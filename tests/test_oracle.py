@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qpurify.oracle as oracle
 from qpurify.bell import ATOL, PAULI_LABEL_SHIFT, bcnot_map, bell_projector, rotation_step3
 from qpurify.errors import DegenerateRoundError
 from qpurify.flags import FLAG_UPDATE_TABLE
@@ -105,6 +106,19 @@ class TestConformance:
         assert len(failing) == 1
         assert "flag combination" in failing[0].name
         assert "row 10" in failing[0].detail and "column 01" in failing[0].detail
+
+    @pytest.mark.parametrize("side", ["control", "target"])
+    def test_mutated_shipping_shift_table_fails(self, monkeypatch, side):
+        # the tables event_cell_table composes the round from, not a copy of the formula
+        name = f"EVENT_{side.upper()}_SHIFTS"
+        broken = getattr(oracle, name).copy()
+        # events 1 and 2 differ in nu only, events 4 and 8 in mu only
+        broken[[1, 2]] = broken[[2, 1]]
+        broken[[4, 8]] = broken[[8, 4]]
+        monkeypatch.setattr(oracle, name, broken)
+        report = run_conformance_checks(round_samples=0)
+        failing = [c.name for c in report.checks if not c.passed]
+        assert failing == [f"{side}-pair event shifts vs dense conjugation"]
 
     def test_mutated_bcnot_breaks_bijection(self):
         broken = np.zeros((4, 4, 2), dtype=np.uint8)

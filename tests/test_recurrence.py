@@ -275,7 +275,7 @@ class TestRoundTensor:
         assert traj.converged == reference_converged == converged
         assert traj.rounds == len(rows) - 1
         assert np.max(np.abs(traj.coefficients - rows)) < 1e-12
-        assert np.max(np.abs(traj.keep_probabilities() - keeps)) < 1e-12
+        assert np.max(np.abs(traj.keeps - keeps)) < 1e-12
 
     def test_round_buffer_is_not_preallocated(self):
         # a pure Phi+ input is a fixpoint of the noiseless map: one round
@@ -459,6 +459,21 @@ class TestThresholds:
                 SubensembleState.werner(0.85),
                 lo=0.9,
                 hi=0.9,
+            )
+
+    @pytest.mark.parametrize("bisect_tol", [0.0, -1.0, float("nan")])
+    def test_rejects_bisect_tol_that_cannot_end_the_bisection(self, bisect_tol, monkeypatch):
+        # a zero or negative tolerance never ends the loop once the bracket
+        # reaches adjacent doubles, and a NaN one skips the bisection
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("classified a noise model before checking bisect_tol")
+
+        monkeypatch.setattr(recurrence, "classify_regime", no_evaluation)
+        with pytest.raises(ValueError, match="bisect_tol must be positive and finite"):
+            find_thresholds(
+                NoiseModel.from_one_qubit_depolarizing,
+                SubensembleState.werner(0.85),
+                bisect_tol=bisect_tol,
             )
 
 
