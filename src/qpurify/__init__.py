@@ -7,25 +7,15 @@ fixpoint/threshold analysis, finite-population Monte Carlo, and a dense
 density-matrix oracle that grounds every label map.
 """
 
-from .bell import (
-    BellLabel,
-    PauliIndex,
-    apply_two_sided_pauli,
-    bcnot_map,
-    measurement_coincides,
-    pauli_shift,
-    rotation_step3,
-    twirl_dense,
-)
+from .bell import BellLabel, PauliIndex, bcnot_map, measurement_coincides, rotation_step3
 from .errors import (
     ConfigError,
     DegenerateRoundError,
-    InsufficientTailError,
     NoThresholdError,
     ProtocolHaltError,
     QpurifyError,
 )
-from .flags import FLAG_UPDATE_TABLE, ErrorFlag, flag_update, record_error, record_two_sided
+from .flags import FLAG_UPDATE_TABLE, ErrorFlag
 from .noise import NoiseModel
 from .recurrence import (
     BEFORE_BCNOT,
@@ -36,7 +26,6 @@ from .recurrence import (
     Trajectory,
     classify_regime,
     conditional_fidelity,
-    convergence_exponents,
     fidelity,
     find_thresholds,
     iterate,
@@ -56,15 +45,9 @@ __all__ = [
     "Trajectory",
     "Regime",
     "RegimeReport",
-    "pauli_shift",
-    "apply_two_sided_pauli",
     "rotation_step3",
     "bcnot_map",
     "measurement_coincides",
-    "twirl_dense",
-    "record_error",
-    "record_two_sided",
-    "flag_update",
     "FLAG_UPDATE_TABLE",
     "fidelity",
     "conditional_fidelity",
@@ -73,13 +56,11 @@ __all__ = [
     "classify_regime",
     "find_thresholds",
     "scan_werner_grid",
-    "convergence_exponents",
     "BEFORE_ROTATION",
     "BEFORE_BCNOT",
     "QpurifyError",
     "ConfigError",
     "DegenerateRoundError",
-    "InsufficientTailError",
     "NoThresholdError",
     "ProtocolHaltError",
 ]

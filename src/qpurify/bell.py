@@ -11,12 +11,14 @@ Bell states are indexed by two bits packed into one integer,
     ==  =======  ====================
 
 Every operation the protocol uses (local Pauli errors, the bilateral
-half-x rotation, the bilateral CNOT, the target measurement, the
-bilateral twirl) maps Bell states onto Bell states up to a global phase,
-so the hot-path arithmetic happens on these 2-bit labels.  The dense 4x4
-routines at the bottom of this module ground the label maps in explicit
-matrix algebra; :mod:`qpurify.oracle` re-derives every label table from
-them and the test suite cross-checks the two routes exhaustively.
+half-x rotation, the bilateral CNOT, the target measurement) maps Bell
+states onto Bell states up to a global phase, so the hot-path arithmetic
+happens on these 2-bit labels.  The dense 4x4 layer at the bottom of
+this module (Pauli matrices, Bell vectors and projectors, and the
+reading of a matrix in the Bell basis) grounds the label maps in
+explicit matrix algebra; :mod:`qpurify.oracle` re-derives every label
+table from it and the test suite cross-checks the two routes
+exhaustively.
 """
 
 from __future__ import annotations
@@ -30,16 +32,12 @@ __all__ = [
     "BellLabel",
     "PauliIndex",
     "PAULI_LABEL_SHIFT",
-    "pauli_shift",
-    "apply_two_sided_pauli",
     "rotation_step3",
     "bcnot_map",
     "measurement_coincides",
     "PAULIS",
     "BELL_VECTORS",
     "bell_projector",
-    "validate_density_matrix",
-    "twirl_dense",
     "bell_diagonal_overlaps",
     "bell_offdiagonal_max",
 ]
@@ -78,26 +76,12 @@ class PauliIndex(IntEnum):
     Z = 3
 
 
-#: Packed label shift induced by a single-sided Pauli: identity does
-#: nothing, x flips the amplitude bit, z flips the phase bit, y flips both.
+#: Packed label shift induced by sigma_p on one qubit of a pair, indexed by
+#: :class:`PauliIndex`: identity does nothing, x flips the amplitude bit,
+#: z flips the phase bit, y flips both.  The shift is the same whichever
+#: side the Pauli acts on, and sigma_mu on one qubit with sigma_nu on the
+#: other shifts by ``PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu]``.
 PAULI_LABEL_SHIFT = (0b00, 0b01, 0b11, 0b10)
-
-
-def pauli_shift(pauli: PauliIndex | int) -> int:
-    """Packed (phase, amplitude) shift of sigma_p applied to one qubit of a pair.
-
-    The shift is the same whichever side the Pauli acts on, because
-    conjugating a Bell projector by ``sigma_p x 1`` or ``1 x sigma_p``
-    moves it to the same Bell projector.
-    """
-    return PAULI_LABEL_SHIFT[pauli]
-
-
-def apply_two_sided_pauli(
-    label: BellLabel | int, mu: PauliIndex | int, nu: PauliIndex | int
-) -> BellLabel:
-    """Bell label after sigma_mu on one qubit and sigma_nu on the other."""
-    return BellLabel(label ^ PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu])
 
 
 def rotation_step3(label: BellLabel | int) -> BellLabel:
@@ -165,42 +149,6 @@ def bell_projector(label: BellLabel | int) -> np.ndarray:
     """Rank-one projector onto the Bell state with this label."""
     v = BELL_VECTORS[label]
     return np.outer(v, v.conj())
-
-
-def validate_density_matrix(rho: np.ndarray, dim: int = 4, atol: float = ATOL) -> np.ndarray:
-    """Check trace, Hermiticity and positivity of a density matrix.
-
-    Returns the input as a complex array.  Raises ValueError on shape
-    mismatch, non-unit trace or non-Hermiticity (tolerance ``atol``),
-    or an eigenvalue below -1e-10.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {rho.shape}")
-    trace = np.trace(rho)
-    if abs(trace - 1.0) > atol:
-        raise ValueError(f"trace {trace} is not 1 within {atol}")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    eigenvalues = np.linalg.eigvalsh(rho)
-    if eigenvalues.min() < -1e-10:
-        raise ValueError(f"matrix has negative eigenvalue {eigenvalues.min():.3e}")
-    return rho
-
-
-def twirl_dense(rho: np.ndarray) -> np.ndarray:
-    """Project a two-qubit state onto its Bell-diagonal part.
-
-    Averages the four bilateral rotations ``sigma_k x sigma_k``:
-    the result is diagonal in the Bell basis and keeps the four
-    Bell-diagonal matrix elements of the input unchanged.
-    """
-    rho = validate_density_matrix(rho)
-    out = np.zeros_like(rho)
-    for k in range(4):
-        op = np.kron(PAULIS[k], PAULIS[k])
-        out += op @ rho @ op.conj().T
-    return out / 4.0
 
 
 def bell_diagonal_overlaps(rho: np.ndarray) -> np.ndarray:

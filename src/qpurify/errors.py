@@ -13,10 +13,6 @@ class NoThresholdError(QpurifyError):
     """A scan range classifies into the same regime at both endpoints."""
 
 
-class InsufficientTailError(QpurifyError):
-    """Too few usable trajectory points for an exponent fit."""
-
-
 class ProtocolHaltError(QpurifyError):
     """The Monte Carlo population is too small to form a pair of pairs."""
 

@@ -5,7 +5,11 @@ A bookkeeping layer in the laboratory records, for each pair, two
 classical bits: the error phase bit and the error amplitude bit.  A
 sigma_x record inverts the amplitude bit, sigma_z the phase bit, sigma_y
 both; recording is an XOR group action, so the order of errors never
-matters.
+matters.  The recording happens inside
+:func:`qpurify.recurrence.event_cell_table`, which XORs each noise
+event's label shift (:data:`qpurify.noise.EVENT_CONTROL_SHIFTS` and
+:data:`~qpurify.noise.EVENT_TARGET_SHIFTS`) into the flag of the pair it
+hits, exactly as into that pair's Bell label.
 
 When a control pair is kept after a purification step, its flag is
 combined with the measured target pair's flag through a fixed 16-entry
@@ -23,15 +27,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .bell import PAULI_LABEL_SHIFT, PauliIndex
-
-__all__ = [
-    "ErrorFlag",
-    "FLAG_UPDATE_TABLE",
-    "record_error",
-    "record_two_sided",
-    "flag_update",
-]
+__all__ = ["ErrorFlag", "FLAG_UPDATE_TABLE"]
 
 
 class ErrorFlag(IntEnum):
@@ -41,14 +37,6 @@ class ErrorFlag(IntEnum):
     AMPLITUDE = 0b01
     PHASE = 0b10
     BOTH = 0b11
-
-    @property
-    def error_phase_bit(self) -> int:
-        return (self >> 1) & 1
-
-    @property
-    def error_amplitude_bit(self) -> int:
-        return self & 1
 
 
 #: Updated flag of a kept control pair, indexed [control flag, target flag].
@@ -62,23 +50,3 @@ FLAG_UPDATE_TABLE = np.array(
     ],
     dtype=np.uint8,
 )
-
-
-def record_error(flag: ErrorFlag | int, mu: PauliIndex | int) -> ErrorFlag:
-    """Flag after recording a one-sided Pauli error on the pair."""
-    return ErrorFlag(flag ^ PAULI_LABEL_SHIFT[mu])
-
-
-def record_two_sided(
-    flag: ErrorFlag | int, mu: PauliIndex | int, nu: PauliIndex | int
-) -> ErrorFlag:
-    """Flag after recording sigma_mu on one side and sigma_nu on the other.
-
-    Both sides' errors land on the single per-pair flag.
-    """
-    return ErrorFlag(flag ^ PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu])
-
-
-def flag_update(control_flag: ErrorFlag | int, target_flag: ErrorFlag | int) -> ErrorFlag:
-    """Combined flag of a kept control pair after a purification step."""
-    return ErrorFlag(int(FLAG_UPDATE_TABLE[control_flag, target_flag]))

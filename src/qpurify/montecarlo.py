@@ -41,12 +41,9 @@ __all__ = [
     "Ensemble",
     "RoundStats",
     "McTrajectory",
-    "MinimumFidelityCheck",
     "init_ensemble",
     "run_round",
     "run_protocol",
-    "check_minimum_fidelity",
-    "total_variation",
 ]
 
 #: Populations must stay below this size (numpy's limit for
@@ -57,7 +54,6 @@ MAX_PAIRS = 10**9
 _INIT = 0
 _PAIRING = 1
 _NOISE = 2
-_SACRIFICE = 3
 
 #: Categories ``flag * 4 + bell`` holding a Phi+ pair, and those whose flag
 #: equals the Bell label.  Plain lists: no numpy work at import.
@@ -76,7 +72,6 @@ class Ensemble:
     counts: np.ndarray
     seed: int
     round_counter: int = 0
-    check_counter: int = 0
 
     def __post_init__(self):
         counts = np.array(self.counts)
@@ -236,50 +231,3 @@ def run_protocol(
             halted = True
             break
     return McTrajectory(points, halted)
-
-
-@dataclass(frozen=True)
-class MinimumFidelityCheck:
-    passed: bool
-    estimate: float
-    ci_low: float
-    ci_high: float
-    sacrificed: int
-
-
-def check_minimum_fidelity(
-    ensemble: Ensemble,
-    sacrifice_fraction: float,
-    f_min: float,
-    confidence: float = 0.99,
-) -> MinimumFidelityCheck:
-    """Estimate the fidelity by measuring and removing a random fraction.
-
-    Counts Phi+ outcomes among the sacrificed pairs and forms a
-    Clopper-Pearson interval at the given confidence; the check passes
-    iff the lower bound exceeds ``f_min``.  The sacrificed pairs are
-    removed from the ensemble.
-    """
-    if not 0.0 < sacrifice_fraction < 1.0:
-        raise ValueError(f"sacrifice_fraction must be in (0, 1), got {sacrifice_fraction}")
-    n = ensemble.size
-    k = int(round(sacrifice_fraction * n))
-    if k == 0:
-        raise ValueError(f"sacrifice of {sacrifice_fraction} of {n} pairs selects none")
-    gen = _stream(ensemble.seed, _SACRIFICE, ensemble.round_counter, ensemble.check_counter)
-    sacrificed = gen.multivariate_hypergeometric(ensemble.counts, k)
-    ensemble.counts = ensemble.counts - sacrificed
-    ensemble.check_counter += 1
-
-    from scipy import stats  # imported here: it dominates start-up and only this check needs it
-
-    successes = int(sacrificed[_PHI_PLUS].sum())
-    alpha = 1.0 - confidence
-    low = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2, successes, k - successes + 1))
-    high = 1.0 if successes == k else float(stats.beta.ppf(1 - alpha / 2, successes + 1, k - successes))
-    return MinimumFidelityCheck(low > f_min, successes / k, low, high, k)
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """Total-variation distance between two distributions on the same cells."""
-    return 0.5 * float(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)).sum())

@@ -18,17 +18,19 @@ Two named families cover the usual parameterizations:
 * ``uniform``: ``f[0, 0] = f00`` with the remaining probability spread
   evenly over the fifteen error rotations.
 
-Models serialize to the configuration forms ``{"family": "product",
+Models are built from the configuration forms ``{"family": "product",
 "f0": x}``, ``{"family": "uniform", "f00": x}`` and ``{"family":
 "explicit", "f": [16 numbers]}``; :data:`NOISE_FAMILIES` names each
 family's parameter key and constructor, and is the only place the
 families are told apart.  The constructors check what the parameter
-means (a probability, a normalized table).
+means (a probability, a normalized table) and raise ValueError for
+anything else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,7 +42,6 @@ __all__ = [
     "NOISE_FAMILIES",
     "EVENT_CONTROL_SHIFTS",
     "EVENT_TARGET_SHIFTS",
-    "EVENT_COMBINED_SHIFTS",
     "PROBABILITY_ATOL",
 ]
 
@@ -57,11 +58,10 @@ EVENT_TARGET_SHIFTS = np.array(
     [PAULI_LABEL_SHIFT[e & 3] for e in range(16)], dtype=np.uint8
 )
 
-#: Combined packed shift when both rotations of event ``e`` land on one pair.
-EVENT_COMBINED_SHIFTS = EVENT_CONTROL_SHIFTS ^ EVENT_TARGET_SHIFTS
-
 
 def _check_probability(value: float, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
     value = float(value)
     # written so that a NaN fails both checks
     if not value >= 0.0:
@@ -76,10 +76,12 @@ class NoiseModel:
     """Joint distribution over the sixteen two-sided Pauli rotations."""
 
     f: np.ndarray
-    config: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        f = np.array(self.f, dtype=float)
+        try:
+            f = np.array(self.f, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"noise table must hold 16 numbers, got {self.f!r}") from None
         if f.shape == (16,):
             f = f.reshape(4, 4)
         if f.shape != (4, 4):
@@ -109,7 +111,7 @@ class NoiseModel:
         f0 = _check_probability(f0, "f0")
         g = np.full(4, (1.0 - f0) / 3.0)
         g[0] = f0
-        return cls(np.outer(g, g), config={"family": "product", "f0": f0})
+        return cls(np.outer(g, g))
 
     @classmethod
     def from_uniform_residual(cls, f00: float) -> "NoiseModel":
@@ -117,13 +119,12 @@ class NoiseModel:
         f00 = _check_probability(f00, "f00")
         f = np.full(16, (1.0 - f00) / 15.0)
         f[0] = f00
-        return cls(f, config={"family": "uniform", "f00": f00})
+        return cls(f)
 
     @classmethod
     def from_probabilities(cls, f) -> "NoiseModel":
         """Explicit 16-entry distribution, mu-major order."""
-        f = np.array(f, dtype=float)
-        return cls(f, config={"family": "explicit", "f": f.ravel().tolist()})
+        return cls(f)
 
     @classmethod
     def from_config(cls, doc: dict) -> "NoiseModel":
@@ -133,25 +134,9 @@ class NoiseModel:
         if doc["family"] not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {doc['family']!r}")
         key, build = NOISE_FAMILIES[doc["family"]]
+        if key not in doc:
+            raise ValueError(f"{doc['family']} family requires {key!r}")
         return build(doc[key])
-
-    def to_config(self) -> dict:
-        """Serialized form; preserves the family the model was built from."""
-        if self.config is not None:
-            return dict(self.config)
-        return {"family": "explicit", "f": self.f.ravel().tolist()}
-
-    # -- queries ------------------------------------------------------------
-
-    def label_shift_distribution(self) -> np.ndarray:
-        """Probability of each combined packed label shift.
-
-        Marginalizes the joint (mu, nu) distribution onto the XOR of the
-        two one-sided shifts: the effective action when both rotations
-        of an event land on the same pair (e.g. after composing noise
-        from both laboratories).
-        """
-        return np.bincount(EVENT_COMBINED_SHIFTS, weights=self.f.ravel(), minlength=4)
 
 
 #: The serialized noise families: name -> (parameter key, constructor).

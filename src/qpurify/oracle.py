@@ -31,12 +31,14 @@ from .bell import (
     BELL_VECTORS,
     PAULIS,
     PAULI_LABEL_SHIFT,
+    bell_diagonal_overlaps,
+    bell_offdiagonal_max,
     bell_projector,
     bcnot_map,
     rotation_step3,
 )
 from .errors import DegenerateRoundError
-from .flags import FLAG_UPDATE_TABLE, flag_update
+from .flags import FLAG_UPDATE_TABLE
 from .noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, NoiseModel
 from .recurrence import (
     BEFORE_ROTATION,
@@ -115,13 +117,10 @@ def build_protocol_unitaries() -> dict[str, np.ndarray]:
 
 def _match_bell_projector(rho: np.ndarray) -> int:
     """Index of the Bell projector equal to ``rho``; asserts one exists."""
-    for label in range(4):
-        overlap = float(
-            np.real(BELL_VECTORS[label].conj() @ rho @ BELL_VECTORS[label])
-        )
-        if abs(overlap - 1.0) <= ATOL:
-            return label
-    raise AssertionError("conjugated projector is not a Bell projector")
+    hits = np.flatnonzero(np.abs(bell_diagonal_overlaps(rho) - 1.0) <= ATOL)
+    if not hits.size:
+        raise AssertionError("conjugated projector is not a Bell projector")
+    return int(hits[0])
 
 
 def derive_rotation_table() -> np.ndarray:
@@ -136,7 +135,7 @@ def derive_two_sided_shift_table() -> np.ndarray:
     """Label map of sigma_mu x sigma_nu conjugation, all 4x16 inputs.
 
     Returns ``table[label, mu*4 + nu]``; the test suite checks it equals
-    ``label ^ pauli_shift(mu) ^ pauli_shift(nu)`` everywhere.
+    ``label ^ PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu]`` everywhere.
     """
     table = np.zeros((4, 16), dtype=np.uint8)
     for mu in range(4):
@@ -280,11 +279,9 @@ def oracle_one_round(
             kept_pair = _trace_out_target(projected)
             weight = float(np.real(np.trace(kept_pair)))
             keep += weight
-            transformed = BELL_VECTORS.conj() @ kept_pair @ BELL_VECTORS.T
-            off = transformed - np.diag(np.diag(transformed))
-            if np.max(np.abs(off)) > ATOL:
+            if bell_offdiagonal_max(kept_pair) > ATOL:
                 raise AssertionError("kept pair is not Bell-diagonal")
-            out[int(flag_update(flag1, flag2))] += np.real(np.diag(transformed))
+            out[FLAG_UPDATE_TABLE[flag1, flag2]] += bell_diagonal_overlaps(kept_pair)
     if keep < KEEP_PROBABILITY_FLOOR:
         raise DegenerateRoundError(
             f"keep probability {keep:.3e} below {KEEP_PROBABILITY_FLOOR:.0e}"
@@ -326,23 +323,17 @@ def run_conformance_checks(
     round_samples: int = 20,
     seed: int = 20260810,
     flag_table: np.ndarray | None = None,
-    rotation_table: np.ndarray | None = None,
-    bcnot_table: np.ndarray | None = None,
 ) -> ConformanceReport:
-    """Cross-check every label table and the round map against this oracle.
+    """Cross-check every shipping label table and the round map against this oracle.
 
-    The optional table arguments substitute the production tables under
-    test (used for fault injection); by default the shipping tables are
-    checked.  Failures name the offending entry.
+    ``flag_table``, when given, is checked in place of the shipping flag
+    combination table; the benchmark's gate tests inject a fault through
+    it.  Failures name the offending entry.
     """
     report = ConformanceReport()
     rng = np.random.default_rng(seed)
 
-    production_rotation = (
-        rotation_table
-        if rotation_table is not None
-        else np.array([int(rotation_step3(b)) for b in range(4)], dtype=np.uint8)
-    )
+    production_rotation = np.array([int(rotation_step3(b)) for b in range(4)], dtype=np.uint8)
     derived_rotation = derive_rotation_table()
     mismatches = [
         f"label {b}: table {production_rotation[b]}, oracle {derived_rotation[b]}"
@@ -366,11 +357,7 @@ def run_conformance_checks(
         name = f"{side}-pair event shifts vs dense conjugation"
         report.add(name, not mismatches, "; ".join(mismatches))
 
-    if bcnot_table is None:
-        bcnot_table = np.zeros((4, 4, 2), dtype=np.uint8)
-        for src in range(4):
-            for tgt in range(4):
-                bcnot_table[src, tgt] = bcnot_map(src, tgt)
+    bcnot_table = np.array([[bcnot_map(s, t) for t in range(4)] for s in range(4)], dtype=np.uint8)
     derived_bcnot = derive_bcnot_table()
     mismatches = [
         f"(source {s}, target {t}): table {tuple(bcnot_table[s, t])}, oracle {tuple(derived_bcnot[s, t])}"
@@ -387,7 +374,7 @@ def run_conformance_checks(
         f"only {len(flat)} distinct outputs",
     )
 
-    production_flags = flag_table if flag_table is not None else FLAG_UPDATE_TABLE
+    production_flags = FLAG_UPDATE_TABLE if flag_table is None else flag_table
     derived_flags = derive_flag_update_table()
     mismatches = [
         f"(row {f1:02b}, column {f2:02b}): table ({production_flags[f1, f2]:02b}), derived ({derived_flags[f1, f2]:02b})"

@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bell import bcnot_map, measurement_coincides, rotation_step3
-from .errors import DegenerateRoundError, InsufficientTailError, NoThresholdError
+from .errors import DegenerateRoundError, NoThresholdError
 from .flags import FLAG_UPDATE_TABLE
 from .noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, NoiseModel
 
@@ -65,7 +65,6 @@ __all__ = [
     "fidelity",
     "conditional_fidelity",
     "one_round",
-    "TrajectoryPoint",
     "Trajectory",
     "iterate",
     "Regime",
@@ -74,8 +73,6 @@ __all__ = [
     "ThresholdScan",
     "find_thresholds",
     "scan_werner_grid",
-    "ExponentFit",
-    "convergence_exponents",
 ]
 
 BEFORE_ROTATION = "before_rotation"
@@ -242,13 +239,6 @@ class SubensembleState:
         rest = (1.0 - fid) / 3.0
         return cls.from_bell_probs([fid, rest, rest, rest], flag_mode=flag_mode)
 
-    def bell_marginal(self) -> np.ndarray:
-        """Ensemble coefficients (Phi+, Psi+, Phi-, Psi-), flags summed out."""
-        return self.p.sum(axis=0)
-
-    def flag_marginal(self) -> np.ndarray:
-        return self.p.sum(axis=1)
-
 
 def fidelity(state: SubensembleState) -> float:
     """Overlap of the ensemble with Phi+ (the bell marginal's first entry)."""
@@ -282,23 +272,14 @@ def one_round(
     return SubensembleState(v), keep
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    round_index: int
-    fidelity: float
-    conditional_fidelity: float
-    keep_probability: float
-    state: SubensembleState
-
-
 @dataclass
 class Trajectory:
     """Per-round records of one fixpoint iteration (round 0 = input).
 
     ``coefficients`` holds the sixteen coefficients of every round, one
     row per round, and ``keeps`` the keep probability of the round that
-    produced each row (1 for round 0).  The per-round
-    :class:`TrajectoryPoint` records are built from them on request.
+    produced each row (1 for round 0).  The per-round fidelities and the
+    CSV rows are computed from them on request.
     """
 
     coefficients: np.ndarray
@@ -309,24 +290,6 @@ class Trajectory:
     @property
     def rounds(self) -> int:
         return len(self.coefficients) - 1
-
-    @property
-    def points(self) -> list[TrajectoryPoint]:
-        return [
-            TrajectoryPoint(n, f, fc, keep, SubensembleState(row))
-            for n, (f, fc, keep, row) in enumerate(
-                zip(
-                    self.fidelities().tolist(),
-                    self.conditional_fidelities().tolist(),
-                    self.keeps.tolist(),
-                    self.coefficients,
-                )
-            )
-        ]
-
-    @property
-    def final_state(self) -> SubensembleState:
-        return SubensembleState(self.coefficients[-1])
 
     @property
     def limiting_fidelity(self) -> float:
@@ -559,73 +522,3 @@ def scan_werner_grid(
         except NoThresholdError:
             results[fid] = None
     return results
-
-
-@dataclass
-class ExponentFit:
-    """Least-squares tail slopes of the two log distance curves.
-
-    Rates are positive per-round decay constants of ``F_inf - F_n`` and
-    ``1 - F_cond_n``.  ``slope_drift_*`` compares fits over the two
-    halves of the tail window relative to the full slope; a large value
-    flags non-geometric (for example super-exponential) convergence.
-    """
-
-    rate_fidelity: float
-    rate_conditional: float
-    residual_fidelity: float
-    residual_conditional: float
-    slope_drift_fidelity: float
-    slope_drift_conditional: float
-    points_fidelity: int
-    points_conditional: int
-
-
-def _fit_tail(values: np.ndarray, floor: float, tail_length: int, min_points: int, label: str):
-    rounds = np.arange(len(values), dtype=float)
-    mask = values > floor
-    if mask.sum() < min_points:
-        raise InsufficientTailError(
-            f"{label}: only {int(mask.sum())} points above the {floor:.0e} floor, need {min_points}"
-        )
-    idx = np.nonzero(mask)[0][-tail_length:]
-    if len(idx) < min_points:
-        raise InsufficientTailError(
-            f"{label}: tail has {len(idx)} usable points, need {min_points}"
-        )
-    x = rounds[idx]
-    y = np.log(values[idx])
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    half = len(idx) // 2
-    slope_a = np.polyfit(x[:half], y[:half], 1)[0] if half >= 2 else slope
-    slope_b = np.polyfit(x[half:], y[half:], 1)[0] if len(idx) - half >= 2 else slope
-    drift = float(abs(slope_a - slope_b) / max(abs(slope), 1e-30))
-    return -float(slope), residual, drift, len(idx)
-
-
-def convergence_exponents(
-    trajectory: Trajectory,
-    floor: float = 1e-14,
-    tail_length: int = 12,
-    min_points: int = 6,
-) -> ExponentFit:
-    """Estimate the geometric decay rates of F and F_cond toward their limits.
-
-    The limits are read from the final recorded round; values at or
-    below ``floor`` are excluded as floating-point noise.  Raises
-    :class:`InsufficientTailError` when either curve has too few usable
-    points (e.g. constant trajectories, or convergence so fast that the
-    curve immediately hits the floor).
-    """
-    f = trajectory.fidelities()
-    fc = trajectory.conditional_fidelities()
-    dist_f = f[-1] - f
-    dist_fc = 1.0 - fc
-    rate_f, res_f, drift_f, n_f = _fit_tail(
-        dist_f, floor, tail_length, min_points, "F distance"
-    )
-    rate_fc, res_fc, drift_fc, n_fc = _fit_tail(
-        dist_fc, floor, tail_length, min_points, "F_cond distance"
-    )
-    return ExponentFit(rate_f, rate_fc, res_f, res_fc, drift_f, drift_fc, n_f, n_fc)

@@ -1,4 +1,4 @@
-"""Label maps against explicit matrix algebra, plus twirl properties."""
+"""Label maps against explicit matrix algebra, plus the Bell-basis reading of dense matrices."""
 
 import numpy as np
 import pytest
@@ -7,18 +7,16 @@ from hypothesis import given, strategies as st
 from qpurify.bell import (
     ATOL,
     BELL_VECTORS,
+    PAULI_LABEL_SHIFT,
     PAULIS,
     BellLabel,
     PauliIndex,
-    apply_two_sided_pauli,
     bcnot_map,
     bell_diagonal_overlaps,
     bell_offdiagonal_max,
     bell_projector,
     measurement_coincides,
-    pauli_shift,
     rotation_step3,
-    twirl_dense,
 )
 
 PHI_PLUS = BellLabel.PHI_PLUS
@@ -42,40 +40,45 @@ def dense_conjugate_label(label, op):
 
 class TestPauliShift:
     def test_identity(self):
-        assert bits(pauli_shift(PauliIndex.I)) == (0, 0)
+        assert bits(PAULI_LABEL_SHIFT[PauliIndex.I]) == (0, 0)
 
     def test_flag_rule(self):
         # sigma_x inverts the amplitude bit, sigma_z the phase bit, sigma_y both
-        assert bits(pauli_shift(PauliIndex.X)) == (0, 1)
-        assert bits(pauli_shift(PauliIndex.Z)) == (1, 0)
-        assert bits(pauli_shift(PauliIndex.Y)) == (1, 1)
+        assert bits(PAULI_LABEL_SHIFT[PauliIndex.X]) == (0, 1)
+        assert bits(PAULI_LABEL_SHIFT[PauliIndex.Z]) == (1, 0)
+        assert bits(PAULI_LABEL_SHIFT[PauliIndex.Y]) == (1, 1)
 
     @pytest.mark.parametrize("pauli", list(PauliIndex))
     @pytest.mark.parametrize("label", list(BellLabel))
     def test_matches_dense_one_sided_conjugation_both_sides(self, pauli, label):
         left = np.kron(PAULIS[pauli], PAULIS[0])
         right = np.kron(PAULIS[0], PAULIS[pauli])
-        expected = label ^ pauli_shift(pauli)
+        expected = label ^ PAULI_LABEL_SHIFT[pauli]
         assert dense_conjugate_label(label, left) == expected
         assert dense_conjugate_label(label, right) == expected
 
 
+def two_sided(label, mu, nu):
+    """Bell label after sigma_mu on one qubit of the pair and sigma_nu on the other."""
+    return label ^ PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu]
+
+
 class TestTwoSidedPauli:
     def test_trivial_identity(self):
-        assert apply_two_sided_pauli(PHI_PLUS, PauliIndex.I, PauliIndex.I) == PHI_PLUS
+        assert two_sided(PHI_PLUS, PauliIndex.I, PauliIndex.I) == PHI_PLUS
 
     def test_x_on_one_side(self):
-        assert apply_two_sided_pauli(PHI_PLUS, PauliIndex.X, PauliIndex.I) == PSI_PLUS
+        assert two_sided(PHI_PLUS, PauliIndex.X, PauliIndex.I) == PSI_PLUS
 
     def test_two_phase_flips_cancel(self):
-        assert apply_two_sided_pauli(PSI_MINUS, PauliIndex.Z, PauliIndex.Z) == PSI_MINUS
+        assert two_sided(PSI_MINUS, PauliIndex.Z, PauliIndex.Z) == PSI_MINUS
 
     @pytest.mark.parametrize("mu", list(PauliIndex))
     @pytest.mark.parametrize("nu", list(PauliIndex))
     @pytest.mark.parametrize("label", list(BellLabel))
     def test_exhaustive_against_dense(self, mu, nu, label):
         op = np.kron(PAULIS[mu], PAULIS[nu])
-        assert dense_conjugate_label(label, op) == apply_two_sided_pauli(label, mu, nu)
+        assert dense_conjugate_label(label, op) == two_sided(label, mu, nu)
 
 
 class TestLabelGroup:
@@ -153,43 +156,48 @@ def random_density_matrix(seed):
     return rho / np.trace(rho)
 
 
+def twirl(rho):
+    """Bilateral twirl: the average of the four ``sigma_k x sigma_k`` conjugations.
+
+    Built from the Pauli matrices alone, it is a reference for the
+    Bell-diagonal part of ``rho`` that does not go through BELL_VECTORS.
+    """
+    ops = [np.kron(pauli, pauli) for pauli in PAULIS]
+    return sum(op @ rho @ op.conj().T for op in ops) / 4.0
+
+
 class TestTwirl:
+    """The Bell-basis reading the oracle uses, against the bilateral twirl."""
+
     def test_bell_states_are_fixed_points(self):
         for label in BellLabel:
             rho = bell_projector(label)
-            assert np.max(np.abs(twirl_dense(rho) - rho)) < ATOL
+            assert np.max(np.abs(twirl(rho) - rho)) < ATOL
 
     def test_product_state_zero_zero(self):
         # |00> = (Phi+ + Phi-)/sqrt2, so the twirl keeps the two Phi projectors
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
         expected = (bell_projector(PHI_PLUS) + bell_projector(PHI_MINUS)) / 2
-        assert np.max(np.abs(twirl_dense(rho) - expected)) < ATOL
+        assert np.max(np.abs(twirl(rho) - expected)) < ATOL
 
     @pytest.mark.parametrize("seed", range(8))
     def test_projection_properties(self, seed):
         rho = random_density_matrix(seed)
-        out = twirl_dense(rho)
+        out = twirl(rho)
         assert bell_offdiagonal_max(out) < 1e-12
+        # a generic state is not Bell-diagonal; the twirl removes exactly that part
+        assert bell_offdiagonal_max(rho) > 1e-3
+        assert bell_offdiagonal_max(rho - out) == pytest.approx(bell_offdiagonal_max(rho), abs=1e-12)
         # Bell-diagonal entries survive unchanged
         assert np.max(np.abs(bell_diagonal_overlaps(out) - bell_diagonal_overlaps(rho))) < ATOL
         # idempotent
-        assert np.max(np.abs(twirl_dense(out) - out)) < 1e-12
-
-    def test_rejects_non_unit_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            twirl_dense(np.eye(4, dtype=complex))
-
-    def test_rejects_non_hermitian(self):
-        rho = np.eye(4, dtype=complex) / 4
-        rho[0, 1] = 0.2
-        with pytest.raises(ValueError, match="Hermitian"):
-            twirl_dense(rho)
+        assert np.max(np.abs(twirl(out) - out)) < 1e-12
 
     @given(st.integers(0, 10_000))
     def test_twirl_output_is_bell_mixture(self, seed):
         rho = random_density_matrix(seed)
-        out = twirl_dense(rho)
+        out = twirl(rho)
         weights = bell_diagonal_overlaps(out)
         rebuilt = sum(w * bell_projector(b) for b, w in enumerate(weights))
         assert np.max(np.abs(out - rebuilt)) < 1e-12

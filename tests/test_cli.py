@@ -1,12 +1,13 @@
 """Command-line exit codes, option handling and deterministic output."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from qpurify import cli
+from qpurify import cli, oracle
 from qpurify.cli import main
-from qpurify.flags import FLAG_UPDATE_TABLE
 
 DEGENERATE = {
     # sigma_x on the target pair's qubit every time: every measurement of a
@@ -70,10 +71,11 @@ def test_non_finite_number_exits_2(tmp_path, capsys, command, doc):
 
 
 def test_failed_verification_exits_1(monkeypatch, capsys):
-    corrupted = FLAG_UPDATE_TABLE.copy()
+    corrupted = oracle.FLAG_UPDATE_TABLE.copy()
     corrupted[1, 2] ^= 1
+    monkeypatch.setattr(oracle, "FLAG_UPDATE_TABLE", corrupted)
     real = cli.run_conformance_checks
-    monkeypatch.setattr(cli, "run_conformance_checks", lambda: real(round_samples=2, flag_table=corrupted))
+    monkeypatch.setattr(cli, "run_conformance_checks", lambda: real(round_samples=2))
     assert main(["verify"]) == 1
     captured = capsys.readouterr()
     assert "[FAIL] flag combination table" in captured.out
@@ -143,3 +145,9 @@ def test_deterministic_reruns_are_byte_identical(tmp_path, argv):
     first = output_bytes(tmp_path / "a")
     assert first == output_bytes(tmp_path / "b")
     assert "metadata.json" in first and len(first) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: no command may need it
+    code = "import sys, qpurify.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -1,10 +1,13 @@
-"""Error-flag bookkeeping: recording rules and the combination table."""
+"""Error-flag bookkeeping: the recording rule and the combination table, as the engine applies them."""
 
 import numpy as np
 import pytest
 
-from qpurify.bell import PauliIndex
-from qpurify.flags import FLAG_UPDATE_TABLE, ErrorFlag, flag_update, record_error, record_two_sided
+from qpurify.bell import BellLabel, PauliIndex
+from qpurify.flags import FLAG_UPDATE_TABLE, ErrorFlag
+from qpurify.noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS
+from qpurify.oracle import derive_two_sided_shift_table
+from qpurify.recurrence import BEFORE_ROTATION, PLACEMENTS, event_cell_table
 
 F00 = ErrorFlag.CLEAN
 F01 = ErrorFlag.AMPLITUDE
@@ -21,6 +24,30 @@ NORMATIVE_TABLE = [
 ]
 
 
+def engine_flag_update(control, target, placement=BEFORE_ROTATION):
+    """Flag the engine gives a kept control pair when both pairs are clean Phi+ pairs.
+
+    Read off the event cell table for the no-error event, so it checks the
+    table's orientation as the round uses it.
+    """
+    cell = event_cell_table(placement)[control * 4, target * 4, 0]
+    assert cell & 3 == BellLabel.PHI_PLUS
+    return ErrorFlag(cell >> 2)
+
+
+def record(flag, pauli):
+    """Flag after sigma_pauli is recorded on a pair, as the engine records it.
+
+    ``event_cell_table`` XORs a noise event's label shift into the flag of
+    the pair it hits: sigma_pauli alone on the control pair is event
+    ``pauli * 4``, alone on the target pair event ``pauli``.
+    """
+    on_control = flag ^ EVENT_CONTROL_SHIFTS[pauli * 4]
+    on_target = flag ^ EVENT_TARGET_SHIFTS[pauli]
+    assert on_control == on_target
+    return ErrorFlag(on_control)
+
+
 def test_table_is_encoded_verbatim():
     assert np.array_equal(FLAG_UPDATE_TABLE, np.array(NORMATIVE_TABLE, dtype=np.uint8))
 
@@ -28,7 +55,8 @@ def test_table_is_encoded_verbatim():
 @pytest.mark.parametrize("control", list(ErrorFlag))
 @pytest.mark.parametrize("target", list(ErrorFlag))
 def test_flag_update_matches_table(control, target):
-    assert flag_update(control, target) == NORMATIVE_TABLE[control][target]
+    for placement in PLACEMENTS:
+        assert engine_flag_update(control, target, placement) == NORMATIVE_TABLE[control][target]
 
 
 @pytest.mark.parametrize(
@@ -36,55 +64,57 @@ def test_flag_update_matches_table(control, target):
     [(F00, F11, F10), (F10, F01, F11), (F11, F11, F00)],
 )
 def test_flag_update_examples(control, target, expected):
-    assert flag_update(control, target) == expected
+    assert engine_flag_update(control, target) == expected
 
 
 def test_error_free_history_stays_error_free():
-    assert flag_update(F00, F00) == F00
+    assert engine_flag_update(F00, F00) == F00
 
 
 class TestRecording:
     def test_x_inverts_amplitude_bit(self):
-        assert record_error(F00, PauliIndex.X) == F01
+        assert record(F00, PauliIndex.X) == F01
 
     def test_y_inverts_both_bits(self):
-        assert record_error(F11, PauliIndex.Y) == F00
+        assert record(F11, PauliIndex.Y) == F00
 
     def test_identity_records_nothing(self):
-        assert record_error(F01, PauliIndex.I) == F01
+        assert record(F01, PauliIndex.I) == F01
 
     def test_z_inverts_phase_bit(self):
-        assert record_error(F00, PauliIndex.Z) == F10
+        assert record(F00, PauliIndex.Z) == F10
 
     @pytest.mark.parametrize("flag", list(ErrorFlag))
     @pytest.mark.parametrize("pauli", list(PauliIndex))
     def test_self_inverse(self, flag, pauli):
-        assert record_error(record_error(flag, pauli), pauli) == flag
+        assert record(record(flag, pauli), pauli) == flag
 
     @pytest.mark.parametrize("flag", list(ErrorFlag))
     def test_composition_order_is_irrelevant(self, flag):
         for first in PauliIndex:
             for second in PauliIndex:
-                forward = record_error(record_error(flag, first), second)
-                backward = record_error(record_error(flag, second), first)
+                forward = record(record(flag, first), second)
+                backward = record(record(flag, second), first)
                 assert forward == backward
 
 
 class TestRecordTwoSided:
+    """Errors on both qubits of one pair (noise in both laboratories) land on its one flag."""
+
     def test_same_error_both_sides_cancels(self):
-        assert record_two_sided(F00, PauliIndex.X, PauliIndex.X) == F00
+        assert record(record(F00, PauliIndex.X), PauliIndex.X) == F00
 
     def test_one_sided_z(self):
-        assert record_two_sided(F00, PauliIndex.Z, PauliIndex.I) == F10
+        assert record(record(F00, PauliIndex.Z), PauliIndex.I) == F10
 
     def test_mixed_errors(self):
         # (0,1) ^ (1,1) ^ (1,0) = (0,0)
-        assert record_two_sided(F01, PauliIndex.Y, PauliIndex.Z) == F00
+        assert record(record(F01, PauliIndex.Y), PauliIndex.Z) == F00
 
     @pytest.mark.parametrize("flag", list(ErrorFlag))
     def test_equals_two_single_records(self, flag):
+        # two one-sided records follow the pair's label under dense sigma_mu x sigma_nu
+        dense = derive_two_sided_shift_table()
         for mu in PauliIndex:
             for nu in PauliIndex:
-                assert record_two_sided(flag, mu, nu) == record_error(
-                    record_error(flag, mu), nu
-                )
+                assert record(record(flag, mu), nu) == dense[flag, mu * 4 + nu]

@@ -1,10 +1,12 @@
-"""Noise-channel construction, validation, label-shift marginals and serialization."""
+"""Noise-channel construction, validation and configuration documents."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpurify.noise import EVENT_COMBINED_SHIFTS, NoiseModel
+from qpurify.noise import NoiseModel
 
 
 class TestProductFamily:
@@ -89,58 +91,41 @@ class TestValidation:
             NoiseModel(f)
 
 
-class TestShiftDistribution:
-    def test_identity(self):
-        assert np.array_equal(
-            NoiseModel.identity().label_shift_distribution(), [1.0, 0.0, 0.0, 0.0]
-        )
-
-    def test_product_097_no_shift_probability(self):
-        q = NoiseModel.from_one_qubit_depolarizing(0.97).label_shift_distribution()
-        # f00 plus the three mu == nu != 0 events whose shifts cancel
-        assert q[0] == pytest.approx(0.9412, abs=1e-15)
-
-    def test_uniform_channel_gives_uniform_shifts(self):
-        q = NoiseModel.from_uniform_residual(1.0 / 16.0).label_shift_distribution()
-        assert np.allclose(q, 0.25, atol=1e-15)
-
-    @given(st.floats(0.0, 1.0))
-    def test_normalization(self, f0):
-        q = NoiseModel.from_one_qubit_depolarizing(f0).label_shift_distribution()
-        assert abs(q.sum() - 1.0) <= 1e-12
-
-    def test_matches_empirical_shift_histogram(self):
-        model = NoiseModel.from_one_qubit_depolarizing(0.9)
-        events = np.random.default_rng(11).choice(16, size=500_000, p=model.f.ravel())
-        shifts = EVENT_COMBINED_SHIFTS[events]
-        counts = np.bincount(shifts, minlength=4)
-        q = model.label_shift_distribution()
-        n = events.size
-        for s in range(4):
-            sigma = np.sqrt(n * q[s] * (1 - q[s]))
-            assert abs(counts[s] - n * q[s]) < 5 * sigma
+def from_stored_document(doc):
+    """The model of a literal noise document after a trip through JSON, as a config file stores it."""
+    return NoiseModel.from_config(json.loads(json.dumps(doc)))
 
 
 class TestSerialization:
     def test_product_round_trip(self):
-        model = NoiseModel.from_one_qubit_depolarizing(0.93)
-        doc = model.to_config()
-        assert doc == {"family": "product", "f0": 0.93}
-        rebuilt = NoiseModel.from_config(doc)
-        assert np.array_equal(rebuilt.f, model.f)
+        model = from_stored_document({"family": "product", "f0": 0.93})
+        assert np.array_equal(model.f, NoiseModel.from_one_qubit_depolarizing(0.93).f)
 
     def test_uniform_round_trip(self):
-        doc = NoiseModel.from_uniform_residual(0.42).to_config()
-        assert doc == {"family": "uniform", "f00": 0.42}
-        assert np.array_equal(NoiseModel.from_config(doc).f, NoiseModel.from_uniform_residual(0.42).f)
+        model = from_stored_document({"family": "uniform", "f00": 0.42})
+        assert np.array_equal(model.f, NoiseModel.from_uniform_residual(0.42).f)
 
     def test_explicit_round_trip(self):
-        rng = np.random.default_rng(3)
-        f = rng.dirichlet(np.ones(16))
-        model = NoiseModel.from_probabilities(f)
-        doc = model.to_config()
-        assert doc["family"] == "explicit" and len(doc["f"]) == 16
-        assert np.allclose(NoiseModel.from_config(doc).f, model.f, atol=0)
+        f = np.random.default_rng(3).dirichlet(np.ones(16))
+        model = from_stored_document({"family": "explicit", "f": f.tolist()})
+        assert np.array_equal(model.f, NoiseModel.from_probabilities(f).f)
+
+    def test_rejects_missing_parameter(self):
+        with pytest.raises(ValueError, match="product family requires 'f0'"):
+            NoiseModel.from_config({"family": "product"})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"family": "product", "f0": [0.9]},
+            {"family": "uniform", "f00": "0.9"},
+            {"family": "explicit", "f": {"mu": 0, "nu": 0}},
+        ],
+        ids=["list", "string", "mapping"],
+    )
+    def test_rejects_non_number_parameter(self, doc):
+        with pytest.raises(ValueError, match="number"):
+            NoiseModel.from_config(doc)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="unknown noise family"):

@@ -98,14 +98,22 @@ class TestConformance:
         report = run_conformance_checks(round_samples=6, seed=3)
         assert report.ok, report.lines()
 
-    def test_mutated_flag_table_fails_naming_entry(self):
+    def test_mutated_flag_table_fails_naming_entry(self, monkeypatch):
         broken = FLAG_UPDATE_TABLE.copy()
         broken[2, 1] = 0b10  # normative entry is (11)
-        report = run_conformance_checks(round_samples=0, flag_table=broken)
+        monkeypatch.setattr(oracle, "FLAG_UPDATE_TABLE", broken)
+        report = run_conformance_checks(round_samples=0)
         failing = [c for c in report.checks if not c.passed]
         assert len(failing) == 1
         assert "flag combination" in failing[0].name
         assert "row 10" in failing[0].detail and "column 01" in failing[0].detail
+
+    def test_flag_table_argument_is_checked_in_place_of_the_shipping_table(self):
+        broken = FLAG_UPDATE_TABLE.copy()
+        broken[2, 1] = 0b10
+        report = run_conformance_checks(round_samples=1, flag_table=broken)
+        failing = [c.name for c in report.checks if not c.passed]
+        assert failing == ["flag combination table vs label-algebra derivation"]
 
     @pytest.mark.parametrize("side", ["control", "target"])
     def test_mutated_shipping_shift_table_fails(self, monkeypatch, side):
@@ -120,14 +128,14 @@ class TestConformance:
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == [f"{side}-pair event shifts vs dense conjugation"]
 
-    def test_mutated_bcnot_breaks_bijection(self):
-        broken = np.zeros((4, 4, 2), dtype=np.uint8)
-        for src in range(4):
-            for tgt in range(4):
-                out_src, _ = bcnot_map(src, tgt)
-                # drop the amplitude propagation: outputs collide
-                broken[src, tgt] = (out_src, tgt | (src & 1))
-        report = run_conformance_checks(round_samples=0, bcnot_table=broken)
+    def test_mutated_bcnot_breaks_bijection(self, monkeypatch):
+        def broken(src, tgt):
+            out_src, _ = bcnot_map(src, tgt)
+            # drop the amplitude propagation: outputs collide
+            return out_src, tgt | (src & 1)
+
+        monkeypatch.setattr(oracle, "bcnot_map", broken)
+        report = run_conformance_checks(round_samples=0)
         names = {c.name for c in report.checks if not c.passed}
         assert any("bijection" in n for n in names)
         assert any("BCNOT label map vs dense" in n for n in names)

@@ -1,4 +1,4 @@
-"""Round map, fixpoint iteration, regimes, thresholds, exponents."""
+"""Round map, fixpoint iteration, regimes, thresholds."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import qpurify.recurrence as recurrence
 from qpurify.bell import PauliIndex
-from qpurify.errors import DegenerateRoundError, InsufficientTailError, NoThresholdError
+from qpurify.errors import DegenerateRoundError, NoThresholdError
 from qpurify.noise import NoiseModel
 from qpurify.recurrence import (
     BEFORE_BCNOT,
@@ -15,7 +15,6 @@ from qpurify.recurrence import (
     SubensembleState,
     classify_regime,
     conditional_fidelity,
-    convergence_exponents,
     fidelity,
     find_thresholds,
     iterate,
@@ -127,13 +126,13 @@ class TestSubensembleState:
 
     def test_werner_and_marginals(self):
         state = SubensembleState.werner(0.85)
-        assert np.allclose(state.bell_marginal(), WERNER_085, atol=1e-15)
-        assert np.allclose(state.flag_marginal(), [1, 0, 0, 0], atol=1e-15)
+        assert np.allclose(state.p.sum(axis=0), WERNER_085, atol=1e-15)
+        assert np.allclose(state.p.sum(axis=1), [1, 0, 0, 0], atol=1e-15)
 
     def test_random_flag_mode(self):
         state = SubensembleState.from_bell_probs(WERNER_085, flag_mode="random")
-        assert np.allclose(state.flag_marginal(), 0.25, atol=1e-15)
-        assert np.allclose(state.bell_marginal(), WERNER_085, atol=1e-15)
+        assert np.allclose(state.p.sum(axis=1), 0.25, atol=1e-15)
+        assert np.allclose(state.p.sum(axis=0), WERNER_085, atol=1e-15)
 
     def test_rejects_bad_flag_mode(self):
         with pytest.raises(ValueError, match="flag_mode"):
@@ -179,7 +178,7 @@ class TestOneRound:
             state = SubensembleState.from_bell_probs(probs)
             out, keep = one_round(state, identity)
             expected, expected_keep = ideal_recurrence(probs)
-            assert np.max(np.abs(out.bell_marginal() - expected)) < 1e-12
+            assert np.max(np.abs(out.p.sum(axis=0) - expected)) < 1e-12
             assert abs(keep - expected_keep) < 1e-12
 
     def test_noiseless_pure_input_is_fixed_point(self):
@@ -199,7 +198,7 @@ class TestOneRound:
         noise = random_noise(seed)
         out, keep = one_round(state, noise, placement)
         expected, expected_keep = flagless_round(probs, noise, placement)
-        assert np.max(np.abs(out.bell_marginal() - expected)) < 1e-12
+        assert np.max(np.abs(out.p.sum(axis=0) - expected)) < 1e-12
         assert abs(keep - expected_keep) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -309,10 +308,13 @@ class TestIterate:
         assert 1.0 - traj.limiting_conditional_fidelity < 1e-9
 
     def test_round_zero_records_input(self):
-        traj = iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=3)
-        assert traj.points[0].round_index == 0
-        assert traj.points[0].fidelity == pytest.approx(0.85, abs=1e-15)
-        assert traj.points[0].keep_probability == 1.0
+        state = SubensembleState.werner(0.85)
+        traj = iterate(state, NoiseModel.identity(), max_rounds=3)
+        assert np.array_equal(traj.coefficients[0], state.p.ravel())
+        round_index, f, _, keep, *_ = traj.rows()[0]
+        assert round_index == 0
+        assert f == pytest.approx(0.85, abs=1e-15)
+        assert keep == 1.0
         assert traj.rounds == 3
 
     def test_secure_regime_conditional_tail_is_geometric(self):
@@ -330,16 +332,14 @@ class TestIterate:
     def test_points_agree_with_rows_and_state_functions(self):
         traj = iterate(SubensembleState.werner(0.85), NoiseModel.from_uniform_residual(0.97), max_rounds=12)
         rows = traj.rows()
-        assert len(traj.points) == len(rows) == traj.rounds + 1
-        for point, row in zip(traj.points, rows):
-            assert row == [point.round_index, point.fidelity, point.conditional_fidelity,
-                           point.keep_probability, *point.state.p.ravel().tolist()]
-            assert point.fidelity == pytest.approx(fidelity(point.state), abs=1e-15)
-            assert point.conditional_fidelity == pytest.approx(
-                conditional_fidelity(point.state), abs=1e-15
-            )
-        assert np.array_equal(traj.final_state.p, traj.points[-1].state.p)
-        assert traj.limiting_fidelity == traj.points[-1].fidelity
+        assert len(traj.coefficients) == len(traj.keeps) == len(rows) == traj.rounds + 1
+        for n, (row, coefficients, keep) in enumerate(zip(rows, traj.coefficients, traj.keeps)):
+            state = SubensembleState(coefficients)
+            assert row[0] == n and row[3] == keep and row[4:] == coefficients.tolist()
+            assert row[1] == pytest.approx(fidelity(state), abs=1e-15)
+            assert row[2] == pytest.approx(conditional_fidelity(state), abs=1e-15)
+        assert traj.limiting_fidelity == rows[-1][1]
+        assert traj.limiting_conditional_fidelity == rows[-1][2]
 
     def test_rows_schema(self):
         traj = iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=2)
@@ -475,28 +475,3 @@ class TestThresholds:
                 SubensembleState.werner(0.85),
                 bisect_tol=bisect_tol,
             )
-
-
-class TestConvergenceExponents:
-    def test_fig1_rates_agree_within_ten_percent(self):
-        noise = NoiseModel.from_uniform_residual(0.97)
-        traj = iterate(SubensembleState.werner(0.85), noise, max_rounds=500)
-        fit = convergence_exponents(traj)
-        assert fit.rate_fidelity > 0 and fit.rate_conditional > 0
-        rel = abs(fit.rate_fidelity - fit.rate_conditional) / fit.rate_fidelity
-        assert rel < 0.10
-        assert fit.slope_drift_fidelity < 0.3
-
-    def test_noiseless_superexponential_flagged_by_drift(self):
-        traj = iterate(SubensembleState.werner(0.99), NoiseModel.identity(), max_rounds=200)
-        fit = convergence_exponents(traj)
-        assert fit.slope_drift_fidelity > 0.5
-
-    def test_constant_trajectory_raises(self):
-        traj = iterate(
-            SubensembleState.from_bell_probs([1, 0, 0, 0]),
-            NoiseModel.identity(),
-            max_rounds=30,
-        )
-        with pytest.raises(InsufficientTailError):
-            convergence_exponents(traj)
