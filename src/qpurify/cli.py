@@ -11,6 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 degenerate dynamics, 4 no threshold in the scanned range.
 
+A trajectory file holds the rows of a :class:`~qpurify.recurrence.Trajectory`
+or :class:`~qpurify.montecarlo.McTrajectory` under that type's ``columns``.
 Every data file embeds the full effective configuration (defaults made
 explicit) and each run writes a ``metadata.json`` sidecar; with
 ``--deterministic`` the timestamp is suppressed so identical
@@ -24,20 +26,15 @@ import datetime
 import json
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .config import ExperimentConfig, PRESETS, load_config_file
 from .errors import ConfigError, DegenerateRoundError, NoThresholdError
-from .montecarlo import init_ensemble, run_protocol
+from .montecarlo import McTrajectory, init_ensemble, run_protocol
 from .noise import NOISE_FAMILIES
 from .oracle import run_conformance_checks
-from .recurrence import find_thresholds, iterate, scan_werner_grid
-
-_COEFFICIENT_COLUMNS = [
-    f"P_f{flag:02b}_b{bell:02b}" for flag in range(4) for bell in range(4)
-]
-_ENGINE_COLUMNS = ["round", "F", "F_cond", "keep_prob", *_COEFFICIENT_COLUMNS]
-_MC_COLUMNS = [*_ENGINE_COLUMNS, "survivors", "sample_stddev_F"]
+from .recurrence import Trajectory, find_thresholds, iterate, scan_werner_grid
 
 
 def _format_value(value) -> str:
@@ -50,7 +47,9 @@ def _config_echo(config: ExperimentConfig) -> str:
     return json.dumps(config.effective(), sort_keys=True, separators=(",", ":"))
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[list], config: ExperimentConfig) -> None:
+def _write_csv(
+    path: Path, columns: Sequence[str], rows: list[list], config: ExperimentConfig
+) -> None:
     lines = [f"# qpurify {__version__} config={_config_echo(config)}"]
     lines.append(",".join(columns))
     for row in rows:
@@ -78,12 +77,13 @@ def _metadata(command: str, config: ExperimentConfig, deterministic: bool, **ext
 def _write_trajectory(
     out_dir: Path,
     fmt: str,
-    columns: list[str],
-    rows: list[list],
+    trajectory: Trajectory | McTrajectory,
     config: ExperimentConfig,
     metadata: dict,
 ) -> None:
+    """Write the trajectory's rows under its own columns, and the metadata sidecar."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    columns, rows = trajectory.columns, trajectory.rows()
     if fmt == "csv":
         _write_csv(out_dir / "trajectory.csv", columns, rows, config)
     else:
@@ -111,7 +111,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def _cmd_iterate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     trajectory = iterate(
-        config.engine_initial_state(),
+        config.initial.state,
         config.noise_model(),
         max_rounds=config.rounds,
         fixpoint_tol=config.fixpoint_tol,
@@ -129,15 +129,13 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
             "conditional_limit": trajectory.limiting_conditional_fidelity,
         },
     )
-    _write_trajectory(
-        Path(args.out), args.format, _ENGINE_COLUMNS, trajectory.rows(), config, metadata
-    )
+    _write_trajectory(Path(args.out), args.format, trajectory, config, metadata)
     return 0
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    ensemble = init_ensemble(config.engine_initial_state(), config.pairs, seed=config.seed)
+    ensemble = init_ensemble(config.initial.state, config.pairs, seed=config.seed)
     trajectory = run_protocol(
         ensemble, config.noise_model(), config.rounds, placement=config.placement
     )
@@ -146,12 +144,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         config,
         args.deterministic,
         halted=trajectory.halted,
-        rounds=len(trajectory.points) - 1,
-        final_survivors=trajectory.final.survivors,
+        rounds=trajectory.rounds,
+        final_survivors=int(trajectory.survivors()[-1]),
     )
-    _write_trajectory(
-        Path(args.out), args.format, _MC_COLUMNS, trajectory.rows(), config, metadata
-    )
+    _write_trajectory(Path(args.out), args.format, trajectory, config, metadata)
     return 0
 
 
@@ -161,7 +157,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     _, family = NOISE_FAMILIES[options.pop("family")]
     werner_grid = options.pop("werner_grid")
     options.update(fixpoint_tol=config.fixpoint_tol, placement=config.placement)
-    primary = find_thresholds(family, config.engine_initial_state(), **options)
+    primary = find_thresholds(family, config.initial.state, **options)
     grid = scan_werner_grid(family, werner_grid, flag_mode=config.initial.flag_mode, **options)
 
     found = {"primary": primary}

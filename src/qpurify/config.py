@@ -155,12 +155,11 @@ def _noise(doc, path: str) -> dict:
     family = _choice(doc.get("family"), f"{path}.family", tuple(NOISE_FAMILIES))
     key, _ = NOISE_FAMILIES[family]
     _reject_unknown(doc, ("family", key), path)
-    if key not in doc:
-        raise ConfigError(f"{path}: {family} family requires {key!r}")
-    if key == _TABLE_KEY:
-        _number_list(doc[key], f"{path}.{key}", 16)
-    else:
-        _number(doc[key], f"{path}.{key}")
+    if key in doc:  # a missing key is reported by NoiseModel.from_config
+        if key == _TABLE_KEY:
+            _number_list(doc[key], f"{path}.{key}", 16)
+        else:
+            _number(doc[key], f"{path}.{key}")
     try:
         NoiseModel.from_config(doc)
     except ValueError as exc:
@@ -248,9 +247,6 @@ class ExperimentConfig:
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel.from_config(self.noise)
-
-    def engine_initial_state(self) -> SubensembleState:
-        return self.initial.state
 
     def effective(self) -> dict:
         """Full configuration with every default made explicit."""

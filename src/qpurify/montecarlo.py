@@ -24,17 +24,29 @@ multivariate hypergeometric draw.
 
 Randomness is organized as independent generator streams keyed by
 (seed, purpose, round), so a fixed seed reproduces a run bit for bit.
+
+A run is recorded as the count vector after every round
+(:class:`McTrajectory`); every CSV column is derived from those counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ProtocolHaltError
 from .noise import NoiseModel
-from .recurrence import BEFORE_ROTATION, DISCARDED, SubensembleState, event_cell_table
+from .recurrence import (
+    BEFORE_ROTATION,
+    DISCARDED,
+    SubensembleState,
+    Trajectory,
+    event_cell_table,
+    flag_match_weight,
+    phi_plus_weight,
+)
 
 __all__ = [
     "MAX_PAIRS",
@@ -54,11 +66,6 @@ MAX_PAIRS = 10**9
 _INIT = 0
 _PAIRING = 1
 _NOISE = 2
-
-#: Categories ``flag * 4 + bell`` holding a Phi+ pair, and those whose flag
-#: equals the Bell label.  Plain lists: no numpy work at import.
-_PHI_PLUS = [flag * 4 for flag in range(4)]
-_FLAG_MATCHES = [label * 4 + label for label in range(4)]
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -83,21 +90,6 @@ class Ensemble:
     def size(self) -> int:
         return int(self.counts.sum())
 
-    def joint_distribution(self) -> np.ndarray:
-        """Empirical (flag, bell) frequencies, shaped like a state's ``p``."""
-        n = self.size
-        if n == 0:
-            return np.zeros((4, 4))
-        return self.counts.reshape(4, 4) / n
-
-    def fidelity(self) -> float:
-        n = self.size
-        return float(self.counts[_PHI_PLUS].sum() / n) if n else float("nan")
-
-    def conditional_fidelity(self) -> float:
-        n = self.size
-        return float(self.counts[_FLAG_MATCHES].sum() / n) if n else float("nan")
-
 
 def init_ensemble(state: SubensembleState, n_pairs: int, seed: int = 0) -> Ensemble:
     """Sample ``n_pairs`` i.i.d. pairs from the (flag, bell) distribution of ``state``."""
@@ -108,30 +100,9 @@ def init_ensemble(state: SubensembleState, n_pairs: int, seed: int = 0) -> Ensem
 
 @dataclass(frozen=True)
 class RoundStats:
-    """Post-round snapshot of the surviving population."""
+    """What one round left behind."""
 
-    round_index: int
     survivors: int
-    keep_fraction: float
-    fidelity: float
-    conditional_fidelity: float
-    sample_stddev_fidelity: float
-    joint: np.ndarray = field(repr=False)
-
-
-def _snapshot(round_index: int, ensemble: Ensemble, keep_fraction: float) -> RoundStats:
-    n = ensemble.size
-    f = ensemble.fidelity()
-    stddev = float(np.sqrt(f * (1.0 - f) / n)) if n else float("nan")
-    return RoundStats(
-        round_index,
-        n,
-        keep_fraction,
-        f,
-        ensemble.conditional_fidelity(),
-        stddev,
-        ensemble.joint_distribution(),
-    )
 
 
 def _pairing(counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -181,33 +152,47 @@ def run_round(
     )
     ensemble.counts = _combine(events, cells)[:DISCARDED]
     ensemble.round_counter = round_index
-    return _snapshot(round_index, ensemble, ensemble.size / (n // 2))
+    return RoundStats(ensemble.size)
 
 
 @dataclass
 class McTrajectory:
-    """Empirical per-round snapshots, including round 0."""
+    """One run as a count matrix: a row of sixteen category counts per round.
 
-    points: list[RoundStats]
+    Row 0 is the population :func:`run_protocol` started from.  :meth:`rows`
+    derives the CSV rows, laid out as :attr:`columns`: the engine's columns
+    as empirical frequencies, the survivors and the standard error of F.
+    """
+
+    #: CSV columns of :meth:`rows`.
+    columns: ClassVar[tuple[str, ...]] = (*Trajectory.columns, "survivors", "sample_stddev_F")
+
+    counts: np.ndarray
     halted: bool
 
     @property
-    def final(self) -> RoundStats:
-        return self.points[-1]
+    def rounds(self) -> int:
+        return len(self.counts) - 1
+
+    def survivors(self) -> np.ndarray:
+        return self.counts.sum(axis=1)
 
     def rows(self) -> list[list[float]]:
-        """CSV rows matching the engine schema plus survivors and stddev."""
+        """CSV rows; a round that leaves no pair has NaN fidelities and zero frequencies."""
+        n = self.survivors()
+        keep = np.ones(len(n))
+        keep[1:] = n[1:] / (n[:-1] // 2)  # a recorded round started from at least 2 pairs
+        joint = np.divide(
+            self.counts, n[:, None], out=np.zeros(self.counts.shape), where=n[:, None] > 0
+        )
+        with np.errstate(invalid="ignore"):  # 0/0: an empty population has no fidelity
+            f = phi_plus_weight(self.counts) / n
+            f_cond = flag_match_weight(self.counts) / n
+            stddev = np.sqrt(f * (1.0 - f) / n)
+        table = np.column_stack([f, f_cond, keep, joint]).tolist()
         return [
-            [
-                pt.round_index,
-                pt.fidelity,
-                pt.conditional_fidelity,
-                pt.keep_fraction,
-                *pt.joint.ravel().tolist(),
-                pt.survivors,
-                pt.sample_stddev_fidelity,
-            ]
-            for pt in self.points
+            [r, *row, survivors, sd]
+            for r, (row, survivors, sd) in enumerate(zip(table, n.tolist(), stddev.tolist()))
         ]
 
 
@@ -217,17 +202,18 @@ def run_protocol(
     rounds: int,
     placement: str = BEFORE_ROTATION,
 ) -> McTrajectory:
-    """Run up to ``rounds`` purification rounds, recording each snapshot.
+    """Run up to ``rounds`` purification rounds, recording the counts after each.
 
     Stops early (with ``halted=True``) once the population cannot form a
     pair of pairs.
     """
-    points = [_snapshot(ensemble.round_counter, ensemble, 1.0)]
+    counts = [ensemble.counts]
     halted = False
     for _ in range(rounds):
         try:
-            points.append(run_round(ensemble, noise, placement))
+            run_round(ensemble, noise, placement)
         except ProtocolHaltError:
             halted = True
             break
-    return McTrajectory(points, halted)
+        counts.append(ensemble.counts)
+    return McTrajectory(np.array(counts), halted)

@@ -122,11 +122,6 @@ class NoiseModel:
         return cls(f)
 
     @classmethod
-    def from_probabilities(cls, f) -> "NoiseModel":
-        """Explicit 16-entry distribution, mu-major order."""
-        return cls(f)
-
-    @classmethod
     def from_config(cls, doc: dict) -> "NoiseModel":
         """Build a model from one of the three serialized forms."""
         if not isinstance(doc, dict) or "family" not in doc:
@@ -144,5 +139,5 @@ class NoiseModel:
 NOISE_FAMILIES: dict[str, tuple[str, Callable]] = {
     "product": ("f0", NoiseModel.from_one_qubit_depolarizing),
     "uniform": ("f00", NoiseModel.from_uniform_residual),
-    "explicit": ("f", NoiseModel.from_probabilities),
+    "explicit": ("f", NoiseModel),
 }

@@ -390,7 +390,7 @@ def run_conformance_checks(
         p = rng.dirichlet(np.ones(16)).reshape(4, 4)
         state = SubensembleState(p)
         f = rng.dirichlet(np.ones(16) * rng.uniform(0.3, 3.0))
-        noise = NoiseModel.from_probabilities(f)
+        noise = NoiseModel(f)
         placement = PLACEMENTS[index % 2]
         engine_state, engine_keep = one_round(state, noise, placement)
         oracle_state, oracle_keep = oracle_one_round(state, noise, placement)

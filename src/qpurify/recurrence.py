@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -62,6 +62,9 @@ __all__ = [
     "round_tensor",
     "KEEP_PROBABILITY_FLOOR",
     "SubensembleState",
+    "COEFFICIENT_COLUMNS",
+    "phi_plus_weight",
+    "flag_match_weight",
     "fidelity",
     "conditional_fidelity",
     "one_round",
@@ -240,18 +243,37 @@ class SubensembleState:
         return cls.from_bell_probs([fid, rest, rest, rest], flag_mode=flag_mode)
 
 
+#: CSV names of the sixteen coefficients, in packed ``flag * 4 + bell`` order.
+COEFFICIENT_COLUMNS = tuple(f"P_f{flag:02b}_b{bell:02b}" for flag in range(4) for bell in range(4))
+
+
+def phi_plus_weight(cells: np.ndarray) -> np.ndarray:
+    """Weight on Phi+ summed over flags, per row of sixteen packed cells.
+
+    Phi+ is Bell label 0, so these are the cells ``flag * 4``.  On a
+    normalized row this is the fidelity F; on a row of counts it is the
+    number of Phi+ pairs.
+    """
+    return cells[..., 0::4].sum(axis=-1)
+
+
+def flag_match_weight(cells: np.ndarray) -> np.ndarray:
+    """Weight on the cells ``k * 4 + k`` whose flag equals the Bell label, per row.
+
+    On a normalized row this is the conditional fidelity F_cond: the
+    weight a flag-conditioned correcting rotation would map onto Phi+.
+    """
+    return cells[..., 0::5].sum(axis=-1)
+
+
 def fidelity(state: SubensembleState) -> float:
     """Overlap of the ensemble with Phi+ (the bell marginal's first entry)."""
-    return float(state.p[:, 0].sum())
+    return float(phi_plus_weight(state.p.ravel()))
 
 
 def conditional_fidelity(state: SubensembleState) -> float:
-    """Fidelity attainable if the error flags were disclosed.
-
-    Weight on cells whose flag equals the Bell label, i.e. the pairs a
-    flag-conditioned correcting rotation would map onto Phi+.
-    """
-    return float(np.trace(state.p))
+    """Fidelity attainable if the error flags were disclosed (see :func:`flag_match_weight`)."""
+    return float(flag_match_weight(state.p.ravel()))
 
 
 def one_round(
@@ -279,8 +301,12 @@ class Trajectory:
     ``coefficients`` holds the sixteen coefficients of every round, one
     row per round, and ``keeps`` the keep probability of the round that
     produced each row (1 for round 0).  The per-round fidelities and the
-    CSV rows are computed from them on request.
+    CSV rows, laid out as :attr:`columns`, are computed from them on
+    request.
     """
+
+    #: CSV columns of :meth:`rows`.
+    columns: ClassVar[tuple[str, ...]] = ("round", "F", "F_cond", "keep_prob", *COEFFICIENT_COLUMNS)
 
     coefficients: np.ndarray
     keeps: np.ndarray
@@ -301,12 +327,10 @@ class Trajectory:
         return float(self.conditional_fidelities()[-1])
 
     def fidelities(self) -> np.ndarray:
-        """Phi+ weight summed over flags: columns ``flag * 4 + 0``."""
-        return self.coefficients[:, 0::4].sum(axis=1)
+        return phi_plus_weight(self.coefficients)
 
     def conditional_fidelities(self) -> np.ndarray:
-        """Weight on flag == bell: columns ``k * 4 + k``."""
-        return self.coefficients[:, 0::5].sum(axis=1)
+        return flag_match_weight(self.coefficients)
 
     def rows(self) -> list[list[float]]:
         """CSV rows: round, F, F_cond, keep probability, 16 coefficients."""
@@ -445,7 +469,7 @@ def find_thresholds(
     bisect_tol: float = 1e-5,
     secure_tol: float = 1e-6,
     purify_margin: float = 1e-4,
-    max_rounds: int = 2000,
+    max_rounds: int = 3000,
     placement: str = BEFORE_ROTATION,
     fixpoint_tol: float = 1e-12,
 ) -> ThresholdScan:

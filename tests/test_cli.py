@@ -1,5 +1,6 @@
 """Command-line exit codes, option handling and deterministic output."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -21,6 +22,10 @@ NO_THRESHOLD = {
     "scan": {"lo": 0.96, "hi": 0.99, "werner_grid": [0.85]},
 }
 SMALL_MC = {"noise": {"family": "uniform", "f00": 0.97}, "pairs": 20_000, "rounds": 3, "seed": 5}
+#: Halts after round 2 with one pair left.
+HALTED_MC = {"noise": {"family": "uniform", "f00": 0.5}, "pairs": 9, "rounds": 20, "seed": 3}
+#: Round 1 leaves no pair, so its row has NaN fidelities.
+EMPTIED_MC = {"noise": {"family": "uniform", "f00": 0.3}, "pairs": 6, "rounds": 20, "seed": 0}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -145,6 +150,30 @@ def test_deterministic_reruns_are_byte_identical(tmp_path, argv):
     first = output_bytes(tmp_path / "a")
     assert first == output_bytes(tmp_path / "b")
     assert "metadata.json" in first and len(first) == 2
+
+
+PINNED_TRAJECTORIES = [
+    # (config, format, SHA-256 of the trajectory file, rounds, final survivors)
+    (HALTED_MC, "csv", "d255b7bd70a8edff2990abfe1cfd92c7fa32de93427ee6adeae4e35ad210e44b", 2, 1),
+    (HALTED_MC, "json", "304ab4d41bb77fa05c3916406c0de3da70ef174ac51e051161cccd0e656c78bb", 2, 1),
+    (EMPTIED_MC, "csv", "d5c5efdadacca77eb11fc9c9c26aaa18bbf7a23ccbe71117289ddaa42f100c4f", 1, 0),
+    (EMPTIED_MC, "json", "4d8b97f20c7d2c25c0bf60ee2f8e4e6d705c66848b20c6b35be371c1d2e25f21", 1, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, fmt, digest, rounds, survivors",
+    PINNED_TRAJECTORIES,
+    ids=["halted-csv", "halted-json", "emptied-csv", "emptied-json"],
+)
+def test_mc_trajectory_bytes_are_pinned(tmp_path, doc, fmt, digest, rounds, survivors):
+    path = write_config(tmp_path, doc)
+    assert run(["mc", "--config", path, "--format", fmt], tmp_path / "out") == 0
+    data = (tmp_path / "out" / f"trajectory.{fmt}").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    metadata = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert metadata["halted"] is True
+    assert (metadata["rounds"], metadata["final_survivors"]) == (rounds, survivors)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,11 +1,14 @@
 """Configuration parsing: rejection cases, seed overrides, round trips."""
 
+import dataclasses
+import inspect
 import json
 
 import pytest
 
 from qpurify.config import PRESETS, ExperimentConfig, ScanSettings, load_config_file
 from qpurify.errors import ConfigError
+from qpurify.recurrence import find_thresholds
 
 PRODUCT = {"family": "product", "f0": 0.97}
 NAN = float("nan")
@@ -108,6 +111,14 @@ def test_effective_pins_every_default():
             "max_rounds": 3000,
         },
     }
+
+
+def test_scan_defaults_are_the_find_thresholds_defaults():
+    # each ScanSettings field but family and werner_grid is a find_thresholds parameter
+    parameters = inspect.signature(find_thresholds).parameters
+    for f in dataclasses.fields(ScanSettings):
+        if f.name not in ("family", "werner_grid"):
+            assert f.default == parameters[f.name].default, f.name
 
 
 def test_effective_survives_json(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,9 @@ from qpurify.recurrence import (
     DISCARDED,
     SubensembleState,
     event_cell_table,
+    flag_match_weight,
     iterate,
+    phi_plus_weight,
 )
 
 PLACEMENTS = [BEFORE_ROTATION, BEFORE_BCNOT]
@@ -40,7 +43,7 @@ def werner_07(flag_mode="fixed"):
 
 
 def dirichlet_noise(seed=3):
-    return NoiseModel.from_probabilities(np.random.default_rng(seed).dirichlet(np.ones(16)))
+    return NoiseModel(np.random.default_rng(seed).dirichlet(np.ones(16)))
 
 
 def scalar_survivor(control, target, event, placement):
@@ -193,12 +196,45 @@ class TestEngineAgreement:
         mc = run_protocol(init_ensemble(initial, 400_000, seed=1), noise, rounds)
         engine = iterate(initial, noise, max_rounds=rounds)
         assert not mc.halted
-        assert mc.final.survivors > 5000
-        assert len(mc.points) == engine.rounds + 1
-        for sample, f, fc in zip(mc.points, engine.fidelities(), engine.conditional_fidelities()):
-            n = sample.survivors
-            assert abs(sample.fidelity - f) < 5 * np.sqrt(f * (1 - f) / n)
-            assert abs(sample.conditional_fidelity - fc) < 5 * np.sqrt(fc * (1 - fc) / n)
+        assert mc.counts.shape == (rounds + 1, 16) and mc.counts.dtype == np.int64
+        survivors = mc.survivors()
+        assert survivors[-1] > 5000
+        assert mc.rounds == engine.rounds
+        sampled = zip(survivors, phi_plus_weight(mc.counts), flag_match_weight(mc.counts))
+        exact = zip(engine.fidelities(), engine.conditional_fidelities())
+        for (n, phi_plus, matches), (f, fc) in zip(sampled, exact):
+            assert abs(phi_plus / n - f) < 5 * np.sqrt(f * (1 - f) / n)
+            assert abs(matches / n - fc) < 5 * np.sqrt(fc * (1 - fc) / n)
+
+
+def scalar_rows(counts):
+    """Reference CSV rows, one round at a time in Python arithmetic."""
+    rows, previous = [], None
+    for r, row in enumerate(counts.tolist()):
+        n = sum(row)
+        f = sum(row[0::4]) / n if n else math.nan
+        f_cond = sum(row[0::5]) / n if n else math.nan
+        keep = 1.0 if previous is None else n / (previous // 2)
+        stddev = math.sqrt(f * (1.0 - f) / n) if n else math.nan
+        rows.append([r, f, f_cond, keep, *[c / n if n else 0.0 for c in row], n, stddev])
+        previous = n
+    return rows
+
+
+class TestRows:
+    @pytest.mark.parametrize(
+        "f00, pairs, seed, rounds",
+        [(0.97, 400_000, 1, 4), (0.3, 6, 0, 20)],
+        ids=["fig1-like", "emptied"],
+    )
+    def test_rows_match_scalar_reference(self, f00, pairs, seed, rounds):
+        initial = SubensembleState.from_bell_probs([0.85, 0.05, 0.05, 0.05])
+        noise = NoiseModel.from_uniform_residual(f00)
+        mc = run_protocol(init_ensemble(initial, pairs, seed=seed), noise, rounds)
+        rows = mc.rows()
+        assert all(len(row) == len(mc.columns) for row in rows)
+        # repr compares NaN rows and tells an int from an equal float
+        assert repr(rows) == repr(scalar_rows(mc.counts))
 
 
 class TestHalting:
@@ -211,9 +247,9 @@ class TestHalting:
         ensemble = init_ensemble(werner_07(), 5, seed=2)
         trajectory = run_protocol(ensemble, NoiseModel.identity(), 20)
         assert trajectory.halted
-        assert trajectory.final.survivors < 2
-        assert len(trajectory.points) < 21
-        assert trajectory.points[0].survivors == 5
+        assert trajectory.survivors()[-1] < 2
+        assert len(trajectory.counts) < 21
+        assert trajectory.survivors()[0] == 5
 
 
 class TestValidation:

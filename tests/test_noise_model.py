@@ -108,7 +108,7 @@ class TestSerialization:
     def test_explicit_round_trip(self):
         f = np.random.default_rng(3).dirichlet(np.ones(16))
         model = from_stored_document({"family": "explicit", "f": f.tolist()})
-        assert np.array_equal(model.f, NoiseModel.from_probabilities(f).f)
+        assert np.array_equal(model.f, NoiseModel(f).f)
 
     def test_rejects_missing_parameter(self):
         with pytest.raises(ValueError, match="product family requires 'f0'"):

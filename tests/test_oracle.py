@@ -72,7 +72,7 @@ class TestOracleRound:
     def test_matches_engine(self, placement, seed):
         rng = np.random.default_rng(seed)
         state = SubensembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
-        noise = NoiseModel.from_probabilities(rng.dirichlet(np.ones(16)))
+        noise = NoiseModel(rng.dirichlet(np.ones(16)))
         engine_state, engine_keep = one_round(state, noise, placement)
         oracle_state, oracle_keep = oracle_one_round(state, noise, placement)
         assert abs(engine_keep - oracle_keep) < 1e-10
@@ -90,7 +90,7 @@ class TestOracleRound:
         f[1] = 1.0  # always flip the target pair's amplitude
         state = SubensembleState.from_bell_probs([1, 0, 0, 0])
         with pytest.raises(DegenerateRoundError):
-            oracle_one_round(state, NoiseModel.from_probabilities(f))
+            oracle_one_round(state, NoiseModel(f))
 
 
 class TestConformance:

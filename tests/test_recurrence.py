@@ -109,7 +109,7 @@ def random_state(seed):
 
 def random_noise(seed):
     rng = np.random.default_rng(seed + 1000)
-    return NoiseModel.from_probabilities(rng.dirichlet(np.ones(16)))
+    return NoiseModel(rng.dirichlet(np.ones(16)))
 
 
 class TestSubensembleState:
@@ -214,7 +214,7 @@ class TestOneRound:
         # makes every measurement anti-coincide: keep probability 0
         f = np.zeros(16)
         f[PauliIndex.X] = 1.0  # (mu, nu) = (I, X)
-        noise = NoiseModel.from_probabilities(f)
+        noise = NoiseModel(f)
         state = SubensembleState.from_bell_probs([1, 0, 0, 0])
         with pytest.raises(DegenerateRoundError):
             one_round(state, noise)
@@ -376,7 +376,7 @@ class TestClassifyRegime:
         f = np.zeros(16)
         f[PauliIndex.X] = 1.0
         report = classify_regime(
-            NoiseModel.from_probabilities(f), SubensembleState.from_bell_probs([1, 0, 0, 0])
+            NoiseModel(f), SubensembleState.from_bell_probs([1, 0, 0, 0])
         )
         assert report.regime == Regime.NO_PURIFICATION
         assert report.degenerate
