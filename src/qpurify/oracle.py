@@ -1,18 +1,24 @@
 """Brute-force density-matrix reference for the protocol.
 
 Everything here is dense linear algebra on 4-dim (one pair) and 16-dim
-(two pairs) state spaces: the protocol unitaries are built explicitly,
-every Bell-label table is re-derived by conjugating projectors, and one
-full noisy purification round is executed on density matrices with the
-error flags carried as classical side labels.  The label-based engine in
+(two pairs) state spaces.  The dense operators are module constants,
+built and unitarity-checked once at import: the three protocol
+unitaries, the sixteen noise Kraus operators, the coinciding-measurement
+projector and the two-pair Bell basis, whose row ``c*4 + t`` is
+|B_c, B_t>.  Every Bell-label table is read back from these operators
+through one relabeling, :func:`_relabeling`, and one full noisy
+purification round is executed on density matrices with the error flags
+carried as classical side labels.  The label-based engine in
 :mod:`qpurify.recurrence` must agree with this module to 1e-10; the
 ``verify`` CLI subcommand and the acceptance tests run the comparison.
-The dense round reads neither the engine's event cell table
+
+The oracle stays an independent referee.  The dense round records a
+noise event on the flags by the one-sided Pauli shift the oracle derives
+itself, and reads neither the engine's event cell table
 (:func:`qpurify.recurrence.event_cell_table`) nor the :mod:`qpurify.bell`
 label maps and :mod:`qpurify.noise` event shifts it is composed from;
-those tables are what the conformance checks compare against.  The
-oracle stays an independent referee and shares only the normative flag
-table.
+those tables are what the conformance checks compare against.  The round
+shares only the normative flag table, ``FLAG_UPDATE_TABLE``.
 
 Qubit ordering on the two-pair space is fixed once and used everywhere:
 (alice_control, alice_target, bob_control, bob_target).  The control
@@ -23,6 +29,7 @@ acts on qubits 0 and 1 (the noisy lab's control and target qubits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -30,10 +37,8 @@ from .bell import (
     ATOL,
     BELL_VECTORS,
     PAULIS,
-    PAULI_LABEL_SHIFT,
     bell_diagonal_overlaps,
     bell_offdiagonal_max,
-    bell_projector,
     bcnot_map,
     rotation_step3,
 )
@@ -76,60 +81,71 @@ def _kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_pair_vector(control_label: int, target_label: int) -> np.ndarray:
-    """State vector |B_control, B_target> in the fixed qubit ordering.
-
-    The natural product lives on (alice_control, bob_control,
-    alice_target, bob_target); axes 1 and 2 are swapped to reach
-    (alice_control, alice_target, bob_control, bob_target).
-    """
-    v = np.kron(BELL_VECTORS[control_label], BELL_VECTORS[target_label])
-    return v.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-def _two_pair_projector(control_label: int, target_label: int) -> np.ndarray:
-    v = _two_pair_vector(control_label, target_label)
-    return np.outer(v, v.conj())
+#: ``rotation_pair`` (4x4, one pair), ``rotation`` (16x16, both pairs) and
+#: ``bcnot`` (16x16).
+_UNITARIES = {
+    "rotation_pair": np.kron(_HALF_X_MINUS, _HALF_X_PLUS),
+    "rotation": _kron(_HALF_X_MINUS, _HALF_X_MINUS, _HALF_X_PLUS, _HALF_X_PLUS),
+    "bcnot": np.kron(_CNOT, _CNOT),
+}
+for _name, _u in _UNITARIES.items():
+    if np.max(np.abs(_u @ _u.conj().T - np.eye(len(_u)))) > ATOL:
+        raise AssertionError(f"{_name} is not unitary within {ATOL}")
+    _read_only(_u)
+del _name, _u
 
+#: sigma_mu on qubit 0 and sigma_nu on qubit 1, for noise event mu*4 + nu.
+_NOISE_KRAUS = _read_only(
+    np.array([_kron(PAULIS[e >> 2], PAULIS[e & 3], _I2, _I2) for e in range(16)])
+)
 
-def _assert_unitary(u: np.ndarray, name: str) -> np.ndarray:
-    dim = u.shape[0]
-    if np.max(np.abs(u @ u.conj().T - np.eye(dim))) > ATOL:
-        raise AssertionError(f"{name} is not unitary within {ATOL}")
-    return u
+#: Both halves of the target pair (qubits 1 and 3) read the same z value.
+_KEEP_PROJECTOR = _read_only(
+    sum(_kron(_I2, np.diag(z), _I2, np.diag(z)) for z in ([1, 0], [0, 1]))
+)
+
+#: Row ``c*4 + t`` is |B_c, B_t>.  The product of the two Bell vectors lives
+#: on (alice_control, bob_control, alice_target, bob_target); swapping the
+#: middle qubits reaches the fixed ordering.
+_TWO_PAIR_BASIS = _read_only(
+    np.einsum("ci,tj->ctij", BELL_VECTORS, BELL_VECTORS)
+    .reshape(16, 2, 2, 2, 2)
+    .transpose(0, 1, 3, 2, 4)
+    .reshape(16, 16)
+)
 
 
 def build_protocol_unitaries() -> dict[str, np.ndarray]:
-    """Explicit matrices for the round's unitaries, unitarity-checked.
+    """Explicit matrices for the round's unitaries, read-only.
 
     Returns ``rotation_pair`` (4x4, one pair), ``rotation`` (16x16, both
-    pairs) and ``bcnot`` (16x16).
+    pairs) and ``bcnot`` (16x16), each checked unitary once at import.
     """
-    rotation_pair = np.kron(_HALF_X_MINUS, _HALF_X_PLUS)
-    rotation = _kron(_HALF_X_MINUS, _HALF_X_MINUS, _HALF_X_PLUS, _HALF_X_PLUS)
-    bcnot = np.kron(_CNOT, _CNOT)
-    return {
-        "rotation_pair": _assert_unitary(rotation_pair, "rotation_pair"),
-        "rotation": _assert_unitary(rotation, "rotation"),
-        "bcnot": _assert_unitary(bcnot, "bcnot"),
-    }
+    return dict(_UNITARIES)
 
 
-def _match_bell_projector(rho: np.ndarray) -> int:
-    """Index of the Bell projector equal to ``rho``; asserts one exists."""
-    hits = np.flatnonzero(np.abs(bell_diagonal_overlaps(rho) - 1.0) <= ATOL)
-    if not hits.size:
-        raise AssertionError("conjugated projector is not a Bell projector")
-    return int(hits[0])
+def _relabeling(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Index of the basis projector that ``u`` conjugates each basis vector onto.
+
+    ``overlaps[image, source]`` is ``|<image| u |source>|^2``; raises
+    AssertionError unless every image is exactly one basis projector.
+    """
+    overlaps = np.abs(basis.conj() @ u @ basis.T) ** 2
+    images = np.argmax(overlaps, axis=0)
+    if np.max(np.abs(overlaps[images, np.arange(len(basis))] - 1.0)) > ATOL:
+        raise AssertionError("a conjugated basis projector is not a basis projector")
+    return images.astype(np.uint8)
 
 
 def derive_rotation_table() -> np.ndarray:
     """Relabeling of the bilateral half-x rotation, by dense conjugation."""
-    u = build_protocol_unitaries()["rotation_pair"]
-    table = np.zeros(4, dtype=np.uint8)
-    for label in range(4):
-        table[label] = _match_bell_projector(u @ bell_projector(label) @ u.conj().T)
-    return table
+    return _relabeling(_UNITARIES["rotation_pair"], BELL_VECTORS)
+
 
 def derive_two_sided_shift_table() -> np.ndarray:
     """Label map of sigma_mu x sigma_nu conjugation, all 4x16 inputs.
@@ -137,14 +153,10 @@ def derive_two_sided_shift_table() -> np.ndarray:
     Returns ``table[label, mu*4 + nu]``; the test suite checks it equals
     ``label ^ PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu]`` everywhere.
     """
-    table = np.zeros((4, 16), dtype=np.uint8)
-    for mu in range(4):
-        for nu in range(4):
-            op = np.kron(PAULIS[mu], PAULIS[nu])
-            for label in range(4):
-                rho = op @ bell_projector(label) @ op.conj().T
-                table[label, mu * 4 + nu] = _match_bell_projector(rho)
-    return table
+    return np.stack(
+        [_relabeling(np.kron(PAULIS[e >> 2], PAULIS[e & 3]), BELL_VECTORS) for e in range(16)],
+        axis=1,
+    )
 
 
 def derive_bcnot_table() -> np.ndarray:
@@ -152,23 +164,8 @@ def derive_bcnot_table() -> np.ndarray:
 
     Returns ``table[source, target] = (source', target')``.
     """
-    u = build_protocol_unitaries()["bcnot"]
-    table = np.zeros((4, 4, 2), dtype=np.uint8)
-    for src in range(4):
-        for tgt in range(4):
-            rho = u @ _two_pair_projector(src, tgt) @ u.conj().T
-            hits = [
-                (a, b)
-                for a in range(4)
-                for b in range(4)
-                if abs(np.real(np.trace(_two_pair_projector(a, b) @ rho)) - 1.0) <= ATOL
-            ]
-            if len(hits) != 1:
-                raise AssertionError(
-                    f"BCNOT image of ({src}, {tgt}) is not a unique Bell product"
-                )
-            table[src, tgt] = hits[0]
-    return table
+    images = _relabeling(_UNITARIES["bcnot"], _TWO_PAIR_BASIS)
+    return np.stack([images >> 2, images & 3], axis=-1).reshape(4, 4, 2)
 
 
 def derive_flag_update_table() -> np.ndarray:
@@ -182,32 +179,16 @@ def derive_flag_update_table() -> np.ndarray:
     silently transposed row/column convention.
     """
     rotation = derive_rotation_table()
-    bcnot = derive_bcnot_table()
-    table = np.zeros((4, 4), dtype=np.uint8)
-    for flag1 in range(4):
-        for flag2 in range(4):
-            src, tgt = bcnot[rotation[flag1], rotation[flag2]]
-            table[flag1, flag2] = src if (tgt & 1) == 0 else 0
-    return table
+    pairs = derive_bcnot_table()[rotation[:, None], rotation[None, :]]
+    src, tgt = pairs[..., 0], pairs[..., 1]
+    return np.where((tgt & 1) == 0, src, 0).astype(np.uint8)
 
 
-def _noise_kraus_16() -> list[np.ndarray]:
-    """sigma_mu on qubit 0, sigma_nu on qubit 1, for event mu*4 + nu."""
-    return [
-        _kron(PAULIS[e >> 2], PAULIS[e & 3], _I2, _I2) for e in range(16)
-    ]
+#: Flag shift of sigma_p on one qubit of a pair: column p*4 of the derived
+#: two-sided table, read at label 0.
+_NOISE_FLAG_SHIFT = derive_two_sided_shift_table()[0, ::4]
 
-
-_KEEP_PROJECTOR = sum(
-    _kron(_I2, np.outer(z, z.conj()), _I2, np.outer(z, z.conj()))
-    for z in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-)
-
-
-def _trace_out_target(rho: np.ndarray) -> np.ndarray:
-    """Partial trace over qubits 1 and 3; returns the 4-dim control pair."""
-    r = rho.reshape([2] * 8)
-    return np.einsum(r, [0, 1, 2, 3, 4, 1, 6, 3], [0, 2, 4, 6]).reshape(4, 4)
+_FLAGS = np.arange(4)
 
 
 def oracle_one_round(
@@ -228,57 +209,37 @@ def oracle_one_round(
     AssertionError if a kept branch is not Bell-diagonal.
     """
     check_placement(placement)
-    unitaries = build_protocol_unitaries()
-    rotation, bcnot = unitaries["rotation"], unitaries["bcnot"]
-    kraus = _noise_kraus_16()
     p = state.p
-
-    branches = np.zeros((4, 4, 16, 16), dtype=complex)
-    for flag1 in range(4):
-        for bell1 in range(4):
-            if p[flag1, bell1] == 0.0:
-                continue
-            for flag2 in range(4):
-                for bell2 in range(4):
-                    weight = p[flag1, bell1] * p[flag2, bell2]
-                    if weight == 0.0:
-                        continue
-                    branches[flag1, flag2] += weight * _two_pair_projector(bell1, bell2)
+    # weights[flag1, flag2, bell1*4 + bell2]; branch = sum_k w_k |v_k><v_k|
+    weights = np.einsum("ab,cd->acbd", p, p).reshape(4, 4, 1, 16)
+    branches = (_TWO_PAIR_BASIS.T * weights) @ _TWO_PAIR_BASIS.conj()
 
     def apply_noise(branches: np.ndarray) -> np.ndarray:
         out = np.zeros_like(branches)
-        flat = noise.f.ravel()
-        for event in range(16):
-            if flat[event] == 0.0:
-                continue
-            shift1 = PAULI_LABEL_SHIFT[event >> 2]
-            shift2 = PAULI_LABEL_SHIFT[event & 3]
-            k = kraus[event]
-            moved = flat[event] * np.einsum(
-                "ab,fgbc,dc->fgad", k, branches, k.conj()
-            )
-            rows = np.arange(4) ^ shift1
-            cols = np.arange(4) ^ shift2
-            out[np.ix_(rows, cols)] += moved
+        f = noise.f.ravel()
+        for event in np.flatnonzero(f):
+            k = _NOISE_KRAUS[event]
+            rows = _FLAGS ^ _NOISE_FLAG_SHIFT[event >> 2]
+            cols = _FLAGS ^ _NOISE_FLAG_SHIFT[event & 3]
+            out[np.ix_(rows, cols)] += f[event] * (k @ branches @ k.conj().T)
         return out
 
-    def conjugate(branches: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.einsum("ab,fgbc,dc->fgad", u, branches, u.conj())
-
+    rotation, bcnot = _UNITARIES["rotation"], _UNITARIES["bcnot"]
     if placement == BEFORE_ROTATION:
-        branches = conjugate(apply_noise(branches), rotation)
+        branches = rotation @ apply_noise(branches) @ rotation.conj().T
     else:
-        branches = apply_noise(conjugate(branches, rotation))
-    branches = conjugate(branches, bcnot)
+        branches = apply_noise(rotation @ branches @ rotation.conj().T)
+    branches = _KEEP_PROJECTOR @ (bcnot @ branches @ bcnot.conj().T) @ _KEEP_PROJECTOR
+    # trace out qubits 1 and 3, leaving the control pair of every branch
+    kept = np.einsum("...abcdebgd->...aceg", branches.reshape(4, 4, *[2] * 8))
+    kept = kept.reshape(4, 4, 4, 4)
 
     out = np.zeros((4, 4))
     keep = 0.0
     for flag1 in range(4):
         for flag2 in range(4):
-            projected = _KEEP_PROJECTOR @ branches[flag1, flag2] @ _KEEP_PROJECTOR
-            kept_pair = _trace_out_target(projected)
-            weight = float(np.real(np.trace(kept_pair)))
-            keep += weight
+            kept_pair = kept[flag1, flag2]
+            keep += float(np.real(np.trace(kept_pair)))
             if bell_offdiagonal_max(kept_pair) > ATOL:
                 raise AssertionError("kept pair is not Bell-diagonal")
             out[FLAG_UPDATE_TABLE[flag1, flag2]] += bell_diagonal_overlaps(kept_pair)
@@ -319,6 +280,26 @@ class ConformanceReport:
         ]
 
 
+def _compare(
+    report: ConformanceReport,
+    name: str,
+    shipped: np.ndarray,
+    derived: np.ndarray,
+    entry: Callable[..., str],
+) -> None:
+    """Add check ``name``: the shipped table equals the derived one everywhere.
+
+    ``entry(*index, shipped_value, derived_value)`` words one mismatched
+    entry; the detail joins them in index order.
+    """
+    shipped, derived = np.asarray(shipped), np.asarray(derived)
+    mismatches = [
+        entry(*map(int, index), int(shipped[index]), int(derived[index]))
+        for index in zip(*np.nonzero(shipped != derived))
+    ]
+    report.add(name, not mismatches, "; ".join(mismatches))
+
+
 def run_conformance_checks(
     round_samples: int = 20,
     seed: int = 20260810,
@@ -333,56 +314,56 @@ def run_conformance_checks(
     report = ConformanceReport()
     rng = np.random.default_rng(seed)
 
-    production_rotation = np.array([int(rotation_step3(b)) for b in range(4)], dtype=np.uint8)
-    derived_rotation = derive_rotation_table()
-    mismatches = [
-        f"label {b}: table {production_rotation[b]}, oracle {derived_rotation[b]}"
-        for b in range(4)
-        if production_rotation[b] != derived_rotation[b]
-    ]
-    report.add("rotation relabeling vs dense conjugation", not mismatches, "; ".join(mismatches))
-
-    derived_shifts = derive_two_sided_shift_table()
-    for side, shipped, pauli_of in (
-        ("control", EVENT_CONTROL_SHIFTS, lambda event: event >> 2),
-        ("target", EVENT_TARGET_SHIFTS, lambda event: event & 3),
-    ):
-        # column p * 4 is sigma_p alone on the first qubit of a pair
-        mismatches = [
-            f"(label {label}, event {event})"
-            for label in range(4)
-            for event in range(16)
-            if label ^ shipped[event] != derived_shifts[label, pauli_of(event) * 4]
-        ]
-        name = f"{side}-pair event shifts vs dense conjugation"
-        report.add(name, not mismatches, "; ".join(mismatches))
-
-    bcnot_table = np.array([[bcnot_map(s, t) for t in range(4)] for s in range(4)], dtype=np.uint8)
-    derived_bcnot = derive_bcnot_table()
-    mismatches = [
-        f"(source {s}, target {t}): table {tuple(bcnot_table[s, t])}, oracle {tuple(derived_bcnot[s, t])}"
-        for s in range(4)
-        for t in range(4)
-        if tuple(bcnot_table[s, t]) != tuple(derived_bcnot[s, t])
-    ]
-    report.add("BCNOT label map vs dense conjugation", not mismatches, "; ".join(mismatches))
-
-    flat = {tuple(bcnot_table[s, t]) for s in range(4) for t in range(4)}
-    report.add(
-        "BCNOT label map is a bijection",
-        len(flat) == 16,
-        f"only {len(flat)} distinct outputs",
+    _compare(
+        report,
+        "rotation relabeling vs dense conjugation",
+        [rotation_step3(b) for b in range(4)],
+        derive_rotation_table(),
+        lambda b, table, oracle: f"label {b}: table {table}, oracle {oracle}",
     )
 
-    production_flags = FLAG_UPDATE_TABLE if flag_table is None else flag_table
-    derived_flags = derive_flag_update_table()
-    mismatches = [
-        f"(row {f1:02b}, column {f2:02b}): table ({production_flags[f1, f2]:02b}), derived ({derived_flags[f1, f2]:02b})"
-        for f1 in range(4)
-        for f2 in range(4)
-        if production_flags[f1, f2] != derived_flags[f1, f2]
-    ]
-    report.add("flag combination table vs label-algebra derivation", not mismatches, "; ".join(mismatches))
+    derived_shifts = derive_two_sided_shift_table()
+    events = np.arange(16)
+    for side, shipped, pauli in (
+        ("control", EVENT_CONTROL_SHIFTS, events >> 2),
+        ("target", EVENT_TARGET_SHIFTS, events & 3),
+    ):
+        # column p * 4 is sigma_p alone on the first qubit of a pair
+        _compare(
+            report,
+            f"{side}-pair event shifts vs dense conjugation",
+            _FLAGS[:, None] ^ shipped,
+            derived_shifts[:, pauli * 4],
+            lambda label, event, table, oracle: f"(label {label}, event {event})",
+        )
+
+    # label pairs packed as source*4 + target
+    shipped_bcnot = np.array([[bcnot_map(s, t) for t in range(4)] for s in range(4)]) @ [4, 1]
+    _compare(
+        report,
+        "BCNOT label map vs dense conjugation",
+        shipped_bcnot,
+        derive_bcnot_table() @ [4, 1],
+        lambda s, t, table, oracle: (
+            f"(source {s}, target {t}): table {divmod(table, 4)}, oracle {divmod(oracle, 4)}"
+        ),
+    )
+    distinct = len(set(shipped_bcnot.flat))
+    report.add(
+        "BCNOT label map is a bijection",
+        distinct == 16,
+        f"only {distinct} distinct outputs",
+    )
+
+    _compare(
+        report,
+        "flag combination table vs label-algebra derivation",
+        FLAG_UPDATE_TABLE if flag_table is None else flag_table,
+        derive_flag_update_table(),
+        lambda f1, f2, table, derived: (
+            f"(row {f1:02b}, column {f2:02b}): table ({table:02b}), derived ({derived:02b})"
+        ),
+    )
 
     worst = 0.0
     worst_detail = ""

@@ -75,6 +75,20 @@ def test_non_finite_number_exits_2(tmp_path, capsys, command, doc):
     assert not (tmp_path / "out").exists()
 
 
+def test_verify_prints_every_check_in_order(capsys):
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] rotation relabeling vs dense conjugation",
+        "[PASS] control-pair event shifts vs dense conjugation",
+        "[PASS] target-pair event shifts vs dense conjugation",
+        "[PASS] BCNOT label map vs dense conjugation",
+        "[PASS] BCNOT label map is a bijection",
+        "[PASS] flag combination table vs label-algebra derivation",
+        "[PASS] round map vs oracle on 20 random instances (<= 1e-10)",
+        "verification passed",
+    ]
+
+
 def test_failed_verification_exits_1(monkeypatch, capsys):
     corrupted = oracle.FLAG_UPDATE_TABLE.copy()
     corrupted[1, 2] ^= 1

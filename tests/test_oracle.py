@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qpurify.oracle as oracle
-from qpurify.bell import ATOL, PAULI_LABEL_SHIFT, bcnot_map, bell_projector, rotation_step3
+from qpurify.bell import ATOL, BELL_VECTORS, PAULI_LABEL_SHIFT, bcnot_map, bell_projector, rotation_step3
 from qpurify.errors import DegenerateRoundError
 from qpurify.flags import FLAG_UPDATE_TABLE
 from qpurify.noise import NoiseModel
@@ -31,6 +31,10 @@ class TestUnitaries:
         u = build_protocol_unitaries()["rotation_pair"]
         rho = u @ bell_projector(0b10) @ u.conj().T
         assert np.max(np.abs(rho - bell_projector(0b11))) < ATOL
+
+    def test_unitaries_are_read_only(self):
+        with pytest.raises(ValueError):
+            build_protocol_unitaries()["bcnot"][0, 0] = 0
 
     def test_bcnot_is_an_involution(self):
         u = build_protocol_unitaries()["bcnot"]
@@ -59,6 +63,11 @@ class TestDerivedTables:
     def test_flag_update_table_derivation(self):
         assert np.array_equal(derive_flag_update_table(), FLAG_UPDATE_TABLE)
 
+    def test_relabeling_rejects_an_image_off_the_basis(self):
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        with pytest.raises(AssertionError, match="not a basis projector"):
+            oracle._relabeling(np.kron(hadamard, np.eye(2)), BELL_VECTORS)
+
 
 class TestOracleRound:
     def test_noiseless_pure_input(self):
@@ -85,12 +94,50 @@ class TestOracleRound:
         _, keep = oracle_one_round(state, noise)
         assert 0.0 < keep <= 1.0 + 1e-12
 
+    def test_noise_flags_come_from_the_oracles_own_derivation(self, monkeypatch):
+        # x and z swapped: an oracle that recorded noise through this map would drift
+        monkeypatch.setattr(oracle, "PAULI_LABEL_SHIFT", (0, 0b10, 0b11, 0b01), raising=False)
+        rng = np.random.default_rng(0)
+        state = SubensembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
+        noise = NoiseModel(rng.dirichlet(np.ones(16)))
+        engine_state, engine_keep = one_round(state, noise)
+        oracle_state, oracle_keep = oracle_one_round(state, noise)
+        assert abs(engine_keep - oracle_keep) < 1e-10
+        assert np.max(np.abs(engine_state.p - oracle_state.p)) < 1e-10
+
     def test_degenerate_raises(self):
         f = np.zeros(16)
         f[1] = 1.0  # always flip the target pair's amplitude
         state = SubensembleState.from_bell_probs([1, 0, 0, 0])
         with pytest.raises(DegenerateRoundError):
             oracle_one_round(state, NoiseModel(f))
+
+
+FLAG_CORRELATED_NOISE = {
+    "product": NoiseModel.from_one_qubit_depolarizing(0.97),
+    "uniform": NoiseModel.from_uniform_residual(0.9),
+    "dirichlet": NoiseModel(np.random.default_rng(5).dirichlet(np.ones(16))),
+}
+
+
+def off_diagonal_weight(round_map, placement, noise, seed):
+    """Weight off the flag-correlated cells k*4 + k after one round from a state on them."""
+    p = np.diag(np.random.default_rng(seed).dirichlet(np.ones(4)))
+    out, _ = round_map(SubensembleState(p), noise, placement)
+    return out.p.sum() - np.trace(out.p)
+
+
+@pytest.mark.parametrize("round_map", [one_round, oracle_one_round])
+@pytest.mark.parametrize("noise", FLAG_CORRELATED_NOISE.values(), ids=FLAG_CORRELATED_NOISE)
+class TestFlagCorrelatedSubspace:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_invariant_before_rotation(self, round_map, noise, seed):
+        assert off_diagonal_weight(round_map, BEFORE_ROTATION, noise, seed) <= 1e-12
+
+    def test_not_invariant_before_bcnot(self, round_map, noise):
+        # the invariance that makes the secure fixpoint exist is a property
+        # of the default placement only
+        assert off_diagonal_weight(round_map, BEFORE_BCNOT, noise, 0) > 1e-3
 
 
 class TestConformance:
@@ -139,3 +186,10 @@ class TestConformance:
         names = {c.name for c in report.checks if not c.passed}
         assert any("bijection" in n for n in names)
         assert any("BCNOT label map vs dense" in n for n in names)
+
+    def test_rotation_fault_fails_only_the_rotation_check(self, monkeypatch):
+        monkeypatch.setattr(oracle, "rotation_step3", lambda label: label)
+        report = run_conformance_checks(round_samples=0)
+        failing = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failing] == ["rotation relabeling vs dense conjugation"]
+        assert "label 2" in failing[0].detail and "label 3" in failing[0].detail
