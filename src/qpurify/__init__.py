@@ -30,6 +30,7 @@ from .recurrence import (
     find_thresholds,
     iterate,
     one_round,
+    scan_thresholds,
     scan_werner_grid,
 )
 
@@ -55,6 +56,7 @@ __all__ = [
     "iterate",
     "classify_regime",
     "find_thresholds",
+    "scan_thresholds",
     "scan_werner_grid",
     "BEFORE_ROTATION",
     "BEFORE_BCNOT",

@@ -34,7 +34,7 @@ from .errors import ConfigError, DegenerateRoundError, NoThresholdError
 from .montecarlo import McTrajectory, init_ensemble, run_protocol
 from .noise import NOISE_FAMILIES
 from .oracle import run_conformance_checks
-from .recurrence import Trajectory, find_thresholds, iterate, scan_werner_grid
+from .recurrence import SubensembleState, Trajectory, iterate, scan_thresholds
 
 
 def _format_value(value) -> str:
@@ -157,8 +157,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     _, family = NOISE_FAMILIES[options.pop("family")]
     werner_grid = options.pop("werner_grid")
     options.update(fixpoint_tol=config.fixpoint_tol, placement=config.placement)
-    primary = find_thresholds(family, config.initial.state, **options)
-    grid = scan_werner_grid(family, werner_grid, flag_mode=config.initial.flag_mode, **options)
+    flag_mode = config.initial.flag_mode
+    initials = [config.initial.state]
+    initials += [SubensembleState.werner(fid, flag_mode=flag_mode) for fid in werner_grid]
+    primary, *grid_scans = scan_thresholds(family, initials, **options)
+    primary.require_found()
+    grid = {fid: scan if scan.found else None for fid, scan in zip(werner_grid, grid_scans)}
 
     found = {"primary": primary}
     found.update((f"werner_{fid}", scan) for fid, scan in grid.items() if scan is not None)

@@ -33,14 +33,28 @@ events against one noise model gives the round tensor
 the probability that control category ``i`` and target category ``j``
 land in each output cell (the last column is :data:`DISCARDED`).  A
 round is then one vector-matrix product, ``outer(v, v).ravel() @ Q``,
-followed by renormalization; :func:`iterate` builds ``Q`` once and
-repeats that product on a bare 16-vector.
+followed by renormalization.  The one round step, :func:`_round`,
+applies that product to a stack of rows, each against its own ``Q``;
+:func:`one_round` and :func:`iterate` pass it a single row.
+
+Thresholds are found by bisection.  A threshold scan
+(:func:`scan_thresholds`) runs one bisection chain per threshold
+(purification, security) per initial state, and advances all of its
+chains in lockstep: each step classifies the pending midpoint of every
+open chain as one batch, every row of which advances one round per
+Python step and leaves the batch when it stops.  Each initial state
+keeps a table of the parameters it has classified, so a midpoint that
+both of its chains reach (their first ones coincide until one of them
+lands in the insecure band) is iterated once.
+:func:`classify_regime`, :func:`find_thresholds` and
+:func:`scan_werner_grid` are such batches over one row, one initial
+state and a grid of Werner inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, ClassVar, Sequence
@@ -74,6 +88,7 @@ __all__ = [
     "RegimeReport",
     "classify_regime",
     "ThresholdScan",
+    "scan_thresholds",
     "find_thresholds",
     "scan_werner_grid",
 ]
@@ -160,16 +175,31 @@ def round_tensor(noise: NoiseModel, placement: str = BEFORE_ROTATION) -> np.ndar
     return totals.reshape(256, DISCARDED + 1)
 
 
+def _round(states: np.ndarray, tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One round on a stack of rows: the renormalized outputs and the keep probabilities.
+
+    ``states`` is ``(B, 16)`` and ``tensors`` the matching ``(B, 256, 17)``
+    stack of round tensors.  A row whose keep probability is below
+    :data:`KEEP_PROBABILITY_FLOOR` comes back unnormalized; the caller
+    decides what a degenerate row means.
+    """
+    n = len(states)
+    outer = (states[:, :, None] * states[:, None, :]).reshape(n, 1, 256)
+    kept = (outer @ tensors)[:, 0, :DISCARDED]
+    keep = kept.sum(axis=1)
+    # the floor changes no valid row's divisor and keeps a degenerate row off 0/0
+    return kept / np.maximum(keep, KEEP_PROBABILITY_FLOOR)[:, None], keep
+
+
 def _step(v: np.ndarray, tensor: np.ndarray) -> tuple[np.ndarray, float]:
     """One round on a flat 16-vector: the renormalized output and the keep probability."""
-    totals = (v[:, None] * v).ravel() @ tensor
-    kept = totals[:DISCARDED]
-    keep = float(kept.sum())
+    new, keep = _round(v[None], tensor[None])
+    keep = float(keep[0])
     if keep < KEEP_PROBABILITY_FLOOR:
         raise DegenerateRoundError(
             f"keep probability {keep:.3e} below {KEEP_PROBABILITY_FLOOR:.0e}"
         )
-    return kept / keep, keep
+    return new[0], keep
 
 
 def _checked_rows(rows: np.ndarray) -> np.ndarray:
@@ -390,6 +420,85 @@ class RegimeReport:
     degenerate: bool = False
 
 
+#: A batched classification validates the rows it produced every this many rounds,
+#: so the rows it holds for that are bounded by the block, not by ``max_rounds``.
+_CHECK_EVERY = 64
+
+
+def _classify_rows(
+    states: np.ndarray,
+    tensors: np.ndarray,
+    secure_tol: float,
+    purify_margin: float,
+    max_rounds: int,
+    fixpoint_tol: float,
+) -> list[RegimeReport]:
+    """Classify a batch of rows, every row advancing one round per step.
+
+    Row ``k`` iterates the input ``states[k]`` under the round tensor
+    ``tensors[k]`` with the stop rule of :func:`iterate`, and leaves the
+    batch when its change drops below ``fixpoint_tol``, when it has run
+    ``max_rounds`` rounds, or when its keep probability falls below
+    :data:`KEEP_PROBABILITY_FLOOR`.  The rounds of a row are validated
+    like :class:`SubensembleState` every :data:`_CHECK_EVERY` rounds and
+    when it leaves, except those of a degenerate row, which
+    :func:`iterate` never validates either.  Each row gets the labels of
+    :func:`classify_regime`.
+    """
+    count = len(states)
+    final = states.copy()
+    rounds = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    degenerate = np.zeros(count, dtype=bool)
+    live = np.arange(count)
+    v, q = states, tensors
+    pending: list[np.ndarray] = []
+    for n in range(1, max_rounds + 1):
+        new, keep = _round(v, q)
+        settled = np.abs(new - v).max(axis=1) < fixpoint_tol
+        stuck = keep < KEEP_PROBABILITY_FLOOR
+        done = settled | stuck if n < max_rounds else np.ones(len(live), dtype=bool)
+        pending.append(new)
+        leaving = done.any()
+        if leaving or len(pending) == _CHECK_EVERY:
+            block = np.array(pending)[:, ~stuck]
+            if block.size:
+                _checked_rows(block)
+            pending = []
+        if not leaving:
+            v = new
+            continue
+        gone = live[done]
+        rounds[gone] = n
+        converged[gone] = settled[done]
+        degenerate[gone] = stuck[done]
+        final[gone] = np.clip(new[done], 0.0, None)
+        stay = ~done
+        v, q, live = new[stay], q[stay], live[stay]
+        if not len(live):
+            break
+
+    f_max, cond_limit = phi_plus_weight(final), flag_match_weight(final)
+    reports = []
+    for k, f0 in enumerate(phi_plus_weight(states).tolist()):
+        if degenerate[k]:
+            reports.append(RegimeReport(
+                Regime.NO_PURIFICATION, math.nan, math.nan, 0, False, f0, degenerate=True
+            ))
+            continue
+        purifies = f_max[k] > DEPOLARIZED_FIDELITY + purify_margin
+        if purifies and (1.0 - cond_limit[k]) < secure_tol:
+            regime = Regime.PURIFY_SECURE
+        elif purifies:
+            regime = Regime.PURIFY_INSECURE
+        else:
+            regime = Regime.NO_PURIFICATION
+        reports.append(RegimeReport(
+            regime, float(f_max[k]), float(cond_limit[k]), int(rounds[k]), bool(converged[k]), f0
+        ))
+    return reports
+
+
 def classify_regime(
     noise: NoiseModel,
     initial: SubensembleState,
@@ -409,26 +518,17 @@ def classify_regime(
     mislabel a large purifying band; the collapse gap is ~0.5 and makes
     this criterion sharp.)  Secure additionally requires the conditional
     fidelity to reach 1 within ``secure_tol``.  A degenerate round maps
-    to NO_PURIFICATION.
+    to NO_PURIFICATION.  This is a batch of one row.
     """
-    f0 = fidelity(initial)
-    try:
-        traj = iterate(initial, noise, max_rounds, fixpoint_tol, placement)
-    except DegenerateRoundError:
-        return RegimeReport(
-            Regime.NO_PURIFICATION, float("nan"), float("nan"), 0, False, f0, degenerate=True
-        )
-    f_max = traj.limiting_fidelity
-    cond_limit = traj.limiting_conditional_fidelity
-    purifies = f_max > DEPOLARIZED_FIDELITY + purify_margin
-    secure = purifies and (1.0 - cond_limit) < secure_tol
-    if secure:
-        regime = Regime.PURIFY_SECURE
-    elif purifies:
-        regime = Regime.PURIFY_INSECURE
-    else:
-        regime = Regime.NO_PURIFICATION
-    return RegimeReport(regime, f_max, cond_limit, traj.rounds, traj.converged, f0)
+    (report,) = _classify_rows(
+        initial.p.reshape(1, 16),
+        round_tensor(noise, placement)[None],
+        secure_tol,
+        purify_margin,
+        max_rounds,
+        fixpoint_tol,
+    )
+    return report
 
 
 @dataclass
@@ -437,7 +537,8 @@ class ThresholdScan:
 
     ``f_purify`` and ``f_secure`` are bracket midpoints; either may be
     None when the corresponding boundary lies outside the scanned range
-    (the other one is then still valid).
+    (the other one is then still valid).  When both are None the two
+    ends share a regime and nothing is bracketed (see :attr:`found`).
     """
 
     f_purify: float | None
@@ -448,6 +549,18 @@ class ThresholdScan:
     lo: float
     hi: float
     bisect_tol: float
+
+    @property
+    def found(self) -> bool:
+        """Whether the two ends differ in regime, so that some boundary is bracketed."""
+        return self.purify_bracket is not None or self.secure_bracket is not None
+
+    def require_found(self) -> "ThresholdScan":
+        """Return the scan, or raise :class:`NoThresholdError` when nothing is bracketed."""
+        if not self.found:
+            regime = self.evaluations[0][1]
+            raise NoThresholdError(f"regime {regime} at both ends of [{self.lo}, {self.hi}]")
+        return self
 
     def as_dict(self) -> dict:
         return {
@@ -461,9 +574,111 @@ class ThresholdScan:
         }
 
 
+def _purifies(regime: Regime) -> bool:
+    return regime != Regime.NO_PURIFICATION
+
+
+def _secure(regime: Regime) -> bool:
+    return regime == Regime.PURIFY_SECURE
+
+
+@dataclass
+class _Chain:
+    """The bisection of one monotone predicate for one initial state."""
+
+    state: int
+    predicate: Callable[[Regime], bool]
+    at_hi: bool
+    a: float
+    b: float
+    trace: list[tuple[float, str]] = field(default_factory=list)
+
+
+def scan_thresholds(
+    family: Callable[[float], NoiseModel],
+    initials: Sequence[SubensembleState],
+    *,
+    lo: float,
+    hi: float,
+    bisect_tol: float,
+    secure_tol: float,
+    purify_margin: float,
+    max_rounds: int,
+    placement: str,
+    fixpoint_tol: float,
+) -> list[ThresholdScan]:
+    """Bisect the thresholds of several initial states at once, one scan each.
+
+    The keyword settings are those of :func:`find_thresholds`.  Every
+    bisection chain (one threshold of one initial state) advances in
+    lockstep: each step classifies the next midpoint of every open chain
+    in one batch (:func:`_classify_rows`).  A parameter already
+    classified for the same initial state is looked up, not iterated
+    again; it is still recorded in that chain's evaluations.  A scan
+    whose two ends share a regime brackets nothing (see
+    :attr:`ThresholdScan.found`).
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    # a zero, negative or NaN tolerance would never end (or skip) the bisection
+    if not 0.0 < bisect_tol < math.inf:
+        raise ValueError(f"bisect_tol must be positive and finite, got {bisect_tol}")
+    known: list[dict[float, Regime]] = [{} for _ in initials]
+
+    def classify(requests: list[tuple[int, float]]) -> None:
+        """Classify the (initial state, parameter) requests not yet known, as one batch."""
+        todo = [(k, x) for k, x in dict.fromkeys(requests) if x not in known[k]]
+        if not todo:
+            return
+        parameters = dict.fromkeys(x for _, x in todo)
+        tensors = {x: round_tensor(family(x), placement) for x in parameters}
+        reports = _classify_rows(
+            np.array([initials[k].p.ravel() for k, _ in todo]),
+            np.array([tensors[x] for _, x in todo]),
+            secure_tol,
+            purify_margin,
+            max_rounds,
+            fixpoint_tol,
+        )
+        for (k, x), report in zip(todo, reports):
+            known[k][x] = report.regime
+
+    classify([(k, x) for k in range(len(initials)) for x in (lo, hi)])
+    chains: list[list[_Chain | None]] = []
+    for k, regimes in enumerate(known):
+        ends = regimes[lo], regimes[hi]
+        chains.append([
+            _Chain(k, predicate, predicate(ends[1]), lo, hi)
+            if predicate(ends[0]) != predicate(ends[1]) else None
+            for predicate in (_purifies, _secure)
+        ])
+
+    open_chains = [c for pair in chains for c in pair if c is not None]
+    while open_chains := [c for c in open_chains if c.b - c.a > bisect_tol]:
+        mids = [0.5 * (c.a + c.b) for c in open_chains]
+        classify([(c.state, mid) for c, mid in zip(open_chains, mids)])
+        for chain, mid in zip(open_chains, mids):
+            regime = known[chain.state][mid]
+            chain.trace.append((mid, regime.value))
+            if chain.predicate(regime) == chain.at_hi:
+                chain.b = mid
+            else:
+                chain.a = mid
+
+    scans = []
+    for regimes, pair in zip(known, chains):
+        brackets = [None if chain is None else (chain.a, chain.b) for chain in pair]
+        midpoints = [None if bracket is None else 0.5 * sum(bracket) for bracket in brackets]
+        evaluations = [(lo, regimes[lo].value), (hi, regimes[hi].value)]
+        evaluations += [e for chain in pair if chain is not None for e in chain.trace]
+        scans.append(ThresholdScan(*midpoints, *brackets, evaluations, lo, hi, bisect_tol))
+    return scans
+
+
 def find_thresholds(
     family: Callable[[float], NoiseModel],
     initial: SubensembleState,
+    *,
     lo: float = 0.88,
     hi: float = 0.92,
     bisect_tol: float = 1e-5,
@@ -476,59 +691,32 @@ def find_thresholds(
     """Bisect the purification and security boundaries of a noise family.
 
     ``family`` maps a parameter in [lo, hi] to a noise model and must be
-    monotone (larger parameter = cleaner operations).  Raises
+    monotone (larger parameter = cleaner operations).  Both ends are
+    classified first; then the purification chain (regime leaves
+    NO_PURIFICATION) and the security chain (regime becomes
+    PURIFY_SECURE) bisect in lockstep, each step classifying both
+    midpoints in one batch, as :func:`scan_thresholds` does for one
+    initial state.  The two chains share their first midpoints until one
+    lands in the insecure band; a shared midpoint is classified once and
+    recorded in both chains.  ``evaluations`` lists the ends, then the
+    purification chain, then the security chain.  Raises
     :class:`NoThresholdError` when both endpoints classify into the same
-    regime, since no boundary is bracketed at all.
+    regime, since no boundary is bracketed at all.  These keyword
+    defaults are the defaults of every threshold scan.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    # a zero, negative or NaN tolerance would never end (or skip) the bisection
-    if not 0.0 < bisect_tol < math.inf:
-        raise ValueError(f"bisect_tol must be positive and finite, got {bisect_tol}")
-    evaluations: list[tuple[float, str]] = []
-
-    def regime_at(x: float) -> Regime:
-        report = classify_regime(
-            family(x),
-            initial,
-            secure_tol=secure_tol,
-            purify_margin=purify_margin,
-            max_rounds=max_rounds,
-            fixpoint_tol=fixpoint_tol,
-            placement=placement,
-        )
-        evaluations.append((x, report.regime.value))
-        return report.regime
-
-    regime_lo = regime_at(lo)
-    regime_hi = regime_at(hi)
-    if regime_lo == regime_hi:
-        raise NoThresholdError(
-            f"regime {regime_lo.value} at both ends of [{lo}, {hi}]"
-        )
-
-    def bisect(predicate: Callable[[Regime], bool]) -> tuple[float, float] | None:
-        """Bracket the flip of a monotone predicate; None when not bracketed."""
-        at_lo = predicate(regime_lo)
-        at_hi = predicate(regime_hi)
-        if at_lo == at_hi:
-            return None
-        a, b = lo, hi
-        while b - a > bisect_tol:
-            mid = 0.5 * (a + b)
-            if predicate(regime_at(mid)) == at_hi:
-                b = mid
-            else:
-                a = mid
-        return a, b
-
-    purify_bracket = bisect(lambda r: r != Regime.NO_PURIFICATION)
-    secure_bracket = bisect(lambda r: r == Regime.PURIFY_SECURE)
-    f_purify = None if purify_bracket is None else 0.5 * sum(purify_bracket)
-    f_secure = None if secure_bracket is None else 0.5 * sum(secure_bracket)
-    return ThresholdScan(
-        f_purify, f_secure, purify_bracket, secure_bracket, evaluations, lo, hi, bisect_tol
+    (scan,) = scan_thresholds(
+        family,
+        [initial],
+        lo=lo,
+        hi=hi,
+        bisect_tol=bisect_tol,
+        secure_tol=secure_tol,
+        purify_margin=purify_margin,
+        max_rounds=max_rounds,
+        placement=placement,
+        fixpoint_tol=fixpoint_tol,
     )
+    return scan.require_found()
 
 
 def scan_werner_grid(
@@ -537,12 +725,12 @@ def scan_werner_grid(
     flag_mode: str = "fixed",
     **kwargs,
 ) -> dict[float, ThresholdScan | None]:
-    """Thresholds over a grid of Werner inputs; None marks no-threshold."""
-    results: dict[float, ThresholdScan | None] = {}
-    for fid in fidelities:
-        initial = SubensembleState.werner(fid, flag_mode=flag_mode)
-        try:
-            results[fid] = find_thresholds(family, initial, **kwargs)
-        except NoThresholdError:
-            results[fid] = None
-    return results
+    """Thresholds over a grid of Werner inputs, all in one :func:`scan_thresholds` batch.
+
+    ``kwargs`` are keyword settings of :func:`find_thresholds`, with its
+    defaults for the rest.  None marks a fidelity with no threshold.
+    """
+    settings = {**find_thresholds.__kwdefaults__, **kwargs}
+    initials = [SubensembleState.werner(fid, flag_mode=flag_mode) for fid in fidelities]
+    scans = scan_thresholds(family, initials, **settings)
+    return {fid: scan if scan.found else None for fid, scan in zip(fidelities, scans)}

@@ -190,6 +190,36 @@ def test_mc_trajectory_bytes_are_pinned(tmp_path, doc, fmt, digest, rounds, surv
     assert (metadata["rounds"], metadata["final_survivors"]) == (rounds, survivors)
 
 
+#: Uniform family, noise between rotation and CNOT, uniformly random input
+#: flags; the Werner 0.4 grid row purifies at neither end, so it has no threshold.
+BCNOT_SCAN = {
+    "noise": {"family": "uniform", "f00": 0.97},
+    "initial": {"flag_mode": "random"},
+    "placement": "before_bcnot",
+    "scan": {"family": "uniform", "lo": 0.8, "hi": 0.95, "bisect_tol": 1e-3,
+             "werner_grid": [0.4, 0.6], "max_rounds": 500},
+}
+
+PINNED_SCANS = [
+    # (config, SHA-256 of thresholds.json, SHA-256 of scan_points.csv)
+    ({"noise": {"family": "product", "f0": 0.97}},
+     "3940b72d837d40bd4e1fe3c6441132ffa002d8912cf69426a1d0df47b5c2daa0",
+     "0609e3fea93efb9a92f7004667754cfd942da224a0d548d42417119f699a0142"),
+    (BCNOT_SCAN,
+     "3d0d3fe0cfb034282c0195a8c4a61bc294f00d1533637d01cc7c9a18e81efdb5",
+     "b1f5e13ef9796c27c1ae283e1affdcc0e4db3c6e24e43891b973804bc450b736"),
+]
+
+
+@pytest.mark.parametrize("doc, thresholds, points", PINNED_SCANS, ids=["product", "bcnot-uniform"])
+def test_scan_bytes_are_pinned(tmp_path, doc, thresholds, points):
+    path = write_config(tmp_path, doc)
+    assert run(["scan", "--config", path], tmp_path / "out") == 0
+    out = tmp_path / "out"
+    assert hashlib.sha256((out / "thresholds.json").read_bytes()).hexdigest() == thresholds
+    assert hashlib.sha256((out / "scan_points.csv").read_bytes()).hexdigest() == points
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency: no command may need it
     code = "import sys, qpurify.cli; sys.exit('scipy' in sys.modules)"

@@ -1,5 +1,7 @@
 """Round map, fixpoint iteration, regimes, thresholds."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from qpurify.recurrence import (
     BEFORE_BCNOT,
     BEFORE_ROTATION,
     Regime,
+    RegimeReport,
     SubensembleState,
     classify_regime,
     conditional_fidelity,
@@ -388,6 +391,109 @@ class TestClassifyRegime:
         assert report.regime == Regime.PURIFY_SECURE
 
 
+def serial_report(noise, initial, max_rounds, placement, secure_tol=1e-6, purify_margin=1e-4,
+                  fixpoint_tol=1e-12):
+    """One row classified on its own: ``iterate``, then the labels of ``classify_regime``."""
+    f0 = fidelity(initial)
+    try:
+        traj = iterate(initial, noise, max_rounds, fixpoint_tol, placement)
+    except DegenerateRoundError:
+        return RegimeReport(Regime.NO_PURIFICATION, math.nan, math.nan, 0, False, f0, degenerate=True)
+    f_max = traj.limiting_fidelity
+    cond_limit = traj.limiting_conditional_fidelity
+    purifies = f_max > 0.25 + purify_margin
+    if purifies and 1.0 - cond_limit < secure_tol:
+        regime = Regime.PURIFY_SECURE
+    elif purifies:
+        regime = Regime.PURIFY_INSECURE
+    else:
+        regime = Regime.NO_PURIFICATION
+    return RegimeReport(regime, f_max, cond_limit, traj.rounds, traj.converged, f0)
+
+
+def x_flip_noise():
+    f = np.zeros(16)
+    f[PauliIndex.X] = 1.0
+    return NoiseModel(f)
+
+
+#: (noise, initial state, placement) rows of one batch, with what each shows
+#: at 400 rounds.
+BATCH_ROWS = [
+    # secure in 24 rounds
+    (NoiseModel.from_one_qubit_depolarizing(0.97), SubensembleState.werner(0.85), BEFORE_ROTATION),
+    # keep probability 0 in round 1: degenerate
+    (x_flip_noise(), SubensembleState.from_bell_probs([1, 0, 0, 0]), BEFORE_ROTATION),
+    # still moving at the cap
+    (NoiseModel.from_one_qubit_depolarizing(0.8986), SubensembleState.werner(0.85), BEFORE_ROTATION),
+    # collapses to the depolarized state in 35 rounds
+    (NoiseModel.from_one_qubit_depolarizing(0.80), SubensembleState.werner(0.85), BEFORE_ROTATION),
+    # a fixpoint: converges in round 1
+    (NoiseModel.identity(), SubensembleState.from_bell_probs([1, 0, 0, 0]), BEFORE_ROTATION),
+    # insecure in 41 rounds
+    (NoiseModel.from_uniform_residual(0.9), SubensembleState.werner(0.85, flag_mode="random"),
+     BEFORE_BCNOT),
+]
+
+
+class TestBatchedClassification:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_rounds", [0, 1, 400])
+    def test_batch_matches_each_row_classified_alone(self, max_rounds):
+        states = np.array([initial.p.ravel() for _, initial, _ in BATCH_ROWS])
+        tensors = np.array([recurrence.round_tensor(noise, placement) for noise, _, placement in BATCH_ROWS])
+        batch = recurrence._classify_rows(states, tensors, 1e-6, 1e-4, max_rounds, 1e-12)
+        expected = [serial_report(noise, initial, max_rounds, placement)
+                    for noise, initial, placement in BATCH_ROWS]
+
+        def fields(report):
+            # repr compares floats bit for bit and NaN equal to NaN
+            return (report.regime, repr(report.f_max), repr(report.conditional_limit), report.rounds,
+                    report.converged, report.degenerate, repr(report.initial_fidelity))
+
+        assert [fields(r) for r in batch] == [fields(r) for r in expected]
+        if max_rounds == 400:
+            assert [(r.regime, r.rounds, r.converged, r.degenerate) for r in batch] == [
+                (Regime.PURIFY_SECURE, 24, True, False),
+                (Regime.NO_PURIFICATION, 0, False, True),
+                (Regime.PURIFY_INSECURE, 400, False, False),
+                (Regime.NO_PURIFICATION, 35, True, False),
+                (Regime.PURIFY_SECURE, 1, True, False),
+                (Regime.PURIFY_INSECURE, 41, True, False),
+            ]
+
+    def test_non_finite_rows_fail_at_the_first_check_block(self, monkeypatch):
+        rounds = []
+        real = recurrence._round
+
+        def counting(states, tensors):
+            rounds.append(len(states))
+            return real(states, tensors)
+
+        monkeypatch.setattr(recurrence, "_round", counting)
+        tensors = np.full((2, 256, 17), np.nan)
+        states = np.tile(SubensembleState.werner(0.85).p.ravel(), (2, 1))
+        with pytest.raises(ValueError, match="NaN"):
+            recurrence._classify_rows(states, tensors, 1e-6, 1e-4, 10_000, 1e-12)
+        assert rounds == [2] * recurrence._CHECK_EVERY
+
+    def test_shared_midpoints_are_classified_once(self, monkeypatch):
+        classified = []
+        real = recurrence._classify_rows
+
+        def counting(states, *args):
+            classified.append(len(states))
+            return real(states, *args)
+
+        monkeypatch.setattr(recurrence, "_classify_rows", counting)
+        scan = find_thresholds(NoiseModel.from_one_qubit_depolarizing, SubensembleState.werner(0.85),
+                               lo=0.895, hi=0.905, bisect_tol=1e-3, max_rounds=500)
+        # both chains' evaluations are recorded, but each parameter is iterated once
+        assert len(scan.evaluations) > len({x for x, _ in scan.evaluations}) == sum(classified)
+        # ends first, then one batch per bisection step, both chains in lockstep
+        assert classified[0] == 2 and len(classified) == 1 + 4
+
+
 class TestThresholds:
     def test_product_family_brackets_reference_interval(self):
         scan = find_thresholds(
@@ -466,9 +572,9 @@ class TestThresholds:
         # a zero or negative tolerance never ends the loop once the bracket
         # reaches adjacent doubles, and a NaN one skips the bisection
         def no_evaluation(*args, **kwargs):
-            raise AssertionError("classified a noise model before checking bisect_tol")
+            raise AssertionError("built a round tensor before checking bisect_tol")
 
-        monkeypatch.setattr(recurrence, "classify_regime", no_evaluation)
+        monkeypatch.setattr(recurrence, "round_tensor", no_evaluation)
         with pytest.raises(ValueError, match="bisect_tol must be positive and finite"):
             find_thresholds(
                 NoiseModel.from_one_qubit_depolarizing,
