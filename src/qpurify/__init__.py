@@ -31,7 +31,6 @@ from .recurrence import (
     iterate,
     one_round,
     scan_thresholds,
-    scan_werner_grid,
 )
 
 __version__ = "0.1.0"
@@ -57,7 +56,6 @@ __all__ = [
     "classify_regime",
     "find_thresholds",
     "scan_thresholds",
-    "scan_werner_grid",
     "BEFORE_ROTATION",
     "BEFORE_BCNOT",
     "QpurifyError",

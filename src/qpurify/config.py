@@ -195,7 +195,8 @@ class ScanSettings:
     """Threshold-scan settings.
 
     Every setting but ``family`` and ``werner_grid`` is the
-    :func:`~qpurify.recurrence.find_thresholds` parameter of that name.
+    :func:`~qpurify.recurrence.scan_thresholds` parameter of that name,
+    with the same default.
     """
 
     family: str = _key("product", _choice, choices=_SCAN_FAMILIES)

@@ -34,21 +34,26 @@ the probability that control category ``i`` and target category ``j``
 land in each output cell (the last column is :data:`DISCARDED`).  A
 round is then one vector-matrix product, ``outer(v, v).ravel() @ Q``,
 followed by renormalization.  The one round step, :func:`_round`,
-applies that product to a stack of rows, each against its own ``Q``;
-:func:`one_round` and :func:`iterate` pass it a single row.
+applies that product to a stack of rows, each against its own ``Q``.
+
+One loop runs every fixpoint iteration: :func:`_lockstep` advances a
+batch of rows one round per Python step, owns the stop rule (the change
+drops below ``fixpoint_tol``, the keep probability falls below
+:data:`KEEP_PROBABILITY_FLOOR`, or ``max_rounds`` is reached) and
+validates the rows it produced every :data:`_CHECK_EVERY` rounds and
+when a row stops.  :func:`iterate` is a batch of one that records every
+round, :func:`one_round` is an :func:`iterate` of one round, and
+:func:`classify_regime` labels the row that leaves a batch of one.
 
 Thresholds are found by bisection.  A threshold scan
 (:func:`scan_thresholds`) runs one bisection chain per threshold
 (purification, security) per initial state, and advances all of its
 chains in lockstep: each step classifies the pending midpoint of every
-open chain as one batch, every row of which advances one round per
-Python step and leaves the batch when it stops.  Each initial state
-keeps a table of the parameters it has classified, so a midpoint that
-both of its chains reach (their first ones coincide until one of them
-lands in the insecure band) is iterated once.
-:func:`classify_regime`, :func:`find_thresholds` and
-:func:`scan_werner_grid` are such batches over one row, one initial
-state and a grid of Werner inputs.
+open chain as one batch.  Each initial state keeps a table of the
+parameters it has classified, so a midpoint that both of its chains
+reach (their first ones coincide until one of them lands in the
+insecure band) is iterated once.  :func:`find_thresholds` is a scan of
+one initial state.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,7 +95,6 @@ __all__ = [
     "ThresholdScan",
     "scan_thresholds",
     "find_thresholds",
-    "scan_werner_grid",
 ]
 
 BEFORE_ROTATION = "before_rotation"
@@ -191,17 +195,6 @@ def _round(states: np.ndarray, tensors: np.ndarray) -> tuple[np.ndarray, np.ndar
     return kept / np.maximum(keep, KEEP_PROBABILITY_FLOOR)[:, None], keep
 
 
-def _step(v: np.ndarray, tensor: np.ndarray) -> tuple[np.ndarray, float]:
-    """One round on a flat 16-vector: the renormalized output and the keep probability."""
-    new, keep = _round(v[None], tensor[None])
-    keep = float(keep[0])
-    if keep < KEEP_PROBABILITY_FLOOR:
-        raise DegenerateRoundError(
-            f"keep probability {keep:.3e} below {KEEP_PROBABILITY_FLOOR:.0e}"
-        )
-    return new[0], keep
-
-
 def _checked_rows(rows: np.ndarray) -> np.ndarray:
     """Validate rows of sixteen coefficients as distributions; return them clipped at 0.
 
@@ -218,6 +211,65 @@ def _checked_rows(rows: np.ndarray) -> np.ndarray:
         worst = float(rows.reshape(-1, 16)[deviation.argmax()].sum())
         raise ValueError(f"state coefficients sum to {worst!r}, not 1")
     return rows
+
+
+#: The lockstep loop validates the rows it produced every this many rounds,
+#: so the rows it holds for that are bounded by the block, not by ``max_rounds``.
+_CHECK_EVERY = 64
+
+
+class _Stop(NamedTuple):
+    """The rows of a lockstep batch that stop at one round."""
+
+    rows: np.ndarray  # their indices into the batch
+    rounds: int  # the rounds each of them ran
+    last: np.ndarray  # their last outputs, unclipped
+    converged: np.ndarray  # whether each one's change dropped below ``fixpoint_tol``
+    degenerate: np.ndarray  # whether each one's keep probability fell below the floor
+
+
+def _lockstep(
+    states: np.ndarray, tensors: np.ndarray, max_rounds: int, fixpoint_tol: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, _Stop | None]]:
+    """Iterate a batch of rows in lockstep, one round per step, until each stops.
+
+    Row ``k`` starts at ``states[k]`` and advances under ``tensors[k]``.
+    It stops when its sup-norm change drops below ``fixpoint_tol``, when
+    its keep probability falls below :data:`KEEP_PROBABILITY_FLOOR` (it
+    is degenerate, and its last output unnormalized), or when it has run
+    ``max_rounds`` rounds.  Every round yields ``(new, keep, change,
+    stop)`` for the rows still running: their outputs, keep
+    probabilities and changes, and a :class:`_Stop` for those that stop
+    at this round (None when none does).  The rows produced are
+    validated like :class:`SubensembleState` every :data:`_CHECK_EVERY`
+    rounds and at every stop, except those of a row that stops
+    degenerate.
+    """
+    live = np.arange(len(states))
+    v, q = states, tensors
+    pending: list[np.ndarray] = []
+    for n in range(1, max_rounds + 1):
+        new, keep = _round(v, q)
+        change = np.abs(new - v).max(axis=1)
+        settled = change < fixpoint_tol
+        stuck = keep < KEEP_PROBABILITY_FLOOR
+        done = settled | stuck if n < max_rounds else np.ones(len(live), dtype=bool)
+        pending.append(new)
+        leaving = done.any()
+        if leaving or len(pending) == _CHECK_EVERY:
+            block = np.array(pending)[:, ~stuck]
+            if block.size:
+                _checked_rows(block)
+            pending = []
+        if not leaving:
+            yield new, keep, change, None
+            v = new
+            continue
+        yield new, keep, change, _Stop(live[done], n, new[done], settled[done], stuck[done])
+        stay = ~done
+        v, q, live = new[stay], q[stay], live[stay]
+        if not len(live):
+            return
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,10 +370,10 @@ def one_round(
     probability falls below ``KEEP_PROBABILITY_FLOOR``: the conditional
     state is then undefined.  (This is reachable, e.g. a channel that
     always flips exactly one pair's amplitude makes every measurement
-    anti-coincide.)
+    anti-coincide.)  This is an :func:`iterate` of one round.
     """
-    v, keep = _step(state.p.ravel(), round_tensor(noise, placement))
-    return SubensembleState(v), keep
+    trajectory = iterate(state, noise, max_rounds=1, fixpoint_tol=0.0, placement=placement)
+    return SubensembleState(trajectory.coefficients[1]), float(trajectory.keeps[1])
 
 
 @dataclass
@@ -382,25 +434,25 @@ def iterate(
     Convergence means the sup-norm change of the sixteen coefficients
     drops below ``fixpoint_tol``.  The trajectory always starts with a
     round-0 record of the input state (keep probability 1 by convention).
-    The round tensor is built once and each round advances a bare
-    16-vector; the rows are validated like :class:`SubensembleState`
-    once the iteration stops.
+    The iteration is a :func:`_lockstep` batch of one row that records
+    every round; its rows are validated like :class:`SubensembleState`
+    every 64 rounds (:data:`_CHECK_EVERY`) and when it stops, and are
+    recorded clipped at 0.  Raises :class:`DegenerateRoundError` at a
+    round whose keep probability falls below ``KEEP_PROBABILITY_FLOOR``.
     """
-    tensor = round_tensor(noise, placement)
-    v = state.p.ravel()
-    rows, keeps = [v], [1.0]
-    converged = False
-    change = np.inf
-    for _ in range(max_rounds):
-        new, keep = _step(v, tensor)
-        change = float(np.abs(new - v).max())
-        rows.append(new)
-        keeps.append(keep)
-        v = new
-        if change < fixpoint_tol:
-            converged = True
-            break
-    return Trajectory(_checked_rows(np.array(rows)), np.array(keeps), converged, change)
+    rows, keeps = [state.p.ravel()], [1.0]
+    converged, change = False, math.inf
+    tensors = round_tensor(noise, placement)[None]
+    for new, keep, changes, stop in _lockstep(rows[0][None], tensors, max_rounds, fixpoint_tol):
+        if stop is not None and stop.degenerate[0]:
+            raise DegenerateRoundError(
+                f"keep probability {keep[0]:.3e} below {KEEP_PROBABILITY_FLOOR:.0e}"
+            )
+        rows.append(new[0])
+        keeps.append(float(keep[0]))
+        change = float(changes[0])
+        converged = stop is not None and bool(stop.converged[0])
+    return Trajectory(np.clip(np.array(rows), 0.0, None), np.array(keeps), converged, change)
 
 
 class Regime(str, Enum):
@@ -420,11 +472,6 @@ class RegimeReport:
     degenerate: bool = False
 
 
-#: A batched classification validates the rows it produced every this many rounds,
-#: so the rows it holds for that are bounded by the block, not by ``max_rounds``.
-_CHECK_EVERY = 64
-
-
 def _classify_rows(
     states: np.ndarray,
     tensors: np.ndarray,
@@ -433,50 +480,22 @@ def _classify_rows(
     max_rounds: int,
     fixpoint_tol: float,
 ) -> list[RegimeReport]:
-    """Classify a batch of rows, every row advancing one round per step.
+    """Classify a :func:`_lockstep` batch by the rows that leave it.
 
-    Row ``k`` iterates the input ``states[k]`` under the round tensor
-    ``tensors[k]`` with the stop rule of :func:`iterate`, and leaves the
-    batch when its change drops below ``fixpoint_tol``, when it has run
-    ``max_rounds`` rounds, or when its keep probability falls below
-    :data:`KEEP_PROBABILITY_FLOOR`.  The rounds of a row are validated
-    like :class:`SubensembleState` every :data:`_CHECK_EVERY` rounds and
-    when it leaves, except those of a degenerate row, which
-    :func:`iterate` never validates either.  Each row gets the labels of
-    :func:`classify_regime`.
+    Row ``k`` iterates ``states[k]`` under ``tensors[k]``; its clipped
+    last row gets the labels of :func:`classify_regime`.
     """
     count = len(states)
     final = states.copy()
     rounds = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     degenerate = np.zeros(count, dtype=bool)
-    live = np.arange(count)
-    v, q = states, tensors
-    pending: list[np.ndarray] = []
-    for n in range(1, max_rounds + 1):
-        new, keep = _round(v, q)
-        settled = np.abs(new - v).max(axis=1) < fixpoint_tol
-        stuck = keep < KEEP_PROBABILITY_FLOOR
-        done = settled | stuck if n < max_rounds else np.ones(len(live), dtype=bool)
-        pending.append(new)
-        leaving = done.any()
-        if leaving or len(pending) == _CHECK_EVERY:
-            block = np.array(pending)[:, ~stuck]
-            if block.size:
-                _checked_rows(block)
-            pending = []
-        if not leaving:
-            v = new
-            continue
-        gone = live[done]
-        rounds[gone] = n
-        converged[gone] = settled[done]
-        degenerate[gone] = stuck[done]
-        final[gone] = np.clip(new[done], 0.0, None)
-        stay = ~done
-        v, q, live = new[stay], q[stay], live[stay]
-        if not len(live):
-            break
+    for _, _, _, stop in _lockstep(states, tensors, max_rounds, fixpoint_tol):
+        if stop is not None:
+            rounds[stop.rows] = stop.rounds
+            converged[stop.rows] = stop.converged
+            degenerate[stop.rows] = stop.degenerate
+            final[stop.rows] = np.clip(stop.last, 0.0, None)
 
     f_max, cond_limit = phi_plus_weight(final), flag_match_weight(final)
     reports = []
@@ -598,25 +617,29 @@ def scan_thresholds(
     family: Callable[[float], NoiseModel],
     initials: Sequence[SubensembleState],
     *,
-    lo: float,
-    hi: float,
-    bisect_tol: float,
-    secure_tol: float,
-    purify_margin: float,
-    max_rounds: int,
-    placement: str,
-    fixpoint_tol: float,
+    lo: float = 0.88,
+    hi: float = 0.92,
+    bisect_tol: float = 1e-5,
+    secure_tol: float = 1e-6,
+    purify_margin: float = 1e-4,
+    max_rounds: int = 3000,
+    placement: str = BEFORE_ROTATION,
+    fixpoint_tol: float = 1e-12,
 ) -> list[ThresholdScan]:
-    """Bisect the thresholds of several initial states at once, one scan each.
+    """Bisect the purification and security boundaries of several initial states, one scan each.
 
-    The keyword settings are those of :func:`find_thresholds`.  Every
-    bisection chain (one threshold of one initial state) advances in
-    lockstep: each step classifies the next midpoint of every open chain
-    in one batch (:func:`_classify_rows`).  A parameter already
-    classified for the same initial state is looked up, not iterated
-    again; it is still recorded in that chain's evaluations.  A scan
-    whose two ends share a regime brackets nothing (see
-    :attr:`ThresholdScan.found`).
+    ``family`` maps a parameter in [lo, hi] to a noise model and must be
+    monotone (larger parameter = cleaner operations).  Both ends are
+    classified first; then, for every initial state, the purification
+    chain (regime leaves NO_PURIFICATION) and the security chain (regime
+    becomes PURIFY_SECURE) bisect.  Every chain advances in lockstep:
+    each step classifies the next midpoint of every open chain in one
+    batch (:func:`_classify_rows`).  A parameter already classified for
+    the same initial state is looked up, not iterated again; it is still
+    recorded in that chain's evaluations, which list the ends, then the
+    purification chain, then the security chain.  A scan whose two ends
+    share a regime brackets nothing (see :attr:`ThresholdScan.found`).
+    These keyword defaults are the defaults of every threshold scan.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -676,61 +699,12 @@ def scan_thresholds(
 
 
 def find_thresholds(
-    family: Callable[[float], NoiseModel],
-    initial: SubensembleState,
-    *,
-    lo: float = 0.88,
-    hi: float = 0.92,
-    bisect_tol: float = 1e-5,
-    secure_tol: float = 1e-6,
-    purify_margin: float = 1e-4,
-    max_rounds: int = 3000,
-    placement: str = BEFORE_ROTATION,
-    fixpoint_tol: float = 1e-12,
+    family: Callable[[float], NoiseModel], initial: SubensembleState, **settings
 ) -> ThresholdScan:
-    """Bisect the purification and security boundaries of a noise family.
+    """The :func:`scan_thresholds` scan of one initial state, with the same keyword settings.
 
-    ``family`` maps a parameter in [lo, hi] to a noise model and must be
-    monotone (larger parameter = cleaner operations).  Both ends are
-    classified first; then the purification chain (regime leaves
-    NO_PURIFICATION) and the security chain (regime becomes
-    PURIFY_SECURE) bisect in lockstep, each step classifying both
-    midpoints in one batch, as :func:`scan_thresholds` does for one
-    initial state.  The two chains share their first midpoints until one
-    lands in the insecure band; a shared midpoint is classified once and
-    recorded in both chains.  ``evaluations`` lists the ends, then the
-    purification chain, then the security chain.  Raises
-    :class:`NoThresholdError` when both endpoints classify into the same
-    regime, since no boundary is bracketed at all.  These keyword
-    defaults are the defaults of every threshold scan.
+    Raises :class:`NoThresholdError` when both endpoints classify into
+    the same regime, since no boundary is bracketed at all.
     """
-    (scan,) = scan_thresholds(
-        family,
-        [initial],
-        lo=lo,
-        hi=hi,
-        bisect_tol=bisect_tol,
-        secure_tol=secure_tol,
-        purify_margin=purify_margin,
-        max_rounds=max_rounds,
-        placement=placement,
-        fixpoint_tol=fixpoint_tol,
-    )
+    (scan,) = scan_thresholds(family, [initial], **settings)
     return scan.require_found()
-
-
-def scan_werner_grid(
-    family: Callable[[float], NoiseModel],
-    fidelities: Sequence[float] = (0.75, 0.85, 0.95),
-    flag_mode: str = "fixed",
-    **kwargs,
-) -> dict[float, ThresholdScan | None]:
-    """Thresholds over a grid of Werner inputs, all in one :func:`scan_thresholds` batch.
-
-    ``kwargs`` are keyword settings of :func:`find_thresholds`, with its
-    defaults for the rest.  None marks a fidelity with no threshold.
-    """
-    settings = {**find_thresholds.__kwdefaults__, **kwargs}
-    initials = [SubensembleState.werner(fid, flag_mode=flag_mode) for fid in fidelities]
-    scans = scan_thresholds(family, initials, **settings)
-    return {fid: scan if scan.found else None for fid, scan in zip(fidelities, scans)}

@@ -190,6 +190,39 @@ def test_mc_trajectory_bytes_are_pinned(tmp_path, doc, fmt, digest, rounds, surv
     assert (metadata["rounds"], metadata["final_survivors"]) == (rounds, survivors)
 
 
+#: Product family, noise between rotation and CNOT, uniformly random input
+#: flags; converges in 34 of its 500 rounds.
+BCNOT_ITERATE = {
+    "noise": {"family": "product", "f0": 0.95},
+    "initial": {"bell_probs": [0.8, 0.1, 0.05, 0.05], "flag_mode": "random"},
+    "placement": "before_bcnot",
+    "rounds": 500,
+}
+
+PINNED_ITERATIONS = [
+    # (config or preset, format, SHA-256 of the trajectory file, SHA-256 of metadata.json)
+    ("fig1", "csv", "79597df85668832b76435a86c8f8fbb3f897735b249daa00bcdbf20bfe5da595",
+     "f2309d54f4bfd38d7fb215e259c1cdab535c808048b02b4cfbbfb8556837dc9d"),
+    ("fig1", "json", "9462ee47456b00946e26e25f9188691b2057963f1b2e63b9f1221cfd4721aeeb",
+     "f2309d54f4bfd38d7fb215e259c1cdab535c808048b02b4cfbbfb8556837dc9d"),
+    (BCNOT_ITERATE, "csv", "1c549571251f57a5c28a711e66d51baccdeae21baef9979aab52ec95c28cc861",
+     "7f831d855a2ced664d7236fd323d8dc3a30314d9168267eeef800f2b10f7ff01"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, fmt, trajectory, metadata",
+    PINNED_ITERATIONS,
+    ids=["fig1-csv", "fig1-json", "bcnot-random-flags"],
+)
+def test_iterate_bytes_are_pinned(tmp_path, source, fmt, trajectory, metadata):
+    source = ["--preset", source] if isinstance(source, str) else ["--config", write_config(tmp_path, source)]
+    assert run(["iterate", *source, "--format", fmt], tmp_path / "out") == 0
+    out = tmp_path / "out"
+    assert hashlib.sha256((out / f"trajectory.{fmt}").read_bytes()).hexdigest() == trajectory
+    assert hashlib.sha256((out / "metadata.json").read_bytes()).hexdigest() == metadata
+
+
 #: Uniform family, noise between rotation and CNOT, uniformly random input
 #: flags; the Werner 0.4 grid row purifies at neither end, so it has no threshold.
 BCNOT_SCAN = {

@@ -8,7 +8,7 @@ import pytest
 
 from qpurify.config import PRESETS, ExperimentConfig, ScanSettings, load_config_file
 from qpurify.errors import ConfigError
-from qpurify.recurrence import find_thresholds
+from qpurify.recurrence import scan_thresholds
 
 PRODUCT = {"family": "product", "f0": 0.97}
 NAN = float("nan")
@@ -114,8 +114,9 @@ def test_effective_pins_every_default():
 
 
 def test_scan_defaults_are_the_find_thresholds_defaults():
-    # each ScanSettings field but family and werner_grid is a find_thresholds parameter
-    parameters = inspect.signature(find_thresholds).parameters
+    # each ScanSettings field but family and werner_grid is a scan_thresholds parameter;
+    # find_thresholds forwards its settings there, so these are its defaults too
+    parameters = inspect.signature(scan_thresholds).parameters
     for f in dataclasses.fields(ScanSettings):
         if f.name not in ("family", "werner_grid"):
             assert f.default == parameters[f.name].default, f.name

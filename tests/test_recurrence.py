@@ -22,7 +22,7 @@ from qpurify.recurrence import (
     find_thresholds,
     iterate,
     one_round,
-    scan_werner_grid,
+    scan_thresholds,
 )
 
 WERNER_085 = [0.85, 0.05, 0.05, 0.05]
@@ -85,11 +85,16 @@ def reference_round(v, noise, placement=BEFORE_ROTATION):
     weights = np.einsum("i,j,e->ije", v, v, noise.f.ravel())
     totals = np.bincount(table.ravel(), weights=weights.ravel(), minlength=17)
     keep = totals[:16].sum()
+    if keep < recurrence.KEEP_PROBABILITY_FLOOR:
+        raise DegenerateRoundError(f"keep probability {keep:.3e}")
     return totals[:16] / keep, keep
 
 
 def reference_iterate(state, noise, max_rounds, placement=BEFORE_ROTATION, tol=1e-12):
-    """Loop of reference rounds under the stop rule of ``iterate``."""
+    """Loop of reference rounds under the stop rule of ``iterate``.
+
+    Raises :class:`DegenerateRoundError` at a round that keeps nothing.
+    """
     v = state.p.ravel()
     rows, keeps = [v], [1.0]
     converged = False
@@ -289,6 +294,18 @@ class TestRoundTensor:
         monkeypatch.setattr(recurrence, "round_tensor", lambda noise, placement: np.full((256, 17), np.nan))
         with pytest.raises(ValueError, match="NaN"):
             iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=3)
+        # a long iteration fails at its first check block, not after running every round
+        rounds = []
+        real = recurrence._round
+
+        def counting(states, tensors):
+            rounds.append(len(states))
+            return real(states, tensors)
+
+        monkeypatch.setattr(recurrence, "_round", counting)
+        with pytest.raises(ValueError, match="NaN"):
+            iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=10**6)
+        assert 0 < len(rounds) <= recurrence._CHECK_EVERY
 
 
 class TestIterate:
@@ -393,14 +410,18 @@ class TestClassifyRegime:
 
 def serial_report(noise, initial, max_rounds, placement, secure_tol=1e-6, purify_margin=1e-4,
                   fixpoint_tol=1e-12):
-    """One row classified on its own: ``iterate``, then the labels of ``classify_regime``."""
+    """One row classified on its own: the reference loop, then the labels of ``classify_regime``.
+
+    Built on ``reference_iterate``, not on ``iterate``, so it shares no
+    loop with the batch it checks.
+    """
     f0 = fidelity(initial)
     try:
-        traj = iterate(initial, noise, max_rounds, fixpoint_tol, placement)
+        rows, _, converged = reference_iterate(initial, noise, max_rounds, placement, fixpoint_tol)
     except DegenerateRoundError:
         return RegimeReport(Regime.NO_PURIFICATION, math.nan, math.nan, 0, False, f0, degenerate=True)
-    f_max = traj.limiting_fidelity
-    cond_limit = traj.limiting_conditional_fidelity
+    last = SubensembleState(rows[-1])
+    f_max, cond_limit = fidelity(last), conditional_fidelity(last)
     purifies = f_max > 0.25 + purify_margin
     if purifies and 1.0 - cond_limit < secure_tol:
         regime = Regime.PURIFY_SECURE
@@ -408,7 +429,7 @@ def serial_report(noise, initial, max_rounds, placement, secure_tol=1e-6, purify
         regime = Regime.PURIFY_INSECURE
     else:
         regime = Regime.NO_PURIFICATION
-    return RegimeReport(regime, f_max, cond_limit, traj.rounds, traj.converged, f0)
+    return RegimeReport(regime, f_max, cond_limit, len(rows) - 1, converged, f0)
 
 
 def x_flip_noise():
@@ -446,12 +467,27 @@ class TestBatchedClassification:
         expected = [serial_report(noise, initial, max_rounds, placement)
                     for noise, initial, placement in BATCH_ROWS]
 
+        def labels(report):
+            return (report.regime, report.rounds, report.converged, report.degenerate,
+                    report.initial_fidelity)
+
+        def limits(reports):
+            return np.array([(r.f_max, r.conditional_limit) for r in reports])
+
+        assert [labels(r) for r in batch] == [labels(r) for r in expected]
+        # NaN on the degenerate row, on both sides
+        np.testing.assert_allclose(limits(batch), limits(expected), rtol=0, atol=1e-12)
+        alone = [
+            recurrence._classify_rows(states[k:k + 1], tensors[k:k + 1], 1e-6, 1e-4, max_rounds, 1e-12)[0]
+            for k in range(len(BATCH_ROWS))
+        ]
+
         def fields(report):
             # repr compares floats bit for bit and NaN equal to NaN
             return (report.regime, repr(report.f_max), repr(report.conditional_limit), report.rounds,
                     report.converged, report.degenerate, repr(report.initial_fidelity))
 
-        assert [fields(r) for r in batch] == [fields(r) for r in expected]
+        assert [fields(r) for r in batch] == [fields(r) for r in alone]
         if max_rounds == 400:
             assert [(r.regime, r.rounds, r.converged, r.degenerate) for r in batch] == [
                 (Regime.PURIFY_SECURE, 24, True, False),
@@ -545,17 +581,17 @@ class TestThresholds:
         assert scan.f_purify <= scan.f_secure
 
     def test_werner_grid(self):
-        grid = scan_werner_grid(
+        scans = scan_thresholds(
             NoiseModel.from_one_qubit_depolarizing,
-            fidelities=(0.85, 0.95),
+            [SubensembleState.werner(0.85), SubensembleState.werner(0.95)],
             lo=0.895,
             hi=0.905,
             bisect_tol=1e-4,
             max_rounds=2000,
         )
-        assert set(grid) == {0.85, 0.95}
-        for scan in grid.values():
-            assert scan is not None
+        assert len(scans) == 2
+        for scan in scans:
+            assert scan.found
             assert scan.f_purify == pytest.approx(0.8983, abs=1e-3)
 
     def test_rejects_inverted_range(self):
