@@ -34,26 +34,32 @@ the probability that control category ``i`` and target category ``j``
 land in each output cell (the last column is :data:`DISCARDED`).  A
 round is then one vector-matrix product, ``outer(v, v).ravel() @ Q``,
 followed by renormalization.  The one round step, :func:`_round`,
-applies that product to a stack of rows, each against its own ``Q``.
+applies that product to an array of rows, each against its own ``Q``.
 
 One loop runs every fixpoint iteration: :func:`_lockstep` advances a
-batch of rows one round per Python step, owns the stop rule (the change
-drops below ``fixpoint_tol``, the keep probability falls below
-:data:`KEEP_PROBABILITY_FLOOR`, or ``max_rounds`` is reached) and
-validates the rows it produced every :data:`_CHECK_EVERY` rounds and
-when a row stops.  :func:`iterate` is a batch of one that records every
-round, :func:`one_round` is an :func:`iterate` of one round, and
+batch of rows one round per Python step, into buffers allocated once per
+batch.  Rows that share a round tensor share one copy of it: the rows
+run in a grid with one line of slots per tensor.  Once per block of
+:data:`_CHECK_EVERY` rounds the loop applies the stop rule to the whole
+block (the change drops below ``fixpoint_tol``, the keep probability
+falls below :data:`KEEP_PROBABILITY_FLOOR`, or ``max_rounds`` is
+reached), so each row stops at the first round that meets it; it then
+validates the rows produced and drops the rows that stopped.
+:func:`iterate` is a batch of one that records every round,
+:func:`one_round` is an :func:`iterate` of one round, and
 :func:`classify_regime` labels the row that leaves a batch of one.
 
 Thresholds are found by bisection.  A threshold scan
 (:func:`scan_thresholds`) runs one bisection chain per threshold
 (purification, security) per initial state, and advances all of its
-chains in lockstep: each step classifies the pending midpoint of every
-open chain as one batch.  Each initial state keeps a table of the
-parameters it has classified, so a midpoint that both of its chains
-reach (their first ones coincide until one of them lands in the
-insecure band) is iterated once.  :func:`find_thresholds` is a scan of
-one initial state.
+chains in lockstep, two bisection levels per batch (:data:`_LEVELS`):
+each batch classifies the pending midpoint of every open chain and both
+midpoints that its next step may visit, then every chain takes two
+steps.  Only the midpoints a chain visits enter its evaluations.  Each
+initial state keeps a table of the parameters it has classified, so a
+midpoint that both of its chains reach (their first ones coincide until
+one of them lands in the insecure band) is iterated once.
+:func:`find_thresholds` is a scan of one initial state.
 """
 
 from __future__ import annotations
@@ -180,32 +186,35 @@ def round_tensor(noise: NoiseModel, placement: str = BEFORE_ROTATION) -> np.ndar
 
 
 def _round(states: np.ndarray, tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One round on a stack of rows: the renormalized outputs and the keep probabilities.
+    """One round on an array of rows: the renormalized outputs and the keep probabilities.
 
-    ``states`` is ``(B, 16)`` and ``tensors`` the matching ``(B, 256, 17)``
-    stack of round tensors.  A row whose keep probability is below
+    ``states`` is ``(..., 16)``, and ``tensors`` a stack of ``(256, 17)``
+    round tensors whose leading axes broadcast against those of
+    ``states``: ``(B, 16)`` rows against ``(B, 256, 17)`` tensors, or a
+    ``(P, K, 16)`` grid against ``(P, 1, 256, 17)``, whose ``K`` rows of
+    each line share one tensor.  A row whose keep probability is below
     :data:`KEEP_PROBABILITY_FLOOR` comes back unnormalized; the caller
     decides what a degenerate row means.
     """
-    n = len(states)
-    outer = (states[:, :, None] * states[:, None, :]).reshape(n, 1, 256)
-    kept = (outer @ tensors)[:, 0, :DISCARDED]
-    keep = kept.sum(axis=1)
+    outer = np.einsum("...i,...j->...ij", states, states).reshape(*states.shape[:-1], 1, 256)
+    kept = (outer @ tensors)[..., 0, :DISCARDED]
+    keep = kept.sum(axis=-1)
     # the floor changes no valid row's divisor and keeps a degenerate row off 0/0
-    return kept / np.maximum(keep, KEEP_PROBABILITY_FLOOR)[:, None], keep
+    return kept / np.maximum(keep, KEEP_PROBABILITY_FLOOR)[..., None], keep
 
 
-def _checked_rows(rows: np.ndarray) -> np.ndarray:
+def _checked_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Validate rows of sixteen coefficients as distributions; return them clipped at 0.
 
     Every coefficient must be at least ``-_STATE_ATOL`` and every row must
     sum to 1 within ``_STATE_ATOL``.  The comparisons are written so that
-    a NaN fails them.
+    a NaN fails them.  The clipped rows are written to ``out`` when it is
+    given (it may be ``rows`` itself).
     """
     low = rows.min()
     if not low >= -_STATE_ATOL:
         raise ValueError(f"state has negative or NaN coefficient {low:.3e}")
-    rows = np.clip(rows, 0.0, None)
+    rows = np.clip(rows, 0.0, None, out=out)
     deviation = np.abs(rows.sum(axis=-1) - 1.0).ravel()
     if not deviation.max() <= _STATE_ATOL:
         worst = float(rows.reshape(-1, 16)[deviation.argmax()].sum())
@@ -213,63 +222,132 @@ def _checked_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-#: The lockstep loop validates the rows it produced every this many rounds,
-#: so the rows it holds for that are bounded by the block, not by ``max_rounds``.
+#: The lockstep loop applies its stop rule and validates the rows it produced
+#: once per block of this many rounds, so the rows it holds are bounded by the
+#: block, not by ``max_rounds``.
 _CHECK_EVERY = 64
 
+#: Rounds per pass of the block-end arithmetic, which bounds its scratch buffer.
+_PASS = 16
 
-class _Stop(NamedTuple):
-    """The rows of a lockstep batch that stop at one round."""
 
-    rows: np.ndarray  # their indices into the batch
-    rounds: int  # the rounds each of them ran
-    last: np.ndarray  # their last outputs, unclipped
-    converged: np.ndarray  # whether each one's change dropped below ``fixpoint_tol``
-    degenerate: np.ndarray  # whether each one's keep probability fell below the floor
+class _Block(NamedTuple):
+    """One block of lockstep rounds, slot by slot.
+
+    The arrays are views of the loop's buffers and are overwritten by the
+    next block.  A slot's entries past the ``ran`` rounds its row ran are
+    not meaningful, nor is anything of an idle slot, which holds no row.
+    """
+
+    live: np.ndarray  # each slot's row index into the batch, -1 for an idle slot
+    start: int  # the rounds every row ran before the block
+    new: np.ndarray  # (rounds, slots, 16): the outputs, round by round, unclipped
+    keeps: np.ndarray  # (rounds, slots): the keep probabilities
+    changes: np.ndarray  # (rounds, slots): the sup-norm changes
+    ran: np.ndarray  # the rounds of the block each row ran: through its stop, or all
+    stopped: np.ndarray  # whether each row stops in the block
+    converged: np.ndarray  # whether each row stops with its change below ``fixpoint_tol``
+    degenerate: np.ndarray  # whether each row stops with its keep probability below the floor
+
+
+def _grid(owners: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Lay positions out by owner: a ``(P, K)`` grid of positions, and its ``P`` owners.
+
+    Line ``i`` of the grid holds, in order, the positions whose owner is
+    the ``i``-th smallest owner, padded with -1 up to the longest line.
+    Positions whose owner is negative are left out.
+    """
+    lines: dict[int, list[int]] = {}
+    for position, owner in enumerate(owners.tolist()):
+        if owner >= 0:
+            lines.setdefault(owner, []).append(position)
+    held = sorted(lines)
+    grid = np.full((len(held), max(map(len, lines.values()), default=0)), -1)
+    for i, owner in enumerate(held):
+        grid[i, : len(lines[owner])] = lines[owner]
+    return grid, held
 
 
 def _lockstep(
-    states: np.ndarray, tensors: np.ndarray, max_rounds: int, fixpoint_tol: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, _Stop | None]]:
-    """Iterate a batch of rows in lockstep, one round per step, until each stops.
+    states: np.ndarray,
+    tensors: np.ndarray,
+    max_rounds: int,
+    fixpoint_tol: float,
+    owners: Sequence[int] | None = None,
+) -> Iterator[_Block]:
+    """Iterate a batch of rows in lockstep, in blocks of rounds, until each stops.
 
-    Row ``k`` starts at ``states[k]`` and advances under ``tensors[k]``.
-    It stops when its sup-norm change drops below ``fixpoint_tol``, when
+    Row ``k`` starts at ``states[k]`` and advances under
+    ``tensors[owners[k]]`` (``tensors[k]`` when ``owners`` is None), so
+    rows that share a round tensor share one copy.  It stops at the first
+    round where its sup-norm change drops below ``fixpoint_tol``, where
     its keep probability falls below :data:`KEEP_PROBABILITY_FLOOR` (it
-    is degenerate, and its last output unnormalized), or when it has run
-    ``max_rounds`` rounds.  Every round yields ``(new, keep, change,
-    stop)`` for the rows still running: their outputs, keep
-    probabilities and changes, and a :class:`_Stop` for those that stop
-    at this round (None when none does).  The rows produced are
-    validated like :class:`SubensembleState` every :data:`_CHECK_EVERY`
-    rounds and at every stop, except those of a row that stops
-    degenerate.
+    is degenerate, and its last output unnormalized), or where it has run
+    ``max_rounds`` rounds.
+
+    The rows run in a grid of slots laid out by :func:`_grid`: one line
+    per tensor, idle slots padding the shorter lines.  Each Python step
+    is one :func:`_round` of the whole grid, written into buffers
+    allocated once per batch.  The stop rule is applied to a whole block
+    of :data:`_CHECK_EVERY` rounds at once, so a row that stops inside a
+    block runs on to its end, and what it produces after its stop is
+    never read.  Each block's rows through each one's stop are validated
+    like :class:`SubensembleState`, except the last of a row that stops
+    degenerate, and the block is yielded as a :class:`_Block`.  The rows
+    that stopped then leave the batch and the grid is laid out anew;
+    ``tensors`` is compacted in place to the tensors still in use, so
+    the stack the caller hands in comes back reordered.
     """
-    live = np.arange(len(states))
-    v, q = states, tensors
-    pending: list[np.ndarray] = []
-    for n in range(1, max_rounds + 1):
-        new, keep = _round(v, q)
-        change = np.abs(new - v).max(axis=1)
-        settled = change < fixpoint_tol
-        stuck = keep < KEEP_PROBABILITY_FLOOR
-        done = settled | stuck if n < max_rounds else np.ones(len(live), dtype=bool)
-        pending.append(new)
-        leaving = done.any()
-        if leaving or len(pending) == _CHECK_EVERY:
-            block = np.array(pending)[:, ~stuck]
-            if block.size:
-                _checked_rows(block)
-            pending = []
-        if not leaving:
-            yield new, keep, change, None
-            v = new
-            continue
-        yield new, keep, change, _Stop(live[done], n, new[done], settled[done], stuck[done])
-        stay = ~done
-        v, q, live = new[stay], q[stay], live[stay]
-        if not len(live):
-            return
+    width = min(_CHECK_EVERY, max(max_rounds, 0))
+    grid, held = _grid(np.arange(len(states)) if owners is None else np.asarray(owners))
+    # flat buffers, so that every block's views of them are contiguous
+    rows = np.empty((width + 1) * grid.size * 16)
+    keeps = np.empty(width * grid.size)
+    work = np.empty(min(width, _PASS) * grid.size * 16)
+    live, latest = np.arange(len(states)), states
+    start = 0
+    while grid.size and start < max_rounds:
+        for i, owner in enumerate(held):
+            if i != owner:
+                tensors[i] = tensors[owner]
+        shape, slots = grid.shape, grid.ravel()
+        n, idle = len(slots), slots < 0
+        live = np.where(idle, -1, live[slots])
+        span = min(width, max_rounds - start)
+        block = rows[: (span + 1) * n * 16].reshape(span + 1, *shape, 16)
+        kept = keeps[: span * n].reshape(span, *shape)
+        block[0] = np.where(idle[:, None], 0.0, latest[slots]).reshape(*shape, 16)
+        q = tensors[: shape[0], None]
+        for i in range(span):
+            block[i + 1], kept[i] = _round(block[i], q)
+        block, kept = block.reshape(span + 1, n, 16), kept.reshape(span, n)
+        new, old = block[1:], block[:-1]
+        parts = [slice(i, i + _PASS) for i in range(0, span, _PASS)]
+        changes = np.empty((span, n))
+        for part in parts:
+            w = work[: new[part].size].reshape(new[part].shape)
+            np.abs(np.subtract(new[part], old[part], out=w), out=w).max(axis=2, out=changes[part])
+        settled = changes < fixpoint_tol
+        stuck = kept < KEEP_PROBABILITY_FLOOR
+        done = (settled | stuck) & ~idle
+        if start + span == max_rounds:
+            done[-1] = ~idle
+        stopped = done.any(axis=0)
+        last = np.where(stopped, done.argmax(axis=0), span - 1)
+        at_last = last, np.arange(n)
+        converged, degenerate = stopped & settled[at_last], stopped & stuck[at_last]
+        # rows past a stop, a degenerate round and idle slots become uniform rows, which pass
+        skip = (np.arange(span)[:, None] >= np.where(degenerate, last, last + 1)) | idle
+        for part in parts:
+            w = work[: new[part].size].reshape(new[part].shape)
+            np.copyto(w, new[part])
+            w[skip[part]] = 1 / 16
+            _checked_rows(w, out=w)
+        yield _Block(live, start, new, kept, changes, last + 1, stopped, converged, degenerate)
+        start += span
+        latest = new[-1]
+        # a slot's line is the index of its tensor in the compacted stack
+        grid, held = _grid(np.where(idle | stopped, -1, np.arange(n) // shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,24 +513,27 @@ def iterate(
     drops below ``fixpoint_tol``.  The trajectory always starts with a
     round-0 record of the input state (keep probability 1 by convention).
     The iteration is a :func:`_lockstep` batch of one row that records
-    every round; its rows are validated like :class:`SubensembleState`
-    every 64 rounds (:data:`_CHECK_EVERY`) and when it stops, and are
-    recorded clipped at 0.  Raises :class:`DegenerateRoundError` at a
-    round whose keep probability falls below ``KEEP_PROBABILITY_FLOOR``.
+    every round it ran from each block; its rows are validated like
+    :class:`SubensembleState` once per block of 64 rounds
+    (:data:`_CHECK_EVERY`), and are recorded clipped at 0.  Raises
+    :class:`DegenerateRoundError` at a round whose keep probability
+    falls below ``KEEP_PROBABILITY_FLOOR``.
     """
-    rows, keeps = [state.p.ravel()], [1.0]
+    rows, keeps = [state.p.reshape(1, 16)], [np.ones(1)]
     converged, change = False, math.inf
     tensors = round_tensor(noise, placement)[None]
-    for new, keep, changes, stop in _lockstep(rows[0][None], tensors, max_rounds, fixpoint_tol):
-        if stop is not None and stop.degenerate[0]:
+    for block in _lockstep(rows[0], tensors, max_rounds, fixpoint_tol):
+        ran = int(block.ran[0])
+        if block.degenerate[0]:
             raise DegenerateRoundError(
-                f"keep probability {keep[0]:.3e} below {KEEP_PROBABILITY_FLOOR:.0e}"
+                f"keep probability {block.keeps[ran - 1, 0]:.3e} below {KEEP_PROBABILITY_FLOOR:.0e}"
             )
-        rows.append(new[0])
-        keeps.append(float(keep[0]))
-        change = float(changes[0])
-        converged = stop is not None and bool(stop.converged[0])
-    return Trajectory(np.clip(np.array(rows), 0.0, None), np.array(keeps), converged, change)
+        rows.append(block.new[:ran, 0].copy())
+        keeps.append(block.keeps[:ran, 0].copy())
+        change = float(block.changes[ran - 1, 0])
+        converged = bool(block.converged[0])
+    coefficients = np.clip(np.concatenate(rows), 0.0, None)
+    return Trajectory(coefficients, np.concatenate(keeps), converged, change)
 
 
 class Regime(str, Enum):
@@ -479,23 +560,27 @@ def _classify_rows(
     purify_margin: float,
     max_rounds: int,
     fixpoint_tol: float,
+    owners: Sequence[int] | None = None,
 ) -> list[RegimeReport]:
     """Classify a :func:`_lockstep` batch by the rows that leave it.
 
-    Row ``k`` iterates ``states[k]`` under ``tensors[k]``; its clipped
-    last row gets the labels of :func:`classify_regime`.
+    Row ``k`` iterates ``states[k]`` under ``tensors[owners[k]]``
+    (``tensors[k]`` when ``owners`` is None); its clipped last row gets
+    the labels of :func:`classify_regime`.  The loop compacts
+    ``tensors`` in place, so the caller's stack comes back reordered.
     """
     count = len(states)
     final = states.copy()
     rounds = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     degenerate = np.zeros(count, dtype=bool)
-    for _, _, _, stop in _lockstep(states, tensors, max_rounds, fixpoint_tol):
-        if stop is not None:
-            rounds[stop.rows] = stop.rounds
-            converged[stop.rows] = stop.converged
-            degenerate[stop.rows] = stop.degenerate
-            final[stop.rows] = np.clip(stop.last, 0.0, None)
+    for block in _lockstep(states, tensors, max_rounds, fixpoint_tol, owners):
+        stopped = np.flatnonzero(block.stopped)
+        rows, ran = block.live[stopped], block.ran[stopped]
+        rounds[rows] = block.start + ran
+        converged[rows] = block.converged[stopped]
+        degenerate[rows] = block.degenerate[stopped]
+        final[rows] = np.clip(block.new[ran - 1, stopped], 0.0, None)
 
     f_max, cond_limit = phi_plus_weight(final), flag_match_weight(final)
     reports = []
@@ -601,6 +686,11 @@ def _secure(regime: Regime) -> bool:
     return regime == Regime.PURIFY_SECURE
 
 
+#: Bisection levels a threshold scan classifies per batch: every open
+#: chain's pending midpoint and, below it, the midpoints of both halves.
+_LEVELS = 2
+
+
 @dataclass
 class _Chain:
     """The bisection of one monotone predicate for one initial state."""
@@ -611,6 +701,16 @@ class _Chain:
     a: float
     b: float
     trace: list[tuple[float, str]] = field(default_factory=list)
+
+    def step(self, regimes: dict[float, Regime]) -> None:
+        """Bisect once, reading the midpoint's regime from ``regimes``."""
+        mid = 0.5 * (self.a + self.b)
+        regime = regimes[mid]
+        self.trace.append((mid, regime.value))
+        if self.predicate(regime) == self.at_hi:
+            self.b = mid
+        else:
+            self.a = mid
 
 
 def scan_thresholds(
@@ -632,12 +732,16 @@ def scan_thresholds(
     monotone (larger parameter = cleaner operations).  Both ends are
     classified first; then, for every initial state, the purification
     chain (regime leaves NO_PURIFICATION) and the security chain (regime
-    becomes PURIFY_SECURE) bisect.  Every chain advances in lockstep:
-    each step classifies the next midpoint of every open chain in one
-    batch (:func:`_classify_rows`).  A parameter already classified for
-    the same initial state is looked up, not iterated again; it is still
-    recorded in that chain's evaluations, which list the ends, then the
-    purification chain, then the security chain.  A scan whose two ends
+    becomes PURIFY_SECURE) bisect.  Every chain advances in lockstep,
+    :data:`_LEVELS` bisection steps per batch (:func:`_classify_rows`):
+    a batch classifies every midpoint that each open chain's next steps
+    may visit, and each chain then steps through the ones it visits.  A
+    chain's evaluations list only those, in the order of a serial
+    bisection.  A parameter already classified for the same initial
+    state is looked up, not iterated again; it is still recorded in that
+    chain's evaluations, which list the ends, then the purification
+    chain, then the security chain.  A batch builds each parameter's
+    round tensor once, and all its rows share it.  A scan whose two ends
     share a regime brackets nothing (see :attr:`ThresholdScan.found`).
     These keyword defaults are the defaults of every threshold scan.
     """
@@ -653,18 +757,29 @@ def scan_thresholds(
         todo = [(k, x) for k, x in dict.fromkeys(requests) if x not in known[k]]
         if not todo:
             return
-        parameters = dict.fromkeys(x for _, x in todo)
-        tensors = {x: round_tensor(family(x), placement) for x in parameters}
+        # one stack holds each parameter's tensor once, shared by its rows
+        owner = {x: i for i, x in enumerate(dict.fromkeys(x for _, x in todo))}
+        tensors = np.empty((len(owner), 256, DISCARDED + 1))
+        for x, i in owner.items():
+            tensors[i] = round_tensor(family(x), placement)
         reports = _classify_rows(
             np.array([initials[k].p.ravel() for k, _ in todo]),
-            np.array([tensors[x] for _, x in todo]),
+            tensors,
             secure_tol,
             purify_margin,
             max_rounds,
             fixpoint_tol,
+            [owner[x] for _, x in todo],
         )
         for (k, x), report in zip(todo, reports):
             known[k][x] = report.regime
+
+    def reachable(a: float, b: float, levels: int) -> list[float]:
+        """Every midpoint the bisection of [a, b] may visit in its next ``levels`` steps."""
+        if not (levels and b - a > bisect_tol):
+            return []
+        mid = 0.5 * (a + b)
+        return [mid, *reachable(a, mid, levels - 1), *reachable(mid, b, levels - 1)]
 
     classify([(k, x) for k in range(len(initials)) for x in (lo, hi)])
     chains: list[list[_Chain | None]] = []
@@ -678,15 +793,11 @@ def scan_thresholds(
 
     open_chains = [c for pair in chains for c in pair if c is not None]
     while open_chains := [c for c in open_chains if c.b - c.a > bisect_tol]:
-        mids = [0.5 * (c.a + c.b) for c in open_chains]
-        classify([(c.state, mid) for c, mid in zip(open_chains, mids)])
-        for chain, mid in zip(open_chains, mids):
-            regime = known[chain.state][mid]
-            chain.trace.append((mid, regime.value))
-            if chain.predicate(regime) == chain.at_hi:
-                chain.b = mid
-            else:
-                chain.a = mid
+        classify([(c.state, x) for c in open_chains for x in reachable(c.a, c.b, _LEVELS)])
+        for chain in open_chains:
+            for _ in range(_LEVELS):
+                if chain.b - chain.a > bisect_tol:
+                    chain.step(known[chain.state])
 
     scans = []
     for regimes, pair in zip(known, chains):

@@ -463,7 +463,8 @@ class TestBatchedClassification:
     def test_batch_matches_each_row_classified_alone(self, max_rounds):
         states = np.array([initial.p.ravel() for _, initial, _ in BATCH_ROWS])
         tensors = np.array([recurrence.round_tensor(noise, placement) for noise, _, placement in BATCH_ROWS])
-        batch = recurrence._classify_rows(states, tensors, 1e-6, 1e-4, max_rounds, 1e-12)
+        # the batch compacts the stack it is handed, so it gets a copy
+        batch = recurrence._classify_rows(states, tensors.copy(), 1e-6, 1e-4, max_rounds, 1e-12)
         expected = [serial_report(noise, initial, max_rounds, placement)
                     for noise, initial, placement in BATCH_ROWS]
 
@@ -514,20 +515,263 @@ class TestBatchedClassification:
         assert rounds == [2] * recurrence._CHECK_EVERY
 
     def test_shared_midpoints_are_classified_once(self, monkeypatch):
-        classified = []
+        # with one initial state, a batch's rows are the parameters whose noise model it built
+        batches, built = [], []
         real = recurrence._classify_rows
 
+        def family(x):
+            built.append(x)
+            return NoiseModel.from_one_qubit_depolarizing(x)
+
         def counting(states, *args):
-            classified.append(len(states))
+            assert len(states) == len(built)
+            batches.append(built[:])
+            built.clear()
             return real(states, *args)
 
         monkeypatch.setattr(recurrence, "_classify_rows", counting)
-        scan = find_thresholds(NoiseModel.from_one_qubit_depolarizing, SubensembleState.werner(0.85),
-                               lo=0.895, hi=0.905, bisect_tol=1e-3, max_rounds=500)
+        lo, hi = 0.895, 0.905
+        scan = find_thresholds(family, SubensembleState.werner(0.85), lo=lo, hi=hi, bisect_tol=1e-3,
+                               max_rounds=500)
+        classified = [x for batch in batches for x in batch]
+        evaluated = {x for x, _ in scan.evaluations}
         # both chains' evaluations are recorded, but each parameter is iterated once
-        assert len(scan.evaluations) > len({x for x, _ in scan.evaluations}) == sum(classified)
-        # ends first, then one batch per bisection step, both chains in lockstep
-        assert classified[0] == 2 and len(classified) == 1 + 4
+        assert len(scan.evaluations) > len(evaluated)
+        assert len(classified) == len(set(classified))
+        assert evaluated <= set(classified)
+        # the ends first, then one batch per two of the four bisection levels; the first
+        # holds the chains' shared midpoint and both midpoints the next step may visit
+        mid = 0.5 * (lo + hi)
+        assert batches[0] == [lo, hi] and len(batches) == 1 + 2
+        assert batches[1] == [mid, 0.5 * (lo + mid), 0.5 * (mid + hi)]
+
+
+def reference_lockstep(state, tensor, max_rounds, tol=1e-12):
+    """One row through the stop rule, one round at a time.
+
+    Returns its outputs and keeps up to the round it stops at, and
+    ``(rounds, converged, degenerate)`` at that round (None when it runs
+    no round at all).
+    """
+    v, rows, keeps = state, [], []
+    for n in range(1, max_rounds + 1):
+        (new,), (keep,) = recurrence._round(v[None], tensor[None])
+        rows.append(new)
+        keeps.append(keep)
+        settled = np.abs(new - v).max() < tol
+        stuck = keep < recurrence.KEEP_PROBABILITY_FLOOR
+        if settled or stuck or n == max_rounds:
+            return np.array(rows), np.array(keeps), (n, bool(settled), bool(stuck))
+        v = new
+    return np.empty((0, 16)), np.empty(0), None
+
+
+def blocked_lockstep(states, tensors, max_rounds, tol=1e-12, owners=None):
+    """Every row's outputs, keeps and stop, read from the blocks of ``_lockstep``."""
+    rows = [[np.empty((0, 16))] for _ in states]
+    keeps = [[np.empty(0)] for _ in states]
+    stops = [None] * len(states)
+    for block in recurrence._lockstep(states, tensors.copy(), max_rounds, tol, owners):
+        for j, k in enumerate(block.live.tolist()):
+            if k < 0:  # an idle slot
+                continue
+            ran = block.ran[j]
+            rows[k].append(block.new[:ran, j].copy())
+            keeps[k].append(block.keeps[:ran, j].copy())
+            if block.stopped[j]:
+                stops[k] = (block.start + int(ran), bool(block.converged[j]), bool(block.degenerate[j]))
+    return [(np.concatenate(r), np.concatenate(kp), stop) for r, kp, stop in zip(rows, keeps, stops)]
+
+
+class TestBlockedLockstep:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_rounds", [0, 1, 63, 64, 65, 130, 3000])
+    def test_blocks_match_a_per_round_loop(self, max_rounds):
+        # BATCH_ROWS stop mid-block (24, 35 and 41 rounds), degenerate in round 1,
+        # converged in round 1, and at the cap
+        states = np.array([initial.p.ravel() for _, initial, _ in BATCH_ROWS])
+        tensors = np.array([recurrence.round_tensor(noise, placement) for noise, _, placement in BATCH_ROWS])
+        blocked = blocked_lockstep(states, tensors, max_rounds)
+        for k, (rows, keeps, stop) in enumerate(blocked):
+            expected_rows, expected_keeps, expected_stop = reference_lockstep(
+                states[k], tensors[k], max_rounds)
+            # array_equal compares bit for bit; no row here is NaN
+            assert np.array_equal(rows, expected_rows)
+            assert np.array_equal(keeps, expected_keeps)
+            assert stop == expected_stop
+        if max_rounds == 3000:
+            assert [stop for _, _, stop in blocked] == [
+                (24, True, False), (1, False, True), (2409, True, False),
+                (35, True, False), (1, True, False), (41, True, False),
+            ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_rounds", [1, 65, 3000])
+    def test_rows_sharing_a_tensor_match_a_per_round_loop(self, max_rounds, monkeypatch):
+        lines = []
+        real = recurrence._round
+
+        def recording(states, tensors):
+            lines.append(states.shape[:-1])
+            return real(states, tensors)
+
+        monkeypatch.setattr(recurrence, "_round", recording)
+        tensors = np.array([recurrence.round_tensor(noise, placement) for noise, _, placement in BATCH_ROWS])
+        # three more rows, listed first, under the tensors of rows 0 and 2: lines of 3, 1 and 2 rows
+        extra = [(SubensembleState.werner(0.6), 0), (SubensembleState.werner(0.95), 2),
+                 (SubensembleState.werner(0.9), 0)]
+        states = np.array([initial.p.ravel() for initial, _ in extra]
+                          + [initial.p.ravel() for _, initial, _ in BATCH_ROWS])
+        owners = [owner for _, owner in extra] + list(range(len(BATCH_ROWS)))
+        blocked = blocked_lockstep(states, tensors, max_rounds, owners=owners)
+        for k, (rows, keeps, stop) in enumerate(blocked):
+            expected_rows, expected_keeps, expected_stop = reference_lockstep(
+                states[k], tensors[owners[k]], max_rounds)
+            assert np.array_equal(rows, expected_rows)
+            assert np.array_equal(keeps, expected_keeps)
+            assert stop == expected_stop
+        # one line of slots per tensor, as long as its longest line of rows
+        assert lines[0] == (len(BATCH_ROWS), 3)
+
+    def test_rows_before_a_degenerate_round_are_validated(self):
+        # from pure category 0, round 1 makes (1.5, -0.5, 0, ...), keeping everything, and
+        # round 2 keeps nothing: only the degenerate round itself is spared the check
+        tensor = np.zeros((256, 17))
+        tensor[0, :2] = 1.5, -0.5
+        tensor[1] = tensor[16] = 1.5 * tensor[0]
+        state = np.eye(16)[:1]
+        rows, keeps, stop = reference_lockstep(state[0], tensor, 10)
+        assert stop == (2, False, True) and rows[0, 1] == -0.5
+        with pytest.raises(ValueError, match="negative"):
+            blocked_lockstep(state, tensor[None], 10)
+
+    @pytest.mark.parametrize("max_rounds", [0, 1, 63, 64, 65, 130, 3000])
+    def test_a_nan_tensor_fails_its_first_block(self, max_rounds, monkeypatch):
+        # the NaN row stops only at the cap, so it fails when its first block is validated
+        rounds = []
+        real = recurrence._round
+
+        def counting(states, tensors):
+            rounds.append(len(states))
+            return real(states, tensors)
+
+        monkeypatch.setattr(recurrence, "_round", counting)
+        noise, initial, placement = BATCH_ROWS[0]
+        states = np.array([initial.p.ravel()] * 2)
+        tensors = np.array([recurrence.round_tensor(noise, placement), np.full((256, 17), np.nan)])
+        if max_rounds == 0:
+            assert blocked_lockstep(states, tensors, max_rounds)[1][2] is None
+        else:
+            with pytest.raises(ValueError, match="NaN"):
+                blocked_lockstep(states, tensors, max_rounds)
+        assert rounds == [2] * min(max_rounds, recurrence._CHECK_EVERY)
+
+
+def serial_scan(family, initial, lo, hi, bisect_tol, **settings):
+    """``ThresholdScan.as_dict`` of a plain serial bisection: the ends, then one chain after the other.
+
+    Every parameter is classified by ``classify_regime``, once per chain
+    that visits it.
+    """
+    def regime(x):
+        return classify_regime(family(x), initial, **settings).regime
+
+    ends = regime(lo), regime(hi)
+    evaluations = [(lo, ends[0].value), (hi, ends[1].value)]
+    brackets = []
+    for predicate in (lambda r: r != Regime.NO_PURIFICATION, lambda r: r == Regime.PURIFY_SECURE):
+        if predicate(ends[0]) == predicate(ends[1]):
+            brackets.append(None)
+            continue
+        a, b = lo, hi
+        while b - a > bisect_tol:
+            mid = 0.5 * (a + b)
+            r = regime(mid)
+            evaluations.append((mid, r.value))
+            if predicate(r) == predicate(ends[1]):
+                b = mid
+            else:
+                a = mid
+        brackets.append((a, b))
+    midpoints = [None if bracket is None else 0.5 * sum(bracket) for bracket in brackets]
+    return {
+        "f_purify": midpoints[0],
+        "f_secure": midpoints[1],
+        "purify_bracket": brackets[0],
+        "secure_bracket": brackets[1],
+        "range": [lo, hi],
+        "bisect_tol": bisect_tol,
+        "evaluations": [{"parameter": x, "regime": r} for x, r in evaluations],
+    }
+
+
+#: The initial states of the default scan: the configured input, then the Werner grid.
+DEFAULT_SCAN_INITIALS = [SubensembleState.from_bell_probs(WERNER_085)] + [
+    SubensembleState.werner(fid) for fid in (0.75, 0.85, 0.95)
+]
+
+
+class TestTwoLevelScan:
+    @pytest.mark.parametrize(
+        "family, initials, settings",
+        [
+            # the default scan, with fewer rounds
+            (NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS,
+             dict(bisect_tol=1e-4, max_rounds=1000)),
+            (NoiseModel.from_uniform_residual,
+             [SubensembleState.werner(fid, flag_mode="random") for fid in (0.85, 0.6)],
+             dict(lo=0.8, hi=0.95, bisect_tol=1e-3, max_rounds=500, placement=BEFORE_BCNOT)),
+            # 0.04 halves three times before it is within 6e-3: an odd number of levels
+            (NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS[:2],
+             dict(bisect_tol=6e-3, max_rounds=500)),
+            # nothing to bisect: only the ends
+            (NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS[:2],
+             dict(bisect_tol=0.1, max_rounds=500)),
+            # an initial state listed twice gets two equal scans
+            (NoiseModel.from_one_qubit_depolarizing,
+             [SubensembleState.werner(fid) for fid in (0.85, 0.95, 0.85)],
+             dict(lo=0.895, hi=0.905, bisect_tol=1e-3, max_rounds=500)),
+        ],
+        ids=["default-grid", "uniform-bcnot", "odd-levels", "tol-above-range", "duplicate-initials"],
+    )
+    def test_scan_matches_serial_bisection(self, family, initials, settings):
+        settings = {"lo": 0.88, "hi": 0.92, **settings}
+        scans = scan_thresholds(family, initials, **settings)
+        assert [scan.as_dict() for scan in scans] == [
+            serial_scan(family, initial, **settings) for initial in initials
+        ]
+
+    def test_the_last_of_odd_levels_classifies_no_children(self, monkeypatch):
+        rows = []
+        real = recurrence._classify_rows
+
+        def counting(states, *args):
+            rows.append(len(states))
+            return real(states, *args)
+
+        monkeypatch.setattr(recurrence, "_classify_rows", counting)
+        (scan,) = scan_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS[:1],
+                                  bisect_tol=6e-3, max_rounds=500)
+        # three levels per chain: the ends, one batch of two levels, then one midpoint per chain
+        assert len(scan.evaluations) == 2 + 3 + 3
+        assert len(rows) == 3 and rows[0] == 2 and rows[2] <= 2
+
+    def test_a_batch_holds_each_parameter_tensor_once(self, monkeypatch):
+        batches = []
+        real = recurrence._classify_rows
+
+        def recording(states, tensors, *args):
+            owners = args[-1]
+            batches.append((len(states), len(tensors), sorted(set(owners))))
+            return real(states, tensors, *args)
+
+        monkeypatch.setattr(recurrence, "_classify_rows", recording)
+        scan_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS,
+                        bisect_tol=1e-3, max_rounds=500)
+        for rows, tensors, owners in batches:
+            assert owners == list(range(tensors))
+        # the ends and the first midpoints are shared by all four initial states
+        assert batches[0][:2] == (8, 2) and batches[1][:2] == (12, 3)
 
 
 class TestThresholds:
