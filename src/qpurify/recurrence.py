@@ -37,14 +37,13 @@ followed by renormalization.  The one round step, :func:`_round`,
 applies that product to an array of rows, each against its own ``Q``.
 
 One loop runs every fixpoint iteration: :func:`_lockstep` advances a
-batch of rows one round per Python step, into buffers allocated once per
-batch.  Rows that share a round tensor share one copy of it: the rows
-run in a grid with one line of slots per tensor.  Once per block of
-:data:`_CHECK_EVERY` rounds the loop applies the stop rule to the whole
-block (the change drops below ``fixpoint_tol``, the keep probability
-falls below :data:`KEEP_PROBABILITY_FLOOR`, or ``max_rounds`` is
-reached), so each row stops at the first round that meets it; it then
-validates the rows produced and drops the rows that stopped.
+batch of rows, each under its own round tensor, one round per Python
+step.  Once per block of :data:`_CHECK_EVERY` rounds the loop applies
+the stop rule to the whole block (the change drops below
+``fixpoint_tol``, the keep probability falls below
+:data:`KEEP_PROBABILITY_FLOOR`, or ``max_rounds`` is reached), so each
+row stops at the first round that meets it; it then validates the rows
+produced and drops the rows that stopped.
 :func:`iterate` is a batch of one that records every round,
 :func:`one_round` is an :func:`iterate` of one round, and
 :func:`classify_regime` labels the row that leaves a batch of one.
@@ -186,35 +185,31 @@ def round_tensor(noise: NoiseModel, placement: str = BEFORE_ROTATION) -> np.ndar
 
 
 def _round(states: np.ndarray, tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One round on an array of rows: the renormalized outputs and the keep probabilities.
+    """One round on a stack of rows: the renormalized outputs and the keep probabilities.
 
-    ``states`` is ``(..., 16)``, and ``tensors`` a stack of ``(256, 17)``
-    round tensors whose leading axes broadcast against those of
-    ``states``: ``(B, 16)`` rows against ``(B, 256, 17)`` tensors, or a
-    ``(P, K, 16)`` grid against ``(P, 1, 256, 17)``, whose ``K`` rows of
-    each line share one tensor.  A row whose keep probability is below
+    ``states`` is ``(B, 16)`` and ``tensors`` the matching ``(B, 256, 17)``
+    stack of round tensors.  A row whose keep probability is below
     :data:`KEEP_PROBABILITY_FLOOR` comes back unnormalized; the caller
     decides what a degenerate row means.
     """
-    outer = np.einsum("...i,...j->...ij", states, states).reshape(*states.shape[:-1], 1, 256)
-    kept = (outer @ tensors)[..., 0, :DISCARDED]
-    keep = kept.sum(axis=-1)
+    outer = np.einsum("bi,bj->bij", states, states).reshape(len(states), 1, 256)
+    kept = (outer @ tensors)[:, 0, :DISCARDED]
+    keep = kept.sum(axis=1)
     # the floor changes no valid row's divisor and keeps a degenerate row off 0/0
-    return kept / np.maximum(keep, KEEP_PROBABILITY_FLOOR)[..., None], keep
+    return kept / np.maximum(keep, KEEP_PROBABILITY_FLOOR)[:, None], keep
 
 
-def _checked_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _checked_rows(rows: np.ndarray) -> np.ndarray:
     """Validate rows of sixteen coefficients as distributions; return them clipped at 0.
 
     Every coefficient must be at least ``-_STATE_ATOL`` and every row must
     sum to 1 within ``_STATE_ATOL``.  The comparisons are written so that
-    a NaN fails them.  The clipped rows are written to ``out`` when it is
-    given (it may be ``rows`` itself).
+    a NaN fails them.
     """
     low = rows.min()
     if not low >= -_STATE_ATOL:
         raise ValueError(f"state has negative or NaN coefficient {low:.3e}")
-    rows = np.clip(rows, 0.0, None, out=out)
+    rows = np.clip(rows, 0.0, None)
     deviation = np.abs(rows.sum(axis=-1) - 1.0).ravel()
     if not deviation.max() <= _STATE_ATOL:
         worst = float(rows.reshape(-1, 16)[deviation.argmax()].sum())
@@ -227,127 +222,74 @@ def _checked_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 #: block, not by ``max_rounds``.
 _CHECK_EVERY = 64
 
-#: Rounds per pass of the block-end arithmetic, which bounds its scratch buffer.
-_PASS = 16
-
 
 class _Block(NamedTuple):
-    """One block of lockstep rounds, slot by slot.
+    """One block of lockstep rounds of the rows still running, one column per row.
 
-    The arrays are views of the loop's buffers and are overwritten by the
-    next block.  A slot's entries past the ``ran`` rounds its row ran are
-    not meaningful, nor is anything of an idle slot, which holds no row.
+    A row's entries past the ``ran`` rounds it ran are not meaningful.
     """
 
-    live: np.ndarray  # each slot's row index into the batch, -1 for an idle slot
+    live: np.ndarray  # each column's row index into the batch
     start: int  # the rounds every row ran before the block
-    new: np.ndarray  # (rounds, slots, 16): the outputs, round by round, unclipped
-    keeps: np.ndarray  # (rounds, slots): the keep probabilities
-    changes: np.ndarray  # (rounds, slots): the sup-norm changes
+    new: np.ndarray  # (rounds, rows, 16): the outputs, round by round, unclipped
+    keeps: np.ndarray  # (rounds, rows): the keep probabilities
+    changes: np.ndarray  # (rounds, rows): the sup-norm changes
     ran: np.ndarray  # the rounds of the block each row ran: through its stop, or all
     stopped: np.ndarray  # whether each row stops in the block
     converged: np.ndarray  # whether each row stops with its change below ``fixpoint_tol``
     degenerate: np.ndarray  # whether each row stops with its keep probability below the floor
 
 
-def _grid(owners: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Lay positions out by owner: a ``(P, K)`` grid of positions, and its ``P`` owners.
-
-    Line ``i`` of the grid holds, in order, the positions whose owner is
-    the ``i``-th smallest owner, padded with -1 up to the longest line.
-    Positions whose owner is negative are left out.
-    """
-    lines: dict[int, list[int]] = {}
-    for position, owner in enumerate(owners.tolist()):
-        if owner >= 0:
-            lines.setdefault(owner, []).append(position)
-    held = sorted(lines)
-    grid = np.full((len(held), max(map(len, lines.values()), default=0)), -1)
-    for i, owner in enumerate(held):
-        grid[i, : len(lines[owner])] = lines[owner]
-    return grid, held
-
-
 def _lockstep(
-    states: np.ndarray,
-    tensors: np.ndarray,
-    max_rounds: int,
-    fixpoint_tol: float,
-    owners: Sequence[int] | None = None,
+    states: np.ndarray, tensors: np.ndarray, max_rounds: int, fixpoint_tol: float
 ) -> Iterator[_Block]:
     """Iterate a batch of rows in lockstep, in blocks of rounds, until each stops.
 
-    Row ``k`` starts at ``states[k]`` and advances under
-    ``tensors[owners[k]]`` (``tensors[k]`` when ``owners`` is None), so
-    rows that share a round tensor share one copy.  It stops at the first
-    round where its sup-norm change drops below ``fixpoint_tol``, where
-    its keep probability falls below :data:`KEEP_PROBABILITY_FLOOR` (it
-    is degenerate, and its last output unnormalized), or where it has run
-    ``max_rounds`` rounds.
+    Row ``k`` starts at ``states[k]`` and advances under ``tensors[k]``.
+    It stops at the first round where its sup-norm change drops below
+    ``fixpoint_tol``, where its keep probability falls below
+    :data:`KEEP_PROBABILITY_FLOOR` (it is degenerate, and its last output
+    unnormalized), or where it has run ``max_rounds`` rounds.
 
-    The rows run in a grid of slots laid out by :func:`_grid`: one line
-    per tensor, idle slots padding the shorter lines.  Each Python step
-    is one :func:`_round` of the whole grid, written into buffers
-    allocated once per batch.  The stop rule is applied to a whole block
-    of :data:`_CHECK_EVERY` rounds at once, so a row that stops inside a
-    block runs on to its end, and what it produces after its stop is
-    never read.  Each block's rows through each one's stop are validated
-    like :class:`SubensembleState`, except the last of a row that stops
-    degenerate, and the block is yielded as a :class:`_Block`.  The rows
-    that stopped then leave the batch and the grid is laid out anew;
-    ``tensors`` is compacted in place to the tensors still in use, so
-    the stack the caller hands in comes back reordered.
+    Each Python step is one :func:`_round` of every running row.  The
+    stop rule is applied to a whole block of :data:`_CHECK_EVERY` rounds
+    at once, so a row that stops inside a block runs on to its end, and
+    what it produces after its stop is never read.  Each block's rows
+    through each one's stop are validated like :class:`SubensembleState`,
+    except the last of a row that stops degenerate, and the block is
+    yielded as a :class:`_Block`.  The rows that stopped then leave the
+    batch, and ``tensors`` is compacted in place to the rows that stay,
+    so the stack the caller hands in comes back reordered.
     """
-    width = min(_CHECK_EVERY, max(max_rounds, 0))
-    grid, held = _grid(np.arange(len(states)) if owners is None else np.asarray(owners))
-    # flat buffers, so that every block's views of them are contiguous
-    rows = np.empty((width + 1) * grid.size * 16)
-    keeps = np.empty(width * grid.size)
-    work = np.empty(min(width, _PASS) * grid.size * 16)
     live, latest = np.arange(len(states)), states
     start = 0
-    while grid.size and start < max_rounds:
-        for i, owner in enumerate(held):
-            if i != owner:
-                tensors[i] = tensors[owner]
-        shape, slots = grid.shape, grid.ravel()
-        n, idle = len(slots), slots < 0
-        live = np.where(idle, -1, live[slots])
-        span = min(width, max_rounds - start)
-        block = rows[: (span + 1) * n * 16].reshape(span + 1, *shape, 16)
-        kept = keeps[: span * n].reshape(span, *shape)
-        block[0] = np.where(idle[:, None], 0.0, latest[slots]).reshape(*shape, 16)
-        q = tensors[: shape[0], None]
+    while len(live) and start < max_rounds:
+        n, span = len(live), min(_CHECK_EVERY, max_rounds - start)
+        rows, keeps = np.empty((span + 1, n, 16)), np.empty((span, n))
+        rows[0] = latest
         for i in range(span):
-            block[i + 1], kept[i] = _round(block[i], q)
-        block, kept = block.reshape(span + 1, n, 16), kept.reshape(span, n)
-        new, old = block[1:], block[:-1]
-        parts = [slice(i, i + _PASS) for i in range(0, span, _PASS)]
-        changes = np.empty((span, n))
-        for part in parts:
-            w = work[: new[part].size].reshape(new[part].shape)
-            np.abs(np.subtract(new[part], old[part], out=w), out=w).max(axis=2, out=changes[part])
+            rows[i + 1], keeps[i] = _round(rows[i], tensors[:n])
+        new = rows[1:]
+        changes = np.abs(new - rows[:-1]).max(axis=2)
         settled = changes < fixpoint_tol
-        stuck = kept < KEEP_PROBABILITY_FLOOR
-        done = (settled | stuck) & ~idle
+        stuck = keeps < KEEP_PROBABILITY_FLOOR
+        done = settled | stuck
         if start + span == max_rounds:
-            done[-1] = ~idle
+            done[-1] = True
         stopped = done.any(axis=0)
         last = np.where(stopped, done.argmax(axis=0), span - 1)
         at_last = last, np.arange(n)
         converged, degenerate = stopped & settled[at_last], stopped & stuck[at_last]
-        # rows past a stop, a degenerate round and idle slots become uniform rows, which pass
-        skip = (np.arange(span)[:, None] >= np.where(degenerate, last, last + 1)) | idle
-        for part in parts:
-            w = work[: new[part].size].reshape(new[part].shape)
-            np.copyto(w, new[part])
-            w[skip[part]] = 1 / 16
-            _checked_rows(w, out=w)
-        yield _Block(live, start, new, kept, changes, last + 1, stopped, converged, degenerate)
+        # rows past a stop and a degenerate round become uniform rows, which pass
+        skip = np.arange(span)[:, None] >= np.where(degenerate, last, last + 1)
+        _checked_rows(np.where(skip[..., None], 1 / 16, new))
+        yield _Block(live, start, new, keeps, changes, last + 1, stopped, converged, degenerate)
         start += span
-        latest = new[-1]
-        # a slot's line is the index of its tensor in the compacted stack
-        grid, held = _grid(np.where(idle | stopped, -1, np.arange(n) // shape[1]))
+        stay = np.flatnonzero(~stopped)
+        # copying forward in place: a copy of the stack would double its memory
+        for i, k in enumerate(stay.tolist()):
+            tensors[i] = tensors[k]
+        live, latest = live[stay], new[-1, stay]
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,21 +502,20 @@ def _classify_rows(
     purify_margin: float,
     max_rounds: int,
     fixpoint_tol: float,
-    owners: Sequence[int] | None = None,
 ) -> list[RegimeReport]:
     """Classify a :func:`_lockstep` batch by the rows that leave it.
 
-    Row ``k`` iterates ``states[k]`` under ``tensors[owners[k]]``
-    (``tensors[k]`` when ``owners`` is None); its clipped last row gets
-    the labels of :func:`classify_regime`.  The loop compacts
-    ``tensors`` in place, so the caller's stack comes back reordered.
+    Row ``k`` iterates ``states[k]`` under ``tensors[k]``; its clipped
+    last row gets the labels of :func:`classify_regime`.  The loop
+    compacts ``tensors`` in place, so the caller's stack comes back
+    reordered.
     """
     count = len(states)
     final = states.copy()
     rounds = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     degenerate = np.zeros(count, dtype=bool)
-    for block in _lockstep(states, tensors, max_rounds, fixpoint_tol, owners):
+    for block in _lockstep(states, tensors, max_rounds, fixpoint_tol):
         stopped = np.flatnonzero(block.stopped)
         rows, ran = block.live[stopped], block.ran[stopped]
         rounds[rows] = block.start + ran
@@ -741,9 +682,10 @@ def scan_thresholds(
     state is looked up, not iterated again; it is still recorded in that
     chain's evaluations, which list the ends, then the purification
     chain, then the security chain.  A batch builds each parameter's
-    round tensor once, and all its rows share it.  A scan whose two ends
-    share a regime brackets nothing (see :attr:`ThresholdScan.found`).
-    These keyword defaults are the defaults of every threshold scan.
+    round tensor once and copies it into the parameter's other rows.  A
+    scan whose two ends share a regime brackets nothing (see
+    :attr:`ThresholdScan.found`).  These keyword defaults are the
+    defaults of every threshold scan.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -757,20 +699,14 @@ def scan_thresholds(
         todo = [(k, x) for k, x in dict.fromkeys(requests) if x not in known[k]]
         if not todo:
             return
-        # one stack holds each parameter's tensor once, shared by its rows
-        owner = {x: i for i, x in enumerate(dict.fromkeys(x for _, x in todo))}
-        tensors = np.empty((len(owner), 256, DISCARDED + 1))
-        for x, i in owner.items():
-            tensors[i] = round_tensor(family(x), placement)
-        reports = _classify_rows(
-            np.array([initials[k].p.ravel() for k, _ in todo]),
-            tensors,
-            secure_tol,
-            purify_margin,
-            max_rounds,
-            fixpoint_tol,
-            [owner[x] for _, x in todo],
-        )
+        # one preallocated stack, one tensor per row; each parameter's is built once
+        tensors = np.empty((len(todo), 256, DISCARDED + 1))
+        first: dict[float, int] = {}
+        for i, (_, x) in enumerate(todo):
+            j = first.setdefault(x, i)
+            tensors[i] = round_tensor(family(x), placement) if j == i else tensors[j]
+        states = np.array([initials[k].p.ravel() for k, _ in todo])
+        reports = _classify_rows(states, tensors, secure_tol, purify_margin, max_rounds, fixpoint_tol)
         for (k, x), report in zip(todo, reports):
             known[k][x] = report.regime
 

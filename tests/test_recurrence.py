@@ -1,6 +1,7 @@
 """Round map, fixpoint iteration, regimes, thresholds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -566,15 +567,13 @@ def reference_lockstep(state, tensor, max_rounds, tol=1e-12):
     return np.empty((0, 16)), np.empty(0), None
 
 
-def blocked_lockstep(states, tensors, max_rounds, tol=1e-12, owners=None):
+def blocked_lockstep(states, tensors, max_rounds, tol=1e-12):
     """Every row's outputs, keeps and stop, read from the blocks of ``_lockstep``."""
     rows = [[np.empty((0, 16))] for _ in states]
     keeps = [[np.empty(0)] for _ in states]
     stops = [None] * len(states)
-    for block in recurrence._lockstep(states, tensors.copy(), max_rounds, tol, owners):
+    for block in recurrence._lockstep(states, tensors.copy(), max_rounds, tol):
         for j, k in enumerate(block.live.tolist()):
-            if k < 0:  # an idle slot
-                continue
             ran = block.ran[j]
             rows[k].append(block.new[:ran, j].copy())
             keeps[k].append(block.keeps[:ran, j].copy())
@@ -604,34 +603,6 @@ class TestBlockedLockstep:
                 (24, True, False), (1, False, True), (2409, True, False),
                 (35, True, False), (1, True, False), (41, True, False),
             ]
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("max_rounds", [1, 65, 3000])
-    def test_rows_sharing_a_tensor_match_a_per_round_loop(self, max_rounds, monkeypatch):
-        lines = []
-        real = recurrence._round
-
-        def recording(states, tensors):
-            lines.append(states.shape[:-1])
-            return real(states, tensors)
-
-        monkeypatch.setattr(recurrence, "_round", recording)
-        tensors = np.array([recurrence.round_tensor(noise, placement) for noise, _, placement in BATCH_ROWS])
-        # three more rows, listed first, under the tensors of rows 0 and 2: lines of 3, 1 and 2 rows
-        extra = [(SubensembleState.werner(0.6), 0), (SubensembleState.werner(0.95), 2),
-                 (SubensembleState.werner(0.9), 0)]
-        states = np.array([initial.p.ravel() for initial, _ in extra]
-                          + [initial.p.ravel() for _, initial, _ in BATCH_ROWS])
-        owners = [owner for _, owner in extra] + list(range(len(BATCH_ROWS)))
-        blocked = blocked_lockstep(states, tensors, max_rounds, owners=owners)
-        for k, (rows, keeps, stop) in enumerate(blocked):
-            expected_rows, expected_keeps, expected_stop = reference_lockstep(
-                states[k], tensors[owners[k]], max_rounds)
-            assert np.array_equal(rows, expected_rows)
-            assert np.array_equal(keeps, expected_keeps)
-            assert stop == expected_stop
-        # one line of slots per tensor, as long as its longest line of rows
-        assert lines[0] == (len(BATCH_ROWS), 3)
 
     def test_rows_before_a_degenerate_round_are_validated(self):
         # from pure category 0, round 1 makes (1.5, -0.5, 0, ...), keeping everything, and
@@ -756,22 +727,49 @@ class TestTwoLevelScan:
         assert len(scan.evaluations) == 2 + 3 + 3
         assert len(rows) == 3 and rows[0] == 2 and rows[2] <= 2
 
-    def test_a_batch_holds_each_parameter_tensor_once(self, monkeypatch):
-        batches = []
-        real = recurrence._classify_rows
+    def test_a_batch_builds_each_parameter_tensor_once(self, monkeypatch):
+        batches, params, builds = [], [], []
+        real_tensor, real_rows = recurrence.round_tensor, recurrence._classify_rows
+
+        def family(x):
+            params.append(x)
+            return NoiseModel.from_one_qubit_depolarizing(x)
+
+        def building(*args):
+            builds.append(1)
+            return real_tensor(*args)
 
         def recording(states, tensors, *args):
-            owners = args[-1]
-            batches.append((len(states), len(tensors), sorted(set(owners))))
-            return real(states, tensors, *args)
+            distinct = len(np.unique(tensors.reshape(len(tensors), -1), axis=0))
+            batches.append((len(states), len(tensors), len(set(params)), len(builds), distinct))
+            params.clear()
+            builds.clear()
+            return real_rows(states, tensors, *args)
 
+        monkeypatch.setattr(recurrence, "round_tensor", building)
         monkeypatch.setattr(recurrence, "_classify_rows", recording)
-        scan_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS,
-                        bisect_tol=1e-3, max_rounds=500)
-        for rows, tensors, owners in batches:
-            assert owners == list(range(tensors))
+        scan_thresholds(family, DEFAULT_SCAN_INITIALS)
+        # one tensor per row, built once per parameter and copied into its other rows
+        for rows, tensors, parameters, built, distinct in batches:
+            assert tensors == rows and built == parameters == distinct
         # the ends and the first midpoints are shared by all four initial states
-        assert batches[0][:2] == (8, 2) and batches[1][:2] == (12, 3)
+        assert batches[0][:3] == (8, 8, 2) and batches[1][:3] == (12, 12, 3)
+        assert sum(rows for rows, *_ in batches) > sum(built for *_, built, _ in batches)
+
+    def test_a_scan_copies_no_tensor_stack(self):
+        # one warmed default scan peaks at about 1.5 MB; copying the stack of the rows
+        # that stay at each block end (``tensors[stay]``) makes it about 2.4 MB
+        def scan():
+            return scan_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS)
+
+        scan()
+        tracemalloc.start()
+        try:
+            scan()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8e6
 
 
 class TestThresholds:
