@@ -49,24 +49,24 @@ produced and drops the rows that stopped.
 :func:`classify_regime` labels the row that leaves a batch of one.
 
 Thresholds are found by bisection.  A threshold scan
-(:func:`scan_thresholds`) runs one bisection chain per threshold
-(purification, security) per initial state, and advances all of its
-chains in lockstep, two bisection levels per batch (:data:`_LEVELS`):
-each batch classifies the pending midpoint of every open chain and both
-midpoints that its next step may visit, then every chain takes two
-steps.  Only the midpoints a chain visits enter its evaluations.  Each
-initial state keeps a table of the parameters it has classified, so a
-midpoint that both of its chains reach (their first ones coincide until
-one of them lands in the insecure band) is iterated once.
+(:func:`scan_thresholds`) first fills a table of regimes for each
+initial state, in lockstep batches: after the ends, each batch
+classifies the :data:`_LEVELS` levels of midpoints below every bracket
+of neighbouring classified parameters whose regimes differ and which is
+wider than ``bisect_tol``.  When no such bracket is left, each threshold
+(purification, security) is read off the table by one serial bisection
+(:func:`_bisect`); every midpoint it reads is in the table, so a
+parameter that both bisections read is iterated once.
 :func:`find_thresholds` is a scan of one initial state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import pairwise
 from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -200,16 +200,18 @@ def _round(states: np.ndarray, tensors: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _checked_rows(rows: np.ndarray) -> np.ndarray:
-    """Validate rows of sixteen coefficients as distributions; return them clipped at 0.
+    """Validate rows of sixteen coefficients as distributions; clip them at 0 in place.
 
     Every coefficient must be at least ``-_STATE_ATOL`` and every row must
     sum to 1 within ``_STATE_ATOL``.  The comparisons are written so that
-    a NaN fails them.
+    a NaN fails them.  Both callers hand in a fresh array, which comes
+    back clipped: :func:`_lockstep` its ``np.where`` copy of a block, and
+    :class:`SubensembleState` its own copy of the input.
     """
     low = rows.min()
     if not low >= -_STATE_ATOL:
         raise ValueError(f"state has negative or NaN coefficient {low:.3e}")
-    rows = np.clip(rows, 0.0, None)
+    np.clip(rows, 0.0, None, out=rows)
     deviation = np.abs(rows.sum(axis=-1) - 1.0).ravel()
     if not deviation.max() <= _STATE_ATOL:
         worst = float(rows.reshape(-1, 16)[deviation.argmax()].sum())
@@ -270,7 +272,8 @@ def _lockstep(
         for i in range(span):
             rows[i + 1], keeps[i] = _round(rows[i], tensors[:n])
         new = rows[1:]
-        changes = np.abs(new - rows[:-1]).max(axis=2)
+        changes = new - rows[:-1]
+        changes = np.abs(changes, out=changes).max(axis=2)
         settled = changes < fixpoint_tol
         stuck = keeps < KEEP_PROBABILITY_FLOOR
         done = settled | stuck
@@ -627,31 +630,36 @@ def _secure(regime: Regime) -> bool:
     return regime == Regime.PURIFY_SECURE
 
 
-#: Bisection levels a threshold scan classifies per batch: every open
-#: chain's pending midpoint and, below it, the midpoints of both halves.
+#: Bisection levels a threshold scan classifies per batch below each open
+#: bracket: its midpoint and, below it, the midpoints of both halves.
 _LEVELS = 2
 
 
-@dataclass
-class _Chain:
-    """The bisection of one monotone predicate for one initial state."""
+def _bisect(
+    regimes: dict[float, Regime],
+    predicate: Callable[[Regime], bool],
+    lo: float,
+    hi: float,
+    bisect_tol: float,
+) -> tuple[tuple[float, float], list[tuple[float, str]]] | None:
+    """The bracket and the trace of a serial bisection of ``predicate``, read off ``regimes``.
 
-    state: int
-    predicate: Callable[[Regime], bool]
-    at_hi: bool
-    a: float
-    b: float
-    trace: list[tuple[float, str]] = field(default_factory=list)
-
-    def step(self, regimes: dict[float, Regime]) -> None:
-        """Bisect once, reading the midpoint's regime from ``regimes``."""
-        mid = 0.5 * (self.a + self.b)
-        regime = regimes[mid]
-        self.trace.append((mid, regime.value))
-        if self.predicate(regime) == self.at_hi:
-            self.b = mid
+    The bisection halves [lo, hi] until it is within ``bisect_tol``,
+    keeping the half whose ends differ in ``predicate``; the trace lists
+    each midpoint it reads with its regime.  None when both ends agree.
+    """
+    at_hi = predicate(regimes[hi])
+    if predicate(regimes[lo]) == at_hi:
+        return None
+    a, b, trace = lo, hi, []
+    while b - a > bisect_tol:
+        mid = 0.5 * (a + b)
+        trace.append((mid, regimes[mid].value))
+        if predicate(regimes[mid]) == at_hi:
+            b = mid
         else:
-            self.a = mid
+            a = mid
+    return (a, b), trace
 
 
 def scan_thresholds(
@@ -670,22 +678,21 @@ def scan_thresholds(
     """Bisect the purification and security boundaries of several initial states, one scan each.
 
     ``family`` maps a parameter in [lo, hi] to a noise model and must be
-    monotone (larger parameter = cleaner operations).  Both ends are
-    classified first; then, for every initial state, the purification
-    chain (regime leaves NO_PURIFICATION) and the security chain (regime
-    becomes PURIFY_SECURE) bisect.  Every chain advances in lockstep,
-    :data:`_LEVELS` bisection steps per batch (:func:`_classify_rows`):
-    a batch classifies every midpoint that each open chain's next steps
-    may visit, and each chain then steps through the ones it visits.  A
-    chain's evaluations list only those, in the order of a serial
-    bisection.  A parameter already classified for the same initial
-    state is looked up, not iterated again; it is still recorded in that
-    chain's evaluations, which list the ends, then the purification
-    chain, then the security chain.  A batch builds each parameter's
-    round tensor once and copies it into the parameter's other rows.  A
-    scan whose two ends share a regime brackets nothing (see
-    :attr:`ThresholdScan.found`).  These keyword defaults are the
-    defaults of every threshold scan.
+    monotone (larger parameter = cleaner operations).  The scan fills a
+    table of regimes per initial state in lockstep batches
+    (:func:`_classify_rows`): first both ends, then, below every open
+    bracket (neighbouring classified parameters whose regimes differ,
+    more than ``bisect_tol`` apart), the midpoints of its next
+    :data:`_LEVELS` bisection levels, until no bracket is open.  A batch
+    builds each parameter's round tensor once.  One serial bisection
+    (:func:`_bisect`) per threshold then reads the table: purification
+    (the regime leaves NO_PURIFICATION), then security (it becomes
+    PURIFY_SECURE).  A bisection stands only on brackets whose ends
+    differ in regime, and the first parameter classified inside one is
+    its midpoint, so the table holds every midpoint it reads.  The
+    evaluations list the ends, then the two traces.  A scan whose ends
+    share a regime brackets nothing (see :attr:`ThresholdScan.found`).
+    These keyword defaults are the defaults of every threshold scan.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -695,19 +702,16 @@ def scan_thresholds(
     known: list[dict[float, Regime]] = [{} for _ in initials]
 
     def classify(requests: list[tuple[int, float]]) -> None:
-        """Classify the (initial state, parameter) requests not yet known, as one batch."""
-        todo = [(k, x) for k, x in dict.fromkeys(requests) if x not in known[k]]
-        if not todo:
-            return
+        """Classify (initial state, parameter) requests, none of them known yet, as one batch."""
         # one preallocated stack, one tensor per row; each parameter's is built once
-        tensors = np.empty((len(todo), 256, DISCARDED + 1))
+        tensors = np.empty((len(requests), 256, DISCARDED + 1))
         first: dict[float, int] = {}
-        for i, (_, x) in enumerate(todo):
+        for i, (_, x) in enumerate(requests):
             j = first.setdefault(x, i)
             tensors[i] = round_tensor(family(x), placement) if j == i else tensors[j]
-        states = np.array([initials[k].p.ravel() for k, _ in todo])
+        states = np.array([initials[k].p.ravel() for k, _ in requests])
         reports = _classify_rows(states, tensors, secure_tol, purify_margin, max_rounds, fixpoint_tol)
-        for (k, x), report in zip(todo, reports):
+        for (k, x), report in zip(requests, reports):
             known[k][x] = report.regime
 
     def reachable(a: float, b: float, levels: int) -> list[float]:
@@ -717,30 +721,22 @@ def scan_thresholds(
         mid = 0.5 * (a + b)
         return [mid, *reachable(a, mid, levels - 1), *reachable(mid, b, levels - 1)]
 
-    classify([(k, x) for k in range(len(initials)) for x in (lo, hi)])
-    chains: list[list[_Chain | None]] = []
-    for k, regimes in enumerate(known):
-        ends = regimes[lo], regimes[hi]
-        chains.append([
-            _Chain(k, predicate, predicate(ends[1]), lo, hi)
-            if predicate(ends[0]) != predicate(ends[1]) else None
-            for predicate in (_purifies, _secure)
-        ])
-
-    open_chains = [c for pair in chains for c in pair if c is not None]
-    while open_chains := [c for c in open_chains if c.b - c.a > bisect_tol]:
-        classify([(c.state, x) for c in open_chains for x in reachable(c.a, c.b, _LEVELS)])
-        for chain in open_chains:
-            for _ in range(_LEVELS):
-                if chain.b - chain.a > bisect_tol:
-                    chain.step(known[chain.state])
+    requests = [(k, x) for k in range(len(initials)) for x in (lo, hi)]
+    while requests:
+        classify(requests)
+        # reachable lists nothing below a bracket within bisect_tol, which is closed
+        requests = [(k, x) for k, regimes in enumerate(known) for a, b in pairwise(sorted(regimes))
+                    if regimes[a] != regimes[b] for x in reachable(a, b, _LEVELS)]
 
     scans = []
-    for regimes, pair in zip(known, chains):
-        brackets = [None if chain is None else (chain.a, chain.b) for chain in pair]
+    for regimes in known:
+        bisections = [
+            _bisect(regimes, predicate, lo, hi, bisect_tol) or (None, []) for predicate in (_purifies, _secure)
+        ]
+        brackets = [bracket for bracket, _ in bisections]
         midpoints = [None if bracket is None else 0.5 * sum(bracket) for bracket in brackets]
         evaluations = [(lo, regimes[lo].value), (hi, regimes[hi].value)]
-        evaluations += [e for chain in pair if chain is not None for e in chain.trace]
+        evaluations += [e for _, trace in bisections for e in trace]
         scans.append(ThresholdScan(*midpoints, *brackets, evaluations, lo, hi, bisect_tol))
     return scans
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -638,15 +639,12 @@ class TestBlockedLockstep:
         assert rounds == [2] * min(max_rounds, recurrence._CHECK_EVERY)
 
 
-def serial_scan(family, initial, lo, hi, bisect_tol, **settings):
-    """``ThresholdScan.as_dict`` of a plain serial bisection: the ends, then one chain after the other.
+def serial_scan(regime, lo, hi, bisect_tol):
+    """``ThresholdScan.as_dict`` of a plain serial bisection: the ends, then one threshold after the other.
 
-    Every parameter is classified by ``classify_regime``, once per chain
-    that visits it.
+    ``regime(x)`` labels parameter ``x``; it is called once per bisection
+    that visits ``x``.
     """
-    def regime(x):
-        return classify_regime(family(x), initial, **settings).regime
-
     ends = regime(lo), regime(hi)
     evaluations = [(lo, ends[0].value), (hi, ends[1].value)]
     brackets = []
@@ -708,8 +706,10 @@ class TestTwoLevelScan:
     def test_scan_matches_serial_bisection(self, family, initials, settings):
         settings = {"lo": 0.88, "hi": 0.92, **settings}
         scans = scan_thresholds(family, initials, **settings)
+        bisection = {key: settings.pop(key) for key in ("lo", "hi", "bisect_tol")}
         assert [scan.as_dict() for scan in scans] == [
-            serial_scan(family, initial, **settings) for initial in initials
+            serial_scan(lambda x: classify_regime(family(x), initial, **settings).regime, **bisection)
+            for initial in initials
         ]
 
     def test_the_last_of_odd_levels_classifies_no_children(self, monkeypatch):
@@ -754,11 +754,13 @@ class TestTwoLevelScan:
             assert tensors == rows and built == parameters == distinct
         # the ends and the first midpoints are shared by all four initial states
         assert batches[0][:3] == (8, 8, 2) and batches[1][:3] == (12, 12, 3)
+        assert [rows for rows, *_ in batches] == [8, 12, 12, 12, 12, 21, 21]
         assert sum(rows for rows, *_ in batches) > sum(built for *_, built, _ in batches)
 
     def test_a_scan_copies_no_tensor_stack(self):
-        # one warmed default scan peaks at about 1.5 MB; copying the stack of the rows
-        # that stay at each block end (``tensors[stay]``) makes it about 2.4 MB
+        # one warmed default scan peaks at about 1.34 MB; copying the stack of the rows
+        # that stay at each block end (``tensors[stay]``) makes it about 2.4 MB, and a
+        # block-sized temporary for the changes or the clipped rows about 1.5 MB
         def scan():
             return scan_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS)
 
@@ -769,7 +771,53 @@ class TestTwoLevelScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.8e6
+        assert peak < 1.45e6
+
+
+#: The regimes in the order a monotone family meets them as the parameter grows.
+REGIME_ORDER = [Regime.NO_PURIFICATION, Regime.PURIFY_INSECURE, Regime.PURIFY_SECURE]
+
+
+@st.composite
+def step_functions(draw, monotone):
+    """A regime that steps at up to four points of [0.88, 0.92]: (steps, regime of each piece)."""
+    steps = sorted(draw(st.lists(st.floats(0.88, 0.92), max_size=4)))
+    pieces = draw(st.lists(st.sampled_from(REGIME_ORDER), min_size=len(steps) + 1, max_size=len(steps) + 1))
+    return steps, sorted(pieces, key=REGIME_ORDER.index) if monotone else pieces
+
+
+class TestRegimeTable:
+    """The scan on made-up regimes: each parameter is its own noise model and its own label."""
+
+    @pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "non-monotone"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bisect_tol=st.sampled_from([1e-3, 6e-3, 0.01, 0.05]))
+    def test_scan_matches_serial_bisection(self, monotone, data, bisect_tol):
+        functions = data.draw(st.lists(step_functions(monotone), min_size=1, max_size=3))
+        regimes = [
+            lambda x, steps=steps, pieces=pieces: pieces[bisect_right(steps, x)]
+            for steps, pieces in functions
+        ]
+        initials = [SubensembleState.werner(0.5 + 0.1 * k) for k in range(len(regimes))]
+        owner = {initial.p.tobytes(): k for k, initial in enumerate(initials)}
+        classified = []
+
+        def labelled(states, tensors, *args):
+            reports = []
+            for state, tensor in zip(states, tensors):
+                k, x = owner[state.tobytes()], float(tensor[0, 0])
+                classified.append((k, x))
+                reports.append(RegimeReport(regimes[k](x), math.nan, math.nan, 0, True, 0.0))
+            return reports
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence, "round_tensor", lambda x, placement: np.full((256, 17), x))
+            mp.setattr(recurrence, "_classify_rows", labelled)
+            scans = scan_thresholds(lambda x: x, initials, bisect_tol=bisect_tol)
+        assert len(classified) == len(set(classified))
+        assert [scan.as_dict() for scan in scans] == [
+            serial_scan(regime, 0.88, 0.92, bisect_tol) for regime in regimes
+        ]
 
 
 class TestThresholds:
