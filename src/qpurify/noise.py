@@ -126,7 +126,8 @@ class NoiseModel:
         """Build a model from one of the three serialized forms."""
         if not isinstance(doc, dict) or "family" not in doc:
             raise ValueError("noise config must be a mapping with a 'family' key")
-        if doc["family"] not in NOISE_FAMILIES:
+        # a tuple compares by ==: an unhashable family is unknown, not a TypeError
+        if doc["family"] not in tuple(NOISE_FAMILIES):
             raise ValueError(f"unknown noise family {doc['family']!r}")
         key, build = NOISE_FAMILIES[doc["family"]]
         if key not in doc:

@@ -508,43 +508,36 @@ def _classify_rows(
 ) -> list[RegimeReport]:
     """Classify a :func:`_lockstep` batch by the rows that leave it.
 
-    Row ``k`` iterates ``states[k]`` under ``tensors[k]``; its clipped
-    last row gets the labels of :func:`classify_regime`.  The loop
-    compacts ``tensors`` in place, so the caller's stack comes back
-    reordered.
+    Row ``k`` iterates ``states[k]`` under ``tensors[k]``.  Its final row
+    is its clipped last output, or NaN when it stops degenerate; a
+    degenerate row also reports 0 rounds and not converged.  One rule
+    then labels every row, as :func:`classify_regime` describes: its
+    rank, an index into :class:`Regime`, is 1 if it purifies plus 1 if it
+    is also secure.  NaN compares False, so a degenerate row ranks 0,
+    NO_PURIFICATION.  The loop compacts ``tensors`` in place, so the
+    caller's stack comes back reordered.
     """
-    count = len(states)
     final = states.copy()
-    rounds = np.zeros(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
-    degenerate = np.zeros(count, dtype=bool)
+    rounds = np.zeros(len(states), dtype=int)
+    converged = np.zeros(len(states), dtype=bool)
     for block in _lockstep(states, tensors, max_rounds, fixpoint_tol):
-        stopped = np.flatnonzero(block.stopped)
+        final[block.live[block.degenerate]] = math.nan
+        stopped = np.flatnonzero(block.stopped & ~block.degenerate)
         rows, ran = block.live[stopped], block.ran[stopped]
         rounds[rows] = block.start + ran
         converged[rows] = block.converged[stopped]
-        degenerate[rows] = block.degenerate[stopped]
         final[rows] = np.clip(block.new[ran - 1, stopped], 0.0, None)
 
     f_max, cond_limit = phi_plus_weight(final), flag_match_weight(final)
-    reports = []
-    for k, f0 in enumerate(phi_plus_weight(states).tolist()):
-        if degenerate[k]:
-            reports.append(RegimeReport(
-                Regime.NO_PURIFICATION, math.nan, math.nan, 0, False, f0, degenerate=True
-            ))
-            continue
-        purifies = f_max[k] > DEPOLARIZED_FIDELITY + purify_margin
-        if purifies and (1.0 - cond_limit[k]) < secure_tol:
-            regime = Regime.PURIFY_SECURE
-        elif purifies:
-            regime = Regime.PURIFY_INSECURE
-        else:
-            regime = Regime.NO_PURIFICATION
-        reports.append(RegimeReport(
-            regime, float(f_max[k]), float(cond_limit[k]), int(rounds[k]), bool(converged[k]), f0
-        ))
-    return reports
+    purifies = f_max > DEPOLARIZED_FIDELITY + purify_margin
+    # an integer sum: bool + bool would be a logical or
+    ranks = purifies.astype(int) + (purifies & (1.0 - cond_limit < secure_tol))
+    regimes = list(Regime)
+    columns = ranks, f_max, cond_limit, rounds, converged, phi_plus_weight(states), np.isnan(f_max)
+    return [
+        RegimeReport(regimes[rank], *fields, degenerate=degenerate)
+        for rank, *fields, degenerate in zip(*(column.tolist() for column in columns))
+    ]
 
 
 def classify_regime(
@@ -622,40 +615,31 @@ class ThresholdScan:
         }
 
 
-def _purifies(regime: Regime) -> bool:
-    return regime != Regime.NO_PURIFICATION
-
-
-def _secure(regime: Regime) -> bool:
-    return regime == Regime.PURIFY_SECURE
-
-
 #: Bisection levels a threshold scan classifies per batch below each open
 #: bracket: its midpoint and, below it, the midpoints of both halves.
 _LEVELS = 2
 
 
 def _bisect(
-    regimes: dict[float, Regime],
-    predicate: Callable[[Regime], bool],
-    lo: float,
-    hi: float,
-    bisect_tol: float,
+    regimes: dict[float, Regime], rank: int, lo: float, hi: float, bisect_tol: float
 ) -> tuple[tuple[float, float], list[tuple[float, str]]] | None:
-    """The bracket and the trace of a serial bisection of ``predicate``, read off ``regimes``.
+    """The bracket and the trace of a serial bisection read off ``regimes``.
 
-    The bisection halves [lo, hi] until it is within ``bisect_tol``,
-    keeping the half whose ends differ in ``predicate``; the trace lists
-    each midpoint it reads with its regime.  None when both ends agree.
+    The bisected predicate is "the regime's rank, its index in
+    :class:`Regime`, is at least ``rank``".  The bisection halves
+    [lo, hi] until it is within ``bisect_tol``, keeping the half whose
+    ends differ in the predicate; the trace lists each midpoint it reads
+    with its regime.  None when both ends agree.
     """
-    at_hi = predicate(regimes[hi])
-    if predicate(regimes[lo]) == at_hi:
+    reached = list(Regime)[rank:]
+    at_hi = regimes[hi] in reached
+    if (regimes[lo] in reached) == at_hi:
         return None
     a, b, trace = lo, hi, []
     while b - a > bisect_tol:
         mid = 0.5 * (a + b)
         trace.append((mid, regimes[mid].value))
-        if predicate(regimes[mid]) == at_hi:
+        if (regimes[mid] in reached) == at_hi:
             b = mid
         else:
             a = mid
@@ -686,12 +670,13 @@ def scan_thresholds(
     :data:`_LEVELS` bisection levels, until no bracket is open.  A batch
     builds each parameter's round tensor once.  One serial bisection
     (:func:`_bisect`) per threshold then reads the table: purification
-    (the regime leaves NO_PURIFICATION), then security (it becomes
-    PURIFY_SECURE).  A bisection stands only on brackets whose ends
-    differ in regime, and the first parameter classified inside one is
-    its midpoint, so the table holds every midpoint it reads.  The
-    evaluations list the ends, then the two traces.  A scan whose ends
-    share a regime brackets nothing (see :attr:`ThresholdScan.found`).
+    (rank 1, the regime leaves NO_PURIFICATION), then security (rank 2,
+    it becomes PURIFY_SECURE).  A bisection stands only on brackets
+    whose ends differ in regime, and the first parameter classified
+    inside one is its midpoint, so the table holds every midpoint it
+    reads.  The evaluations list the ends, then the two traces.  A scan
+    whose ends share a regime brackets nothing (see
+    :attr:`ThresholdScan.found`).
     These keyword defaults are the defaults of every threshold scan.
     """
     if not lo < hi:
@@ -730,9 +715,7 @@ def scan_thresholds(
 
     scans = []
     for regimes in known:
-        bisections = [
-            _bisect(regimes, predicate, lo, hi, bisect_tol) or (None, []) for predicate in (_purifies, _secure)
-        ]
+        bisections = [_bisect(regimes, rank, lo, hi, bisect_tol) or (None, []) for rank in (1, 2)]
         brackets = [bracket for bracket, _ in bisections]
         midpoints = [None if bracket is None else 0.5 * sum(bracket) for bracket in brackets]
         evaluations = [(lo, regimes[lo].value), (hi, regimes[hi].value)]

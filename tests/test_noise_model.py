@@ -131,6 +131,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown noise family"):
             NoiseModel.from_config({"family": "amplitude_damping", "gamma": 0.1})
 
+    @pytest.mark.parametrize("family", [[], {}], ids=["list", "mapping"])
+    def test_rejects_unhashable_family(self, family):
+        with pytest.raises(ValueError, match="unknown noise family"):
+            NoiseModel.from_config({"family": family})
+
     def test_rejects_non_mapping(self):
         with pytest.raises(ValueError, match="mapping"):
             NoiseModel.from_config([1, 2, 3])

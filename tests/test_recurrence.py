@@ -139,6 +139,11 @@ class TestSubensembleState:
         assert np.allclose(state.p.sum(axis=0), WERNER_085, atol=1e-15)
         assert np.allclose(state.p.sum(axis=1), [1, 0, 0, 0], atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_werner_rejects_a_fidelity_outside_the_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\]"):
+            SubensembleState.werner(bad)
+
     def test_random_flag_mode(self):
         state = SubensembleState.from_bell_probs(WERNER_085, flag_mode="random")
         assert np.allclose(state.p.sum(axis=1), 0.25, atol=1e-15)
@@ -501,6 +506,27 @@ class TestBatchedClassification:
                 (Regime.PURIFY_INSECURE, 41, True, False),
             ]
 
+    @pytest.mark.parametrize(
+        "purify_margin, secure_tol, regime",
+        [
+            # 0.75 > 0.25 + 0.5 is false, and secure alone does not purify
+            (0.5, 0.5, Regime.NO_PURIFICATION),
+            # 1 - 0.75 < 0.25 is false
+            (0.25, 0.25, Regime.PURIFY_INSECURE),
+            (0.25, 0.5, Regime.PURIFY_SECURE),
+        ],
+    )
+    def test_a_tie_falls_below_its_threshold(self, purify_margin, secure_tol, regime):
+        # F = F_cond = 0.75 and every sum is exact; with no round the input is the final row
+        initial = SubensembleState.from_bell_probs([0.75, 0.25, 0, 0])
+        noise = NoiseModel.identity()
+        tensors = recurrence.round_tensor(noise)[None]
+        (report,) = recurrence._classify_rows(initial.p.reshape(1, 16), tensors, secure_tol, purify_margin,
+                                              0, 1e-12)
+        expected = serial_report(noise, initial, 0, BEFORE_ROTATION, secure_tol, purify_margin)
+        assert report.regime == expected.regime == regime
+        assert (report.f_max, report.conditional_limit) == (0.75, 0.75)
+
     def test_non_finite_rows_fail_at_the_first_check_block(self, monkeypatch):
         rounds = []
         real = recurrence._round
@@ -537,12 +563,13 @@ class TestBatchedClassification:
                                max_rounds=500)
         classified = [x for batch in batches for x in batch]
         evaluated = {x for x, _ in scan.evaluations}
-        # both chains' evaluations are recorded, but each parameter is iterated once
+        # both bisections read the midpoints they share off the table, so the evaluations
+        # repeat them, but each parameter is iterated once
         assert len(scan.evaluations) > len(evaluated)
         assert len(classified) == len(set(classified))
         assert evaluated <= set(classified)
         # the ends first, then one batch per two of the four bisection levels; the first
-        # holds the chains' shared midpoint and both midpoints the next step may visit
+        # holds the midpoint of the ends' bracket and the midpoints of both its halves
         mid = 0.5 * (lo + hi)
         assert batches[0] == [lo, hi] and len(batches) == 1 + 2
         assert batches[1] == [mid, 0.5 * (lo + mid), 0.5 * (mid + hi)]
@@ -723,7 +750,8 @@ class TestTwoLevelScan:
         monkeypatch.setattr(recurrence, "_classify_rows", counting)
         (scan,) = scan_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS[:1],
                                   bisect_tol=6e-3, max_rounds=500)
-        # three levels per chain: the ends, one batch of two levels, then one midpoint per chain
+        # each bisection reads three levels: after the ends, one batch of two levels, then
+        # the one midpoint below each bracket still open
         assert len(scan.evaluations) == 2 + 3 + 3
         assert len(rows) == 3 and rows[0] == 2 and rows[2] <= 2
 
