@@ -4,12 +4,14 @@ Subcommands:
 
 * ``iterate`` -- run the exact recurrence and write a trajectory file;
 * ``mc``      -- run the finite-population Monte Carlo simulation;
-* ``scan``    -- bisect purification/security thresholds of a noise family;
+* ``scan``    -- bisect the purification/security thresholds in the
+  parameter of the configured noise family;
 * ``verify``  -- cross-check every label table and the round map against
   the dense density-matrix oracle.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 degenerate dynamics, 4 no threshold in the scanned range.
+Exit codes: 0 success, 1 verification failure, 2 configuration error or
+an output directory that cannot be written, 3 degenerate dynamics, 4 no
+threshold in the scanned range.
 
 A trajectory file holds the rows of a :class:`~qpurify.recurrence.Trajectory`
 or :class:`~qpurify.montecarlo.McTrajectory` under that type's ``columns``.
@@ -32,7 +34,6 @@ from . import __version__
 from .config import ExperimentConfig, PRESETS, load_config_file
 from .errors import ConfigError, DegenerateRoundError, NoThresholdError
 from .montecarlo import McTrajectory, init_ensemble, run_protocol
-from .noise import NOISE_FAMILIES
 from .oracle import run_conformance_checks
 from .recurrence import SubensembleState, Trajectory, iterate, scan_thresholds
 
@@ -95,17 +96,9 @@ def _write_trajectory(
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.preset and args.config:
-        raise ConfigError("--preset and --config are mutually exclusive")
     if args.preset:
-        config = ExperimentConfig.from_preset(args.preset)
-    elif args.config:
-        config = load_config_file(args.config)
-    else:
-        raise ConfigError("one of --config or --preset is required")
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    return config
+        return ExperimentConfig.from_preset(args.preset)
+    return load_config_file(args.config)
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
@@ -135,6 +128,8 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if args.seed is not None:
+        config = config.with_seed(args.seed)
     ensemble = init_ensemble(config.initial.state, config.pairs, seed=config.seed)
     trajectory = run_protocol(
         ensemble, config.noise_model(), config.rounds, placement=config.placement
@@ -153,8 +148,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    family = config.scan_family()
     options = config.scan.as_dict()
-    _, family = NOISE_FAMILIES[options.pop("family")]
     werner_grid = options.pop("werner_grid")
     options.update(fixpoint_tol=config.fixpoint_tol, placement=config.placement)
     flag_mode = config.initial.flag_mode
@@ -214,34 +209,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qpurify {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", metavar="PATH", help="JSON configuration file")
-        p.add_argument(
+    def add_command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", metavar="PATH", help="JSON configuration file")
+        source.add_argument(
             "--preset",
             metavar="NAME",
             choices=sorted(PRESETS),
             help=f"named configuration ({', '.join(sorted(PRESETS))})",
         )
-        p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
         p.add_argument("--out", default="qpurify-out", metavar="DIR", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument(
             "--deterministic",
             action="store_true",
             help="omit timestamps so identical runs give identical bytes",
         )
+        return p
 
-    p_iterate = sub.add_parser("iterate", help="run the exact recurrence")
-    add_common(p_iterate)
-    p_iterate.set_defaults(func=_cmd_iterate)
-
-    p_mc = sub.add_parser("mc", help="run the Monte Carlo population simulation")
-    add_common(p_mc)
-    p_mc.set_defaults(func=_cmd_mc)
-
-    p_scan = sub.add_parser("scan", help="bisect purification/security thresholds")
-    add_common(p_scan)
-    p_scan.set_defaults(func=_cmd_scan)
+    p_iterate = add_command("iterate", _cmd_iterate, "run the exact recurrence")
+    p_mc = add_command("mc", _cmd_mc, "run the Monte Carlo population simulation")
+    p_mc.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
+    for p in (p_iterate, p_mc):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_command("scan", _cmd_scan, "bisect the purification/security thresholds of noise.family")
 
     p_verify = sub.add_parser("verify", help="cross-check tables against the dense oracle")
     p_verify.set_defaults(func=_cmd_verify)
@@ -263,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoThresholdError as exc:
         print(f"no threshold: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -194,12 +194,12 @@ class InitialSettings:
 class ScanSettings:
     """Threshold-scan settings.
 
-    Every setting but ``family`` and ``werner_grid`` is the
+    A scan bisects the parameter of the configured ``noise.family`` over
+    ``[lo, hi]``.  Every setting but ``werner_grid`` is the
     :func:`~qpurify.recurrence.scan_thresholds` parameter of that name,
     with the same default.
     """
 
-    family: str = _key("product", _choice, choices=_SCAN_FAMILIES)
     lo: float = _key(0.88, _number, lo=0.0, hi=1.0)
     hi: float = _key(0.92, _number, lo=0.0, hi=1.0)
     bisect_tol: float = _key(1e-5, _number, lo=1e-12, hi=0.1)
@@ -248,6 +248,13 @@ class ExperimentConfig:
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel.from_config(self.noise)
+
+    def scan_family(self) -> Callable[[float], NoiseModel]:
+        """The constructor of ``noise.family``, whose one parameter a scan bisects."""
+        family = self.noise["family"]
+        if family not in _SCAN_FAMILIES:
+            raise ConfigError(f"noise.family: a scan needs one of {_SCAN_FAMILIES}, got {family!r}")
+        return NOISE_FAMILIES[family][1]
 
     def effective(self) -> dict:
         """Full configuration with every default made explicit."""

@@ -46,10 +46,31 @@ def test_iterate_preset_succeeds(tmp_path):
     assert "timestamp" not in metadata
 
 
-@pytest.mark.parametrize("command", ["iterate", "mc", "scan"])
+@pytest.mark.parametrize("command", ["mc"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     assert run([command, "--preset", "fig1", "--seed", "-1"], tmp_path / "out") == 2
     assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--format", "json"], ["scan", "--seed", "1"], ["iterate", "--seed", "1"]],
+    ids=["scan-format", "scan-seed", "iterate-seed"],
+)
+def test_options_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0], "--preset", "fig1", *argv[1:]], tmp_path / "out")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert run(["iterate", "--config", str(path)], tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
     assert not (tmp_path / "out").exists()
 
 
@@ -127,13 +148,64 @@ def test_scan_uses_the_top_level_fixpoint_tol(tmp_path):
 
 def test_preset_and_config_are_exclusive(tmp_path, capsys):
     path = write_config(tmp_path, SMALL_MC)
-    assert run(["iterate", "--preset", "fig1", "--config", path], tmp_path / "out") == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["iterate", "--preset", "fig1", "--config", path], tmp_path / "out")
+    assert exc.value.code == 2
+    assert "argument --config: not allowed with argument --preset" in capsys.readouterr().err
 
 
 def test_config_or_preset_required(tmp_path, capsys):
-    assert run(["iterate"], tmp_path / "out") == 2
-    assert "required" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["iterate"], tmp_path / "out")
+    assert exc.value.code == 2
+    assert "one of the arguments --config --preset is required" in capsys.readouterr().err
+
+
+#: A quick scan over [0.8, 0.95] of the primary input only.
+QUICK_SCAN = {"lo": 0.8, "hi": 0.95, "bisect_tol": 1e-3, "werner_grid": [], "max_rounds": 500}
+
+
+@pytest.mark.parametrize(
+    "noise, f_purify, f_secure",
+    [({"family": "product", "f0": 0.97}, 0.89814453125, 0.8993164062500001),
+     ({"family": "uniform", "f00": 0.97}, 0.83837890625, 0.84013671875)],
+    ids=["product", "uniform"],
+)
+def test_scan_bisects_the_configured_noise_family(tmp_path, noise, f_purify, f_secure):
+    path = write_config(tmp_path, {"noise": noise, "scan": QUICK_SCAN})
+    assert run(["scan", "--config", path], tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "thresholds.json").read_text())
+    assert (report["primary"]["f_purify"], report["primary"]["f_secure"]) == (f_purify, f_secure)
+    assert "family" not in report["config"]["scan"]
+
+
+def test_scan_of_explicit_noise_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {**DEGENERATE, "scan": QUICK_SCAN})
+    assert run(["scan", "--config", path], tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "noise.family" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_of_the_fig1_preset_has_no_threshold(tmp_path, capsys):
+    # the uniform family at f00 = 0.88 and 0.92 is PURIFY_SECURE at both ends
+    assert run(["scan", "--preset", "fig1"], tmp_path / "out") == 4
+    assert "no threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["iterate", "--preset", "fig1"], ["mc", "--config", None], ["scan", "--config", None]],
+    ids=["iterate", "mc", "scan"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    docs = {"mc": SMALL_MC, "scan": {"noise": {"family": "product", "f0": 0.97}, "scan": QUICK_SCAN}}
+    argv = [write_config(tmp_path, docs[argv[0]]) if a is None else a for a in argv]
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert run(argv, out) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
 
 
 def test_degenerate_dynamics_exits_3(tmp_path, capsys):
@@ -168,10 +240,10 @@ def test_deterministic_reruns_are_byte_identical(tmp_path, argv):
 
 PINNED_TRAJECTORIES = [
     # (config, format, SHA-256 of the trajectory file, rounds, final survivors)
-    (HALTED_MC, "csv", "d255b7bd70a8edff2990abfe1cfd92c7fa32de93427ee6adeae4e35ad210e44b", 2, 1),
-    (HALTED_MC, "json", "304ab4d41bb77fa05c3916406c0de3da70ef174ac51e051161cccd0e656c78bb", 2, 1),
-    (EMPTIED_MC, "csv", "d5c5efdadacca77eb11fc9c9c26aaa18bbf7a23ccbe71117289ddaa42f100c4f", 1, 0),
-    (EMPTIED_MC, "json", "4d8b97f20c7d2c25c0bf60ee2f8e4e6d705c66848b20c6b35be371c1d2e25f21", 1, 0),
+    (HALTED_MC, "csv", "28af42e459906999b5c49d511c27c26127b2b98baae3c80219242d1bf9121afd", 2, 1),
+    (HALTED_MC, "json", "6f60f1c8bda12b80a3989c7b454a4124084c0070f0457d8f54c567be5df8bd0c", 2, 1),
+    (EMPTIED_MC, "csv", "0357b4820bbd3b490f30c0d84151fccca0600798d4484a80a0933c9a0d494b53", 1, 0),
+    (EMPTIED_MC, "json", "b6178ac037253a620819d7287f528042fb05b50a5a388fd7bcd7315bffe2edda", 1, 0),
 ]
 
 
@@ -201,12 +273,12 @@ BCNOT_ITERATE = {
 
 PINNED_ITERATIONS = [
     # (config or preset, format, SHA-256 of the trajectory file, SHA-256 of metadata.json)
-    ("fig1", "csv", "79597df85668832b76435a86c8f8fbb3f897735b249daa00bcdbf20bfe5da595",
-     "f2309d54f4bfd38d7fb215e259c1cdab535c808048b02b4cfbbfb8556837dc9d"),
-    ("fig1", "json", "9462ee47456b00946e26e25f9188691b2057963f1b2e63b9f1221cfd4721aeeb",
-     "f2309d54f4bfd38d7fb215e259c1cdab535c808048b02b4cfbbfb8556837dc9d"),
-    (BCNOT_ITERATE, "csv", "1c549571251f57a5c28a711e66d51baccdeae21baef9979aab52ec95c28cc861",
-     "7f831d855a2ced664d7236fd323d8dc3a30314d9168267eeef800f2b10f7ff01"),
+    ("fig1", "csv", "84c26ffa634c96f1e6ef840a8511aaafafd7d17980a9c1a79a64ee933a532eef",
+     "37a4e3f743623c3e5e0f25ece9b4eaba692212b548d86232b976d1e53ecb89b0"),
+    ("fig1", "json", "a0332745f88096df4ef2e22fa340a6b1b44d361a34e399e902e2081cd33e304f",
+     "37a4e3f743623c3e5e0f25ece9b4eaba692212b548d86232b976d1e53ecb89b0"),
+    (BCNOT_ITERATE, "csv", "659b5e86d1c701f4f306022f9a0eb046c7beb6f5e2c0845773fdaa4ff738b769",
+     "11f36be2ead389db3310b634b606b2fe62980a1ab290b515b8ecf89fef3ea016"),
 ]
 
 
@@ -229,18 +301,18 @@ BCNOT_SCAN = {
     "noise": {"family": "uniform", "f00": 0.97},
     "initial": {"flag_mode": "random"},
     "placement": "before_bcnot",
-    "scan": {"family": "uniform", "lo": 0.8, "hi": 0.95, "bisect_tol": 1e-3,
+    "scan": {"lo": 0.8, "hi": 0.95, "bisect_tol": 1e-3,
              "werner_grid": [0.4, 0.6], "max_rounds": 500},
 }
 
 PINNED_SCANS = [
     # (config, SHA-256 of thresholds.json, SHA-256 of scan_points.csv)
     ({"noise": {"family": "product", "f0": 0.97}},
-     "3940b72d837d40bd4e1fe3c6441132ffa002d8912cf69426a1d0df47b5c2daa0",
-     "0609e3fea93efb9a92f7004667754cfd942da224a0d548d42417119f699a0142"),
+     "9c028e3fad76011dbc644254a2c2c75a1748110434133cbf590dc9ba8e34a717",
+     "4f9b336ad3eeac00a71501fffe50c959db94febc7105903bd8f46934ca20edf8"),
     (BCNOT_SCAN,
-     "3d0d3fe0cfb034282c0195a8c4a61bc294f00d1533637d01cc7c9a18e81efdb5",
-     "b1f5e13ef9796c27c1ae283e1affdcc0e4db3c6e24e43891b973804bc450b736"),
+     "ab0449c268da405f7a9eea9853dcf563dc71c26fe115ee8eefc5c067ad37e571",
+     "4df3c3c7623513e51fd9736663e0e3ebd24aba049530e2aef1ac168e04da26e0"),
 ]
 
 

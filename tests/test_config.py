@@ -44,7 +44,7 @@ REJECTED = [
     (with_noise(placement="after_measurement"), "placement"),
     (with_noise(fixpoint_tol=-1e-3), "fixpoint_tol"),
     (with_noise(scan={"lo": 0.9, "hi": 0.9}), "need lo < hi"),
-    (with_noise(scan={"family": "explicit"}), "scan.family"),
+    (with_noise(scan={"family": "explicit"}), "unknown key"),
     (with_noise(scan={"werner_grid": [0.2]}), "werner_grid"),
     (with_noise(scan={"werner_grid": [0.85, 0.95, 0.85]}), "repeated fidelity"),
     (with_noise(scan={"max_rounds": 0}), "max_rounds"),
@@ -76,7 +76,7 @@ ACCEPTED = [
         "noise": {"family": "explicit", "f": [1, 0, 0, 0] + [0] * 12},
         "initial": {"bell_probs": [0.7, 0.1, 0.1, 0.1], "flag_mode": "random"},
         "placement": "before_bcnot",
-        "scan": {"family": "uniform", "lo": 0.8, "hi": 0.95, "werner_grid": [0.9]},
+        "scan": {"lo": 0.8, "hi": 0.95, "werner_grid": [0.9]},
     },
 ]
 
@@ -101,7 +101,6 @@ def test_effective_pins_every_default():
         "placement": "before_rotation",
         "fixpoint_tol": 1e-12,
         "scan": {
-            "family": "product",
             "lo": 0.88,
             "hi": 0.92,
             "bisect_tol": 1e-5,
@@ -114,11 +113,11 @@ def test_effective_pins_every_default():
 
 
 def test_scan_defaults_are_the_find_thresholds_defaults():
-    # each ScanSettings field but family and werner_grid is a scan_thresholds parameter;
+    # each ScanSettings field but werner_grid is a scan_thresholds parameter;
     # find_thresholds forwards its settings there, so these are its defaults too
     parameters = inspect.signature(scan_thresholds).parameters
     for f in dataclasses.fields(ScanSettings):
-        if f.name not in ("family", "werner_grid"):
+        if f.name != "werner_grid":
             assert f.default == parameters[f.name].default, f.name
 
 
