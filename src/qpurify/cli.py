@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``iterate`` -- run the exact recurrence and write a trajectory file;
+* ``iterate`` -- run the exact recurrence, for at most ``rounds`` rounds or
+  until the fixpoint, and write a trajectory file;
 * ``mc``      -- run the finite-population Monte Carlo simulation;
 * ``scan``    -- bisect the purification/security thresholds in the
   parameter of the configured noise family;
@@ -13,12 +14,17 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error or
 an output directory that cannot be written, 3 degenerate dynamics, 4 no
 threshold in the scanned range.
 
+``iterate``, ``mc`` and ``scan`` share one run path (:func:`_run`): the
+configuration is loaded and checked, ``--out`` is made (or found to be a
+directory) before any work, the command computes its files as text, and
+they are written, with a ``metadata.json`` sidecar, in one loop.  A run
+that fails removes the directories it made.
+
 A trajectory file holds the rows of a :class:`~qpurify.recurrence.Trajectory`
 or :class:`~qpurify.montecarlo.McTrajectory` under that type's ``columns``.
 Every data file embeds the full effective configuration (defaults made
-explicit) and each run writes a ``metadata.json`` sidecar; with
-``--deterministic`` the timestamp is suppressed so identical
-(config, seed) runs produce byte-identical files.
+explicit); with ``--deterministic`` the timestamp is suppressed so
+identical (config, seed) runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,66 +39,30 @@ from typing import Sequence
 from . import __version__
 from .config import ExperimentConfig, PRESETS, load_config_file
 from .errors import ConfigError, DegenerateRoundError, NoThresholdError
-from .montecarlo import McTrajectory, init_ensemble, run_protocol
+from .montecarlo import init_ensemble, run_protocol
 from .oracle import run_conformance_checks
-from .recurrence import SubensembleState, Trajectory, iterate, scan_thresholds
+from .recurrence import SubensembleState, iterate, scan_thresholds
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv(columns: Sequence[str], rows: list, config: ExperimentConfig) -> str:
+    """A header line echoing the configuration, the column names, then one line per row."""
+    echo = json.dumps(config.effective(), sort_keys=True, separators=(",", ":"))
+    lines = [f"# qpurify {__version__} config={echo}", ",".join(columns)]
+    # rows hold Python numbers and strings, and str(float) is its shortest round-trip repr
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _config_echo(config: ExperimentConfig) -> str:
-    return json.dumps(config.effective(), sort_keys=True, separators=(",", ":"))
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(
-    path: Path, columns: Sequence[str], rows: list[list], config: ExperimentConfig
-) -> None:
-    lines = [f"# qpurify {__version__} config={_config_echo(config)}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _metadata(command: str, config: ExperimentConfig, deterministic: bool, **extra) -> dict:
-    meta = {
-        "tool": "qpurify",
-        "version": __version__,
-        "command": command,
-        "config": config.effective(),
-        **extra,
-    }
-    if not deterministic:
-        meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return meta
-
-
-def _write_trajectory(
-    out_dir: Path,
-    fmt: str,
-    trajectory: Trajectory | McTrajectory,
-    config: ExperimentConfig,
-    metadata: dict,
-) -> None:
-    """Write the trajectory's rows under its own columns, and the metadata sidecar."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _trajectory_file(trajectory, config: ExperimentConfig, fmt: str) -> dict[str, str]:
+    """The trajectory's rows under its own columns, as ``trajectory.csv`` or ``trajectory.json``."""
     columns, rows = trajectory.columns, trajectory.rows()
     if fmt == "csv":
-        _write_csv(out_dir / "trajectory.csv", columns, rows, config)
-    else:
-        _write_json(
-            out_dir / "trajectory.json",
-            {"config": config.effective(), "columns": columns, "rows": rows},
-        )
-    _write_json(out_dir / "metadata.json", metadata)
+        return {"trajectory.csv": _csv(columns, rows, config)}
+    return {"trajectory.json": _json({"config": config.effective(), "columns": columns, "rows": rows})}
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -101,8 +71,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return load_config_file(args.config)
 
 
-def _cmd_iterate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_iterate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, dict]:
     trajectory = iterate(
         config.initial.state,
         config.noise_model(),
@@ -110,52 +79,37 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         fixpoint_tol=config.fixpoint_tol,
         placement=config.placement,
     )
-    metadata = _metadata(
-        "iterate",
-        config,
-        args.deterministic,
-        convergence={
-            "converged": trajectory.converged,
-            "rounds": trajectory.rounds,
-            "final_change": trajectory.final_change,
-            "f_max": trajectory.limiting_fidelity,
-            "conditional_limit": trajectory.limiting_conditional_fidelity,
-        },
-    )
-    _write_trajectory(Path(args.out), args.format, trajectory, config, metadata)
-    return 0
+    convergence = {
+        "converged": trajectory.converged,
+        "rounds": trajectory.rounds,
+        "final_change": trajectory.final_change,
+        "f_max": trajectory.limiting_fidelity,
+        "conditional_limit": trajectory.limiting_conditional_fidelity,
+    }
+    return _trajectory_file(trajectory, config, args.format), {"convergence": convergence}
 
 
-def _cmd_mc(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
+def _cmd_mc(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, dict]:
     ensemble = init_ensemble(config.initial.state, config.pairs, seed=config.seed)
     trajectory = run_protocol(
         ensemble, config.noise_model(), config.rounds, placement=config.placement
     )
-    metadata = _metadata(
-        "mc",
-        config,
-        args.deterministic,
-        halted=trajectory.halted,
-        rounds=trajectory.rounds,
-        final_survivors=int(trajectory.survivors()[-1]),
-    )
-    _write_trajectory(Path(args.out), args.format, trajectory, config, metadata)
-    return 0
+    extra = {
+        "halted": trajectory.halted,
+        "rounds": trajectory.rounds,
+        "final_survivors": int(trajectory.survivors()[-1]),
+    }
+    return _trajectory_file(trajectory, config, args.format), extra
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    family = config.scan_family()
+def _cmd_scan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, dict]:
     options = config.scan.as_dict()
     werner_grid = options.pop("werner_grid")
     options.update(fixpoint_tol=config.fixpoint_tol, placement=config.placement)
     flag_mode = config.initial.flag_mode
     initials = [config.initial.state]
     initials += [SubensembleState.werner(fid, flag_mode=flag_mode) for fid in werner_grid]
-    primary, *grid_scans = scan_thresholds(family, initials, **options)
+    primary, *grid_scans = scan_thresholds(config.scan_family(), initials, **options)
     primary.require_found()
     grid = {fid: scan if scan.found else None for fid, scan in zip(werner_grid, grid_scans)}
 
@@ -165,8 +119,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     purify_values = [scan.f_purify for scan in found.values() if scan.f_purify is not None]
     secure_values = [scan.f_secure for scan in found.values() if scan.f_secure is not None]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "config": config.effective(),
         "primary": primary.as_dict(),
@@ -180,17 +132,44 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             "f_secure_max": max(secure_values) if secure_values else None,
         },
     }
-    _write_json(out_dir / "thresholds.json", report)
-    rows = [[x, regime, source] for x, regime, source in sorted(points)]
-    _write_csv(out_dir / "scan_points.csv", ["parameter", "regime", "source"], rows, config)
-    _write_json(
-        out_dir / "metadata.json",
-        _metadata("scan", config, args.deterministic, thresholds=report["primary"]),
-    )
-    return 0
+    files = {
+        "thresholds.json": _json(report),
+        "scan_points.csv": _csv(("parameter", "regime", "source"), sorted(points), config),
+    }
+    return files, {"thresholds": report["primary"]}
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> None:
+    """Check the configuration and ``--out``, compute, then write every file.
+
+    ``args.func`` is the command: it takes the configuration and the
+    parsed options and returns its files as ``{name: text}`` and the
+    extra ``metadata.json`` entries that describe the run.
+    """
+    config = _load_config(args)
+    if getattr(args, "seed", None) is not None:
+        config = config.with_seed(args.seed)
+    if args.command == "scan":
+        config.scan_family()  # the one ConfigError a loaded configuration can still raise
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        files, extra = args.func(config, args)
+    except BaseException:
+        for d in made:  # innermost first, so each is empty when it goes
+            d.rmdir()
+        raise
+    meta = {"tool": "qpurify", "version": __version__, "command": args.command,
+            "config": config.effective(), **extra}
+    if not args.deterministic:
+        meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    files["metadata.json"] = _json(meta)
+    for name, text in files.items():
+        (out / name).write_text(text)
+
+
+def _cmd_verify() -> int:
     report = run_conformance_checks()
     for line in report.lines():
         print(line)
@@ -234,18 +213,17 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_iterate, p_mc):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_command("scan", _cmd_scan, "bisect the purification/security thresholds of noise.family")
-
-    p_verify = sub.add_parser("verify", help="cross-check tables against the dense oracle")
-    p_verify.set_defaults(func=_cmd_verify)
+    sub.add_parser("verify", help="cross-check tables against the dense oracle")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.command == "verify":
+        return _cmd_verify()
     try:
-        return args.func(args)
+        _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -258,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ __all__ = [
     "EVENT_CONTROL_SHIFTS",
     "EVENT_TARGET_SHIFTS",
     "PROBABILITY_ATOL",
+    "real_array",
 ]
 
 #: Tolerance on distribution normalization.
@@ -59,8 +60,25 @@ EVENT_TARGET_SHIFTS = np.array(
 )
 
 
+def _real_type(kind: type) -> bool:
+    """True for a type of real numbers, numpy's included, other than bool."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """A float copy of ``values``, or ValueError unless every entry is a real number.
+
+    A bool or a numeric string is refused, where ``np.array(..., dtype=float)``
+    would convert it.
+    """
+    entries = np.array(values, dtype=object)
+    if not all(map(_real_type, set(map(type, entries.flat)))):
+        raise ValueError(f"{name} must hold numbers, got {values!r}")
+    return entries.astype(float)
+
+
 def _check_probability(value: float, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _real_type(type(value)):
         raise ValueError(f"{name}: expected a number, got {value!r}")
     value = float(value)
     # written so that a NaN fails both checks
@@ -78,10 +96,7 @@ class NoiseModel:
     f: np.ndarray
 
     def __post_init__(self):
-        try:
-            f = np.array(self.f, dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError(f"noise table must hold 16 numbers, got {self.f!r}") from None
+        f = real_array(self.f, "noise table")
         if f.shape == (16,):
             f = f.reshape(4, 4)
         if f.shape != (4, 4):

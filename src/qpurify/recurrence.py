@@ -74,7 +74,7 @@ import numpy as np
 from .bell import bcnot_map, measurement_coincides, rotation_step3
 from .errors import DegenerateRoundError, NoThresholdError
 from .flags import FLAG_UPDATE_TABLE
-from .noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, NoiseModel
+from .noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, NoiseModel, real_array
 
 __all__ = [
     "BEFORE_ROTATION",
@@ -308,7 +308,7 @@ class SubensembleState:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
+        p = real_array(self.p, "state")
         if p.shape == (16,):
             p = p.reshape(4, 4)
         if p.shape != (4, 4):
@@ -324,7 +324,7 @@ class SubensembleState:
         ``bell_probs`` is indexed by packed label (Phi+, Psi+, Phi-,
         Psi-) and is renormalized after a loose validity check.
         """
-        probs = np.array(bell_probs, dtype=float)
+        probs = real_array(bell_probs, "bell_probs")
         if probs.shape != (4,):
             raise ValueError("bell_probs must have exactly 4 entries")
         if not (probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-9):
@@ -545,7 +545,7 @@ def classify_regime(
     initial: SubensembleState,
     secure_tol: float = 1e-6,
     purify_margin: float = 1e-4,
-    max_rounds: int = 500,
+    max_rounds: int = 3000,
     fixpoint_tol: float = 1e-12,
     placement: str = BEFORE_ROTATION,
 ) -> RegimeReport:
@@ -559,7 +559,9 @@ def classify_regime(
     mislabel a large purifying band; the collapse gap is ~0.5 and makes
     this criterion sharp.)  Secure additionally requires the conditional
     fidelity to reach 1 within ``secure_tol``.  A degenerate round maps
-    to NO_PURIFICATION.  This is a batch of one row.
+    to NO_PURIFICATION.  This is a batch of one row, and the defaults are
+    those of :func:`scan_thresholds`, so it labels a scan's parameter as
+    the scan does.
     """
     (report,) = _classify_rows(
         initial.p.reshape(1, 16),

@@ -208,6 +208,43 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert out.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize(
+    "argv, compute",
+    [(["iterate", "--preset", "fig1"], "iterate"), (["mc", "--preset", "fig1"], "run_protocol"),
+     (["scan", "--config", None], "scan_thresholds")],
+    ids=["iterate", "mc", "scan"],
+)
+def test_unwritable_output_exits_2_before_the_work(tmp_path, monkeypatch, capsys, argv, compute):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{compute} ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, compute, refuse)
+    doc = {"noise": {"family": "product", "f0": 0.97}}
+    argv = [write_config(tmp_path, doc) if a is None else a for a in argv]
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert run(argv, out) == 2
+    assert "cannot write output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc, code",
+    [("iterate", DEGENERATE, 3), ("scan", NO_THRESHOLD, 4)],
+    ids=["degenerate", "no-threshold"],
+)
+def test_a_failed_run_leaves_no_directory(tmp_path, command, doc, code):
+    path = write_config(tmp_path, doc)
+    assert run([command, "--config", path], tmp_path / "new" / "out") == code
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_failed_run_keeps_an_existing_directory(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["iterate", "--config", write_config(tmp_path, DEGENERATE)], out) == 3
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_degenerate_dynamics_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, DEGENERATE)
     assert run(["iterate", "--config", path], tmp_path / "out") == 3

@@ -8,7 +8,7 @@ import pytest
 
 from qpurify.config import PRESETS, ExperimentConfig, ScanSettings, load_config_file
 from qpurify.errors import ConfigError
-from qpurify.recurrence import scan_thresholds
+from qpurify.recurrence import classify_regime, scan_thresholds
 
 PRODUCT = {"family": "product", "f0": 0.97}
 NAN = float("nan")
@@ -119,6 +119,12 @@ def test_scan_defaults_are_the_find_thresholds_defaults():
     for f in dataclasses.fields(ScanSettings):
         if f.name != "werner_grid":
             assert f.default == parameters[f.name].default, f.name
+    # classify_regime labels one parameter the way a scan does
+    single = inspect.signature(classify_regime).parameters
+    shared = single.keys() & parameters.keys()
+    assert shared == {"secure_tol", "purify_margin", "max_rounds", "placement", "fixpoint_tol"}
+    for name in shared:
+        assert single[name].default == parameters[name].default, name
 
 
 def test_effective_survives_json(tmp_path):

@@ -90,6 +90,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseModel(f)
 
+    @pytest.mark.parametrize(
+        "table",
+        [["1"] + ["0"] * 15, [True] + [False] * 15, np.array([True] + [False] * 15),
+         [1.0] + [0.0] * 14 + [False]],
+        ids=["strings", "bools", "bool-array", "one-bool"],
+    )
+    def test_rejects_strings_and_bools(self, table):
+        # each would convert to a valid table of floats
+        assert np.array(table, dtype=float).sum() == 1.0
+        with pytest.raises(ValueError, match="noise table must hold numbers"):
+            NoiseModel(table)
+
+    def test_accepts_integers_and_numpy_scalars(self):
+        table = [np.int64(1)] + [0] * 14 + [np.float64(0.0)]
+        assert NoiseModel(table).f[0, 0] == 1.0
+
 
 def from_stored_document(doc):
     """The model of a literal noise document after a trip through JSON, as a config file stores it."""

@@ -162,6 +162,16 @@ class TestSubensembleState:
         with pytest.raises(ValueError, match="probability distribution"):
             SubensembleState.from_bell_probs([bad, 0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "probs", [["1", "0", "0", "0"], [True, False, False, False], [1.0, 0.0, 0.0, False]],
+        ids=["strings", "bools", "one-bool"],
+    )
+    def test_rejects_strings_and_bools(self, probs):
+        with pytest.raises(ValueError, match="bell_probs must hold numbers"):
+            SubensembleState.from_bell_probs(probs)
+        with pytest.raises(ValueError, match="state must hold numbers"):
+            SubensembleState(probs + [0] * 12)
+
 
 class TestFidelities:
     def test_concentrated_clean(self):
@@ -413,6 +423,19 @@ class TestClassifyRegime:
             NoiseModel.from_one_qubit_depolarizing(1.0), SubensembleState.werner(0.85)
         )
         assert report.regime == Regime.PURIFY_SECURE
+
+    @pytest.mark.parametrize(
+        "f0, regime",
+        [(0.8987499999999999, Regime.PURIFY_SECURE),
+         (0.8982812499999999, Regime.NO_PURIFICATION),
+         (0.8983007812499999, Regime.NO_PURIFICATION)],
+    )
+    def test_defaults_label_as_the_default_scan(self, f0, regime):
+        # parameters of the default primary scan whose label takes more than 500 rounds
+        report = classify_regime(
+            NoiseModel.from_one_qubit_depolarizing(f0), SubensembleState.from_bell_probs(WERNER_085)
+        )
+        assert report.regime == regime
 
 
 def serial_report(noise, initial, max_rounds, placement, secure_tol=1e-6, purify_margin=1e-4,
