@@ -24,7 +24,14 @@ Models are built from the configuration forms ``{"family": "product",
 family's parameter key and constructor, and is the only place the
 families are told apart.  The constructors check what the parameter
 means (a probability, a normalized table) and raise ValueError for
-anything else.
+anything else, a number too large for a float included.
+
+:func:`probability_table` is the one check of a sixteen-entry
+probability table, the noise table here and the flagged-pair state of
+:mod:`qpurify.recurrence`; :func:`checked_rows` applies the same rule to
+the rows the recurrence produces.  An entry may lie below 0 by at most
+:data:`PROBABILITY_ATOL` and is then stored as 0, and the entries must
+sum to 1 within :data:`PROBABILITY_ATOL`.
 """
 
 from __future__ import annotations
@@ -43,10 +50,13 @@ __all__ = [
     "EVENT_CONTROL_SHIFTS",
     "EVENT_TARGET_SHIFTS",
     "PROBABILITY_ATOL",
+    "is_real_type",
     "real_array",
+    "checked_rows",
+    "probability_table",
 ]
 
-#: Tolerance on distribution normalization.
+#: Tolerance of every probability table: on its sum, and below 0 on each entry.
 PROBABILITY_ATOL = 1e-12
 
 #: Packed label shift that event ``e = mu * 4 + nu`` puts on the control pair.
@@ -60,7 +70,7 @@ EVENT_TARGET_SHIFTS = np.array(
 )
 
 
-def _real_type(kind: type) -> bool:
+def is_real_type(kind: type) -> bool:
     """True for a type of real numbers, numpy's included, other than bool."""
     return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
@@ -72,21 +82,54 @@ def real_array(values, name: str) -> np.ndarray:
     would convert it.
     """
     entries = np.array(values, dtype=object)
-    if not all(map(_real_type, set(map(type, entries.flat)))):
+    if not all(map(is_real_type, set(map(type, entries.flat)))):
         raise ValueError(f"{name} must hold numbers, got {values!r}")
-    return entries.astype(float)
+    try:
+        return entries.astype(float)
+    except OverflowError:
+        raise ValueError(f"{name} must hold numbers a float can hold, got {values!r}") from None
+
+
+def checked_rows(rows: np.ndarray, name: str) -> np.ndarray:
+    """Validate rows of sixteen probabilities as distributions; clip them at 0 in place.
+
+    Every entry must be at least ``-PROBABILITY_ATOL`` and every row must
+    sum to 1 within ``PROBABILITY_ATOL``.  The comparisons are written so
+    that a NaN fails them.  Every caller hands in a fresh array, which
+    comes back clipped.
+    """
+    low = rows.min()
+    if not low >= -PROBABILITY_ATOL:
+        raise ValueError(f"{name} entries must be nonnegative, got a negative or NaN entry {low:.3e}")
+    np.clip(rows, 0.0, None, out=rows)
+    deviation = np.abs(rows.sum(axis=-1) - 1.0).ravel()
+    if not deviation.max() <= PROBABILITY_ATOL:
+        worst = float(rows.reshape(-1, 16)[deviation.argmax()].sum())
+        raise ValueError(f"{name} entries sum to {worst!r}, not 1")
+    return rows
+
+
+def probability_table(values, name: str) -> np.ndarray:
+    """``values``, 16 entries flat or 4x4, as a read-only 4x4 table that passed
+    :func:`real_array` and :func:`checked_rows`, or ValueError naming ``name``."""
+    table = real_array(values, name)
+    if table.shape not in ((16,), (4, 4)):
+        raise ValueError(f"{name} must have 16 entries, got shape {table.shape}")
+    table = checked_rows(table.reshape(16), name).reshape(4, 4)
+    table.setflags(write=False)
+    return table
 
 
 def _check_probability(value: float, name: str) -> float:
-    if not _real_type(type(value)):
+    if not is_real_type(type(value)):
         raise ValueError(f"{name}: expected a number, got {value!r}")
-    value = float(value)
-    # written so that a NaN fails both checks
+    # compared before the float conversion, so that an int too large for a
+    # float fails here; written so that a NaN fails both checks
     if not value >= 0.0:
         raise ValueError(f"{name}: must be >= 0.0, got {value}")
     if not value <= 1.0:
         raise ValueError(f"{name}: must be <= 1.0, got {value}")
-    return value
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,18 +139,7 @@ class NoiseModel:
     f: np.ndarray
 
     def __post_init__(self):
-        f = real_array(self.f, "noise table")
-        if f.shape == (16,):
-            f = f.reshape(4, 4)
-        if f.shape != (4, 4):
-            raise ValueError(f"noise table must have 16 entries, got shape {f.shape}")
-        # written so that a NaN fails both checks
-        if not f.min() >= 0.0:
-            raise ValueError(f"noise probabilities must be nonnegative, min {f.min()}")
-        if not abs(f.sum() - 1.0) <= PROBABILITY_ATOL:
-            raise ValueError(f"noise probabilities sum to {f.sum()!r}, not 1")
-        f.setflags(write=False)
-        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "f", probability_table(self.f, "noise table"))
 
     # -- constructors -------------------------------------------------------
 

@@ -74,7 +74,15 @@ import numpy as np
 from .bell import bcnot_map, measurement_coincides, rotation_step3
 from .errors import DegenerateRoundError, NoThresholdError
 from .flags import FLAG_UPDATE_TABLE
-from .noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, NoiseModel, real_array
+from .noise import (
+    EVENT_CONTROL_SHIFTS,
+    EVENT_TARGET_SHIFTS,
+    NoiseModel,
+    checked_rows,
+    is_real_type,
+    probability_table,
+    real_array,
+)
 
 __all__ = [
     "BEFORE_ROTATION",
@@ -111,8 +119,6 @@ KEEP_PROBABILITY_FLOOR = 1e-9
 
 #: Fidelity of the completely depolarized state, the high-noise attractor.
 DEPOLARIZED_FIDELITY = 0.25
-
-_STATE_ATOL = 1e-12
 
 #: Cell index of a discarded pair of pairs in :func:`event_cell_table`.
 DISCARDED = 16
@@ -199,26 +205,6 @@ def _round(states: np.ndarray, tensors: np.ndarray) -> tuple[np.ndarray, np.ndar
     return kept / np.maximum(keep, KEEP_PROBABILITY_FLOOR)[:, None], keep
 
 
-def _checked_rows(rows: np.ndarray) -> np.ndarray:
-    """Validate rows of sixteen coefficients as distributions; clip them at 0 in place.
-
-    Every coefficient must be at least ``-_STATE_ATOL`` and every row must
-    sum to 1 within ``_STATE_ATOL``.  The comparisons are written so that
-    a NaN fails them.  Both callers hand in a fresh array, which comes
-    back clipped: :func:`_lockstep` its ``np.where`` copy of a block, and
-    :class:`SubensembleState` its own copy of the input.
-    """
-    low = rows.min()
-    if not low >= -_STATE_ATOL:
-        raise ValueError(f"state has negative or NaN coefficient {low:.3e}")
-    np.clip(rows, 0.0, None, out=rows)
-    deviation = np.abs(rows.sum(axis=-1) - 1.0).ravel()
-    if not deviation.max() <= _STATE_ATOL:
-        worst = float(rows.reshape(-1, 16)[deviation.argmax()].sum())
-        raise ValueError(f"state coefficients sum to {worst!r}, not 1")
-    return rows
-
-
 #: The lockstep loop applies its stop rule and validates the rows it produced
 #: once per block of this many rounds, so the rows it holds are bounded by the
 #: block, not by ``max_rounds``.
@@ -233,7 +219,7 @@ class _Block(NamedTuple):
 
     live: np.ndarray  # each column's row index into the batch
     start: int  # the rounds every row ran before the block
-    new: np.ndarray  # (rounds, rows, 16): the outputs, round by round, unclipped
+    new: np.ndarray  # (rounds, rows, 16): the outputs, round by round
     keeps: np.ndarray  # (rounds, rows): the keep probabilities
     changes: np.ndarray  # (rounds, rows): the sup-norm changes
     ran: np.ndarray  # the rounds of the block each row ran: through its stop, or all
@@ -257,11 +243,12 @@ def _lockstep(
     stop rule is applied to a whole block of :data:`_CHECK_EVERY` rounds
     at once, so a row that stops inside a block runs on to its end, and
     what it produces after its stop is never read.  Each block's rows
-    through each one's stop are validated like :class:`SubensembleState`,
-    except the last of a row that stops degenerate, and the block is
-    yielded as a :class:`_Block`.  The rows that stopped then leave the
-    batch, and ``tensors`` is compacted in place to the rows that stay,
-    so the stack the caller hands in comes back reordered.
+    through each one's stop, except the last of a row that stops
+    degenerate, pass :func:`~qpurify.noise.checked_rows`, the check of
+    :class:`SubensembleState`, on a copy, and the block is yielded as a
+    :class:`_Block`.  The rows that stopped then leave the batch, and
+    ``tensors`` is compacted in place to the rows that stay, so the
+    stack the caller hands in comes back reordered.
     """
     live, latest = np.arange(len(states)), states
     start = 0
@@ -285,7 +272,7 @@ def _lockstep(
         converged, degenerate = stopped & settled[at_last], stopped & stuck[at_last]
         # rows past a stop and a degenerate round become uniform rows, which pass
         skip = np.arange(span)[:, None] >= np.where(degenerate, last, last + 1)
-        _checked_rows(np.where(skip[..., None], 1 / 16, new))
+        checked_rows(np.where(skip[..., None], 1 / 16, new), "state")
         yield _Block(live, start, new, keeps, changes, last + 1, stopped, converged, degenerate)
         start += span
         stay = np.flatnonzero(~stopped)
@@ -308,14 +295,7 @@ class SubensembleState:
     p: np.ndarray
 
     def __post_init__(self):
-        p = real_array(self.p, "state")
-        if p.shape == (16,):
-            p = p.reshape(4, 4)
-        if p.shape != (4, 4):
-            raise ValueError(f"state must have 16 coefficients, got shape {p.shape}")
-        p = _checked_rows(p.reshape(16)).reshape(4, 4)
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", probability_table(self.p, "state"))
 
     @classmethod
     def from_bell_probs(cls, bell_probs, flag_mode: str = "fixed") -> "SubensembleState":
@@ -342,8 +322,8 @@ class SubensembleState:
     @classmethod
     def werner(cls, fid: float, flag_mode: str = "fixed") -> "SubensembleState":
         """Werner-like input: weight ``fid`` on Phi+, the rest spread evenly."""
-        if not 0.0 <= fid <= 1.0:
-            raise ValueError(f"fidelity must lie in [0, 1], got {fid}")
+        if not (is_real_type(type(fid)) and 0.0 <= fid <= 1.0):
+            raise ValueError(f"fidelity must lie in [0, 1], got {fid!r}")
         rest = (1.0 - fid) / 3.0
         return cls.from_bell_probs([fid, rest, rest, rest], flag_mode=flag_mode)
 
@@ -407,7 +387,10 @@ class Trajectory:
     row per round, and ``keeps`` the keep probability of the round that
     produced each row (1 for round 0).  The per-round fidelities and the
     CSV rows, laid out as :attr:`columns`, are computed from them on
-    request.
+    request.  Every row passed :func:`~qpurify.noise.checked_rows`: it
+    sums to 1 within :data:`~qpurify.noise.PROBABILITY_ATOL`, and no
+    entry is negative, since a round multiplies and divides nonnegative
+    rows and a nonnegative round tensor.
     """
 
     #: CSV columns of :meth:`rows`.
@@ -458,9 +441,10 @@ def iterate(
     drops below ``fixpoint_tol``.  The trajectory always starts with a
     round-0 record of the input state (keep probability 1 by convention).
     The iteration is a :func:`_lockstep` batch of one row that records
-    every round it ran from each block; its rows are validated like
-    :class:`SubensembleState` once per block of 64 rounds
-    (:data:`_CHECK_EVERY`), and are recorded clipped at 0.  Raises
+    every round it ran from each block; its rows are checked like a
+    :class:`SubensembleState`, within
+    :data:`~qpurify.noise.PROBABILITY_ATOL`, once per block of 64 rounds
+    (:data:`_CHECK_EVERY`), and recorded as the rounds produced them.  Raises
     :class:`DegenerateRoundError` at a round whose keep probability
     falls below ``KEEP_PROBABILITY_FLOOR``.
     """
@@ -477,8 +461,7 @@ def iterate(
         keeps.append(block.keeps[:ran, 0].copy())
         change = float(block.changes[ran - 1, 0])
         converged = bool(block.converged[0])
-    coefficients = np.clip(np.concatenate(rows), 0.0, None)
-    return Trajectory(coefficients, np.concatenate(keeps), converged, change)
+    return Trajectory(np.concatenate(rows), np.concatenate(keeps), converged, change)
 
 
 class Regime(str, Enum):
@@ -509,7 +492,7 @@ def _classify_rows(
     """Classify a :func:`_lockstep` batch by the rows that leave it.
 
     Row ``k`` iterates ``states[k]`` under ``tensors[k]``.  Its final row
-    is its clipped last output, or NaN when it stops degenerate; a
+    is its last output, or NaN when it stops degenerate; a
     degenerate row also reports 0 rounds and not converged.  One rule
     then labels every row, as :func:`classify_regime` describes: its
     rank, an index into :class:`Regime`, is 1 if it purifies plus 1 if it
@@ -526,7 +509,7 @@ def _classify_rows(
         rows, ran = block.live[stopped], block.ran[stopped]
         rounds[rows] = block.start + ran
         converged[rows] = block.converged[stopped]
-        final[rows] = np.clip(block.new[ran - 1, stopped], 0.0, None)
+        final[rows] = block.new[ran - 1, stopped]
 
     f_max, cond_limit = phi_plus_weight(final), flag_match_weight(final)
     purifies = f_max > DEPOLARIZED_FIDELITY + purify_margin
@@ -669,14 +652,13 @@ def scan_thresholds(
     (:func:`_classify_rows`): first both ends, then, below every open
     bracket (neighbouring classified parameters whose regimes differ,
     more than ``bisect_tol`` apart), the midpoints of its next
-    :data:`_LEVELS` bisection levels, until no bracket is open.  A batch
-    builds each parameter's round tensor once.  One serial bisection
-    (:func:`_bisect`) per threshold then reads the table: purification
-    (rank 1, the regime leaves NO_PURIFICATION), then security (rank 2,
-    it becomes PURIFY_SECURE).  A bisection stands only on brackets
-    whose ends differ in regime, and the first parameter classified
-    inside one is its midpoint, so the table holds every midpoint it
-    reads.  The evaluations list the ends, then the two traces.  A scan
+    :data:`_LEVELS` bisection levels, until no bracket is open.  One
+    serial bisection (:func:`_bisect`) per threshold then reads the
+    table: purification (rank 1, the regime leaves NO_PURIFICATION),
+    then security (rank 2, it becomes PURIFY_SECURE).  A bisection
+    stands only on brackets whose ends differ in regime, and the first
+    parameter classified inside one is its midpoint, so the table holds
+    every midpoint it reads.  The evaluations list the ends, then the two traces.  A scan
     whose ends share a regime brackets nothing (see
     :attr:`ThresholdScan.found`).
     These keyword defaults are the defaults of every threshold scan.
@@ -690,12 +672,10 @@ def scan_thresholds(
 
     def classify(requests: list[tuple[int, float]]) -> None:
         """Classify (initial state, parameter) requests, none of them known yet, as one batch."""
-        # one preallocated stack, one tensor per row; each parameter's is built once
+        # one preallocated stack, one tensor per row
         tensors = np.empty((len(requests), 256, DISCARDED + 1))
-        first: dict[float, int] = {}
         for i, (_, x) in enumerate(requests):
-            j = first.setdefault(x, i)
-            tensors[i] = round_tensor(family(x), placement) if j == i else tensors[j]
+            tensors[i] = round_tensor(family(x), placement)
         states = np.array([initials[k].p.ravel() for k, _ in requests])
         reports = _classify_rows(states, tensors, secure_tol, purify_margin, max_rounds, fixpoint_tol)
         for (k, x), report in zip(requests, reports):

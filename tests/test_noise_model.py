@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpurify.noise import NoiseModel
+from qpurify.recurrence import SubensembleState
+
+#: A parameter no float can hold: refused with ValueError, not OverflowError.
+TOO_LARGE = pytest.param(10**400, id="int-too-large-for-a-float")
 
 
 class TestProductFamily:
@@ -31,9 +35,9 @@ class TestProductFamily:
             for k in range(1, 4):
                 assert model.f[j, k] == pytest.approx(1.0 / 9.0, abs=1e-15)
 
-    @pytest.mark.parametrize("bad", [-0.01, 1.01, 2.0])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, 2.0, TOO_LARGE])
     def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="f0"):
             NoiseModel.from_one_qubit_depolarizing(bad)
 
 
@@ -51,9 +55,9 @@ class TestUniformFamily:
         model = NoiseModel.from_uniform_residual(1.0 / 16.0)
         assert np.allclose(model.f, 1.0 / 16.0, atol=1e-15)
 
-    @pytest.mark.parametrize("bad", [-0.5, 1.5])
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, TOO_LARGE])
     def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="f00"):
             NoiseModel.from_uniform_residual(bad)
 
 
@@ -90,6 +94,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseModel(f)
 
+    def test_rejects_an_int_too_large_for_a_float(self):
+        # a Python list: a float array cannot hold the int
+        with pytest.raises(ValueError, match="noise table"):
+            NoiseModel([10**400] + [0] * 15)
+
     @pytest.mark.parametrize(
         "table",
         [["1"] + ["0"] * 15, [True] + [False] * 15, np.array([True] + [False] * 15),
@@ -105,6 +114,22 @@ class TestValidation:
     def test_accepts_integers_and_numpy_scalars(self):
         table = [np.int64(1)] + [0] * 14 + [np.float64(0.0)]
         assert NoiseModel(table).f[0, 0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "build", [lambda f: NoiseModel(f).f, lambda p: SubensembleState(p).p], ids=["noise", "state"]
+)
+class TestSharedTableCheck:
+    """Noise tables and states pass one check, with one tolerance below 0."""
+
+    def test_an_entry_just_below_zero_is_stored_as_zero(self, build):
+        table = build([1.0 + 1e-13, -1e-13] + [0.0] * 14)
+        assert table[0, 1] == 0.0 and not np.signbit(table[0, 1])
+        assert not table.flags.writeable
+
+    def test_an_entry_below_the_tolerance_is_rejected(self, build):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build([1.0 + 1e-11, -1e-11] + [0.0] * 14)
 
 
 def from_stored_document(doc):
