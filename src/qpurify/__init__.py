@@ -16,10 +16,8 @@ from .errors import (
     QpurifyError,
 )
 from .flags import FLAG_UPDATE_TABLE, ErrorFlag
-from .noise import NoiseModel
+from .noise import BEFORE_BCNOT, BEFORE_ROTATION, NoiseModel
 from .recurrence import (
-    BEFORE_BCNOT,
-    BEFORE_ROTATION,
     Regime,
     RegimeReport,
     SubensembleState,

@@ -18,7 +18,8 @@ threshold in the scanned range.
 configuration is loaded and checked, ``--out`` is made (or found to be a
 directory) before any work, the command computes its files as text, and
 they are written, with a ``metadata.json`` sidecar, in one loop.  A run
-that fails removes the directories it made.
+that fails, in its work or in a write, removes the files and directories
+it created, so a fresh ``--out`` is left absent.
 
 A trajectory file holds the rows of a :class:`~qpurify.recurrence.Trajectory`
 or :class:`~qpurify.montecarlo.McTrajectory` under that type's ``columns``.
@@ -77,7 +78,6 @@ def _cmd_iterate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[di
         config.noise_model(),
         max_rounds=config.rounds,
         fixpoint_tol=config.fixpoint_tol,
-        placement=config.placement,
     )
     convergence = {
         "converged": trajectory.converged,
@@ -91,9 +91,7 @@ def _cmd_iterate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[di
 
 def _cmd_mc(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, dict]:
     ensemble = init_ensemble(config.initial.state, config.pairs, seed=config.seed)
-    trajectory = run_protocol(
-        ensemble, config.noise_model(), config.rounds, placement=config.placement
-    )
+    trajectory = run_protocol(ensemble, config.noise_model(), config.rounds)
     extra = {
         "halted": trajectory.halted,
         "rounds": trajectory.rounds,
@@ -105,7 +103,7 @@ def _cmd_mc(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, d
 def _cmd_scan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, dict]:
     options = config.scan.as_dict()
     werner_grid = options.pop("werner_grid")
-    options.update(fixpoint_tol=config.fixpoint_tol, placement=config.placement)
+    options["fixpoint_tol"] = config.fixpoint_tol
     flag_mode = config.initial.flag_mode
     initials = [config.initial.state]
     initials += [SubensembleState.werner(fid, flag_mode=flag_mode) for fid in werner_grid]
@@ -144,7 +142,9 @@ def _run(args: argparse.Namespace) -> None:
 
     ``args.func`` is the command: it takes the configuration and the
     parsed options and returns its files as ``{name: text}`` and the
-    extra ``metadata.json`` entries that describe the run.
+    extra ``metadata.json`` entries that describe the run.  If the work or
+    a write fails, the files and directories the run created are removed;
+    what existed before it is kept.
     """
     config = _load_config(args)
     if getattr(args, "seed", None) is not None:
@@ -154,19 +154,23 @@ def _run(args: argparse.Namespace) -> None:
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
+    created = []
     try:
         files, extra = args.func(config, args)
+        meta = {"tool": "qpurify", "version": __version__, "command": args.command,
+                "config": config.effective(), **extra}
+        if not args.deterministic:
+            meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        files["metadata.json"] = _json(meta)
+        created = [out / name for name in files if not (out / name).exists()]
+        for name, text in files.items():
+            (out / name).write_text(text)
     except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
         for d in made:  # innermost first, so each is empty when it goes
             d.rmdir()
         raise
-    meta = {"tool": "qpurify", "version": __version__, "command": args.command,
-            "config": config.effective(), **extra}
-    if not args.deterministic:
-        meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    files["metadata.json"] = _json(meta)
-    for name, text in files.items():
-        (out / name).write_text(text)
 
 
 def _cmd_verify() -> int:

@@ -24,8 +24,8 @@ from typing import Callable
 
 from .errors import ConfigError
 from .montecarlo import MAX_PAIRS
-from .noise import NOISE_FAMILIES, NoiseModel
-from .recurrence import BEFORE_ROTATION, PLACEMENTS, SubensembleState
+from .noise import BEFORE_ROTATION, NOISE_FAMILIES, PLACEMENTS, NoiseModel
+from .recurrence import SubensembleState
 
 __all__ = ["ScanSettings", "InitialSettings", "ExperimentConfig", "PRESETS", "load_config_file"]
 
@@ -247,14 +247,15 @@ class ExperimentConfig:
         return dataclasses.replace(self, seed=parse(seed, "override.seed"))
 
     def noise_model(self) -> NoiseModel:
-        return NoiseModel.from_config(self.noise)
+        """The configured noise, acting at the configured placement."""
+        return NoiseModel.from_config(self.noise, self.placement)
 
     def scan_family(self) -> Callable[[float], NoiseModel]:
-        """The constructor of ``noise.family``, whose one parameter a scan bisects."""
+        """The constructor of ``noise.family`` with the placement bound; a scan bisects its parameter."""
         family = self.noise["family"]
         if family not in _SCAN_FAMILIES:
             raise ConfigError(f"noise.family: a scan needs one of {_SCAN_FAMILIES}, got {family!r}")
-        return NOISE_FAMILIES[family][1]
+        return partial(NOISE_FAMILIES[family][1], placement=self.placement)
 
     def effective(self) -> dict:
         """Full configuration with every default made explicit."""

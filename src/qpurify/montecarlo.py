@@ -39,7 +39,6 @@ import numpy as np
 from .errors import ProtocolHaltError
 from .noise import NoiseModel
 from .recurrence import (
-    BEFORE_ROTATION,
     DISCARDED,
     SubensembleState,
     Trajectory,
@@ -133,14 +132,13 @@ def _combine(events: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return totals.astype(np.int64)  # sums of integers below 2**53: exact
 
 
-def run_round(
-    ensemble: Ensemble, noise: NoiseModel, placement: str = BEFORE_ROTATION
-) -> RoundStats:
+def run_round(ensemble: Ensemble, noise: NoiseModel) -> RoundStats:
     """Advance the population by one purification round, in place.
 
-    Raises :class:`ProtocolHaltError` when fewer than two pairs remain.
+    The noise acts at ``noise.placement``.  Raises
+    :class:`ProtocolHaltError` when fewer than two pairs remain.
     """
-    cells = event_cell_table(placement)
+    cells = event_cell_table(noise.placement)
     n = ensemble.size
     if n < 2:
         raise ProtocolHaltError(f"cannot pair {n} remaining pair(s)")
@@ -196,12 +194,7 @@ class McTrajectory:
         ]
 
 
-def run_protocol(
-    ensemble: Ensemble,
-    noise: NoiseModel,
-    rounds: int,
-    placement: str = BEFORE_ROTATION,
-) -> McTrajectory:
+def run_protocol(ensemble: Ensemble, noise: NoiseModel, rounds: int) -> McTrajectory:
     """Run up to ``rounds`` purification rounds, recording the counts after each.
 
     Stops early (with ``halted=True``) once the population cannot form a
@@ -211,7 +204,7 @@ def run_protocol(
     halted = False
     for _ in range(rounds):
         try:
-            run_round(ensemble, noise, placement)
+            run_round(ensemble, noise)
         except ProtocolHaltError:
             halted = True
             break

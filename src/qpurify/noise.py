@@ -5,10 +5,14 @@ rotations sigma_mu x sigma_nu applied to the two qubits that a local
 two-qubit operation touches: on the noisy side, ``mu`` lands on the
 control pair's qubit and ``nu`` on the target pair's qubit.  ``f[0, 0]``
 is the no-error probability.  The channel fires once per pair of pairs
-per purification round (see :mod:`qpurify.recurrence` for the placement
-convention); since only relative Bell-label shifts matter, noise in one
-laboratory is the canonical setup and noise in both labs composes into a
-channel of the same form.
+per purification round; since only relative Bell-label shifts matter,
+noise in one laboratory is the canonical setup and noise in both labs
+composes into a channel of the same form.
+
+A model also carries its ``placement``, where in the round the channel
+acts: before the bilateral rotation (:data:`BEFORE_ROTATION`, the
+default) or between the rotation and the bilateral CNOT
+(:data:`BEFORE_BCNOT`).  Every round function reads it from the model.
 
 Two named families cover the usual parameterizations:
 
@@ -45,6 +49,10 @@ import numpy as np
 from .bell import PAULI_LABEL_SHIFT
 
 __all__ = [
+    "BEFORE_ROTATION",
+    "BEFORE_BCNOT",
+    "PLACEMENTS",
+    "check_placement",
     "NoiseModel",
     "NOISE_FAMILIES",
     "EVENT_CONTROL_SHIFTS",
@@ -52,9 +60,14 @@ __all__ = [
     "PROBABILITY_ATOL",
     "is_real_type",
     "real_array",
+    "check_probability",
     "checked_rows",
     "probability_table",
 ]
+
+BEFORE_ROTATION = "before_rotation"
+BEFORE_BCNOT = "before_bcnot"
+PLACEMENTS = (BEFORE_ROTATION, BEFORE_BCNOT)
 
 #: Tolerance of every probability table: on its sum, and below 0 on each entry.
 PROBABILITY_ATOL = 1e-12
@@ -68,6 +81,12 @@ EVENT_CONTROL_SHIFTS = np.array(
 EVENT_TARGET_SHIFTS = np.array(
     [PAULI_LABEL_SHIFT[e & 3] for e in range(16)], dtype=np.uint8
 )
+
+
+def check_placement(placement: str) -> None:
+    """Raise ValueError unless ``placement`` is one of :data:`PLACEMENTS`."""
+    if placement not in PLACEMENTS:
+        raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
 
 
 def is_real_type(kind: type) -> bool:
@@ -91,7 +110,7 @@ def real_array(values, name: str) -> np.ndarray:
 
 
 def checked_rows(rows: np.ndarray, name: str) -> np.ndarray:
-    """Validate rows of sixteen probabilities as distributions; clip them at 0 in place.
+    """Validate rows of probabilities as distributions; clip them at 0 in place.
 
     Every entry must be at least ``-PROBABILITY_ATOL`` and every row must
     sum to 1 within ``PROBABILITY_ATOL``.  The comparisons are written so
@@ -104,7 +123,7 @@ def checked_rows(rows: np.ndarray, name: str) -> np.ndarray:
     np.clip(rows, 0.0, None, out=rows)
     deviation = np.abs(rows.sum(axis=-1) - 1.0).ravel()
     if not deviation.max() <= PROBABILITY_ATOL:
-        worst = float(rows.reshape(-1, 16)[deviation.argmax()].sum())
+        worst = float(rows.reshape(-1, rows.shape[-1])[deviation.argmax()].sum())
         raise ValueError(f"{name} entries sum to {worst!r}, not 1")
     return rows
 
@@ -120,7 +139,8 @@ def probability_table(values, name: str) -> np.ndarray:
     return table
 
 
-def _check_probability(value: float, name: str) -> float:
+def check_probability(value: float, name: str) -> float:
+    """``value`` as a float, or ValueError naming ``name`` unless it is a number in [0, 1]."""
     if not is_real_type(type(value)):
         raise ValueError(f"{name}: expected a number, got {value!r}")
     # compared before the float conversion, so that an int too large for a
@@ -134,43 +154,46 @@ def _check_probability(value: float, name: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Joint distribution over the sixteen two-sided Pauli rotations."""
+    """Joint distribution over the sixteen two-sided Pauli rotations, and
+    the point of the round where it acts (one of :data:`PLACEMENTS`)."""
 
     f: np.ndarray
+    placement: str = BEFORE_ROTATION
 
     def __post_init__(self):
         object.__setattr__(self, "f", probability_table(self.f, "noise table"))
+        check_placement(self.placement)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def identity(cls) -> "NoiseModel":
+    def identity(cls, placement: str = BEFORE_ROTATION) -> "NoiseModel":
         """Deterministic identity channel (no errors)."""
-        return cls.from_one_qubit_depolarizing(1.0)
+        return cls.from_one_qubit_depolarizing(1.0, placement)
 
     @classmethod
-    def from_one_qubit_depolarizing(cls, f0: float) -> "NoiseModel":
+    def from_one_qubit_depolarizing(cls, f0: float, placement: str = BEFORE_ROTATION) -> "NoiseModel":
         """Independent depolarizing channel on each of the pair's qubits.
 
         Each qubit is left alone with probability ``f0`` and rotated by
         each of sigma_x, sigma_y, sigma_z with probability ``(1-f0)/3``.
         """
-        f0 = _check_probability(f0, "f0")
+        f0 = check_probability(f0, "f0")
         g = np.full(4, (1.0 - f0) / 3.0)
         g[0] = f0
-        return cls(np.outer(g, g))
+        return cls(np.outer(g, g), placement)
 
     @classmethod
-    def from_uniform_residual(cls, f00: float) -> "NoiseModel":
+    def from_uniform_residual(cls, f00: float, placement: str = BEFORE_ROTATION) -> "NoiseModel":
         """White-noise family: no error with ``f00``, the rest uniform."""
-        f00 = _check_probability(f00, "f00")
+        f00 = check_probability(f00, "f00")
         f = np.full(16, (1.0 - f00) / 15.0)
         f[0] = f00
-        return cls(f)
+        return cls(f, placement)
 
     @classmethod
-    def from_config(cls, doc: dict) -> "NoiseModel":
-        """Build a model from one of the three serialized forms."""
+    def from_config(cls, doc: dict, placement: str = BEFORE_ROTATION) -> "NoiseModel":
+        """Build a model from one of the three serialized forms, acting at ``placement``."""
         if not isinstance(doc, dict) or "family" not in doc:
             raise ValueError("noise config must be a mapping with a 'family' key")
         # a tuple compares by ==: an unhashable family is unknown, not a TypeError
@@ -179,11 +202,12 @@ class NoiseModel:
         key, build = NOISE_FAMILIES[doc["family"]]
         if key not in doc:
             raise ValueError(f"{doc['family']} family requires {key!r}")
-        return build(doc[key])
+        return build(doc[key], placement)
 
 
 #: The serialized noise families: name -> (parameter key, constructor).
-#: ``explicit`` takes the 16-entry table, the others one probability.
+#: Each constructor takes the parameter and a placement; ``explicit``'s
+#: parameter is the 16-entry table, the others' one probability.
 NOISE_FAMILIES: dict[str, tuple[str, Callable]] = {
     "product": ("f0", NoiseModel.from_one_qubit_depolarizing),
     "uniform": ("f00", NoiseModel.from_uniform_residual),

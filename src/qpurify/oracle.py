@@ -44,15 +44,8 @@ from .bell import (
 )
 from .errors import DegenerateRoundError
 from .flags import FLAG_UPDATE_TABLE
-from .noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, NoiseModel
-from .recurrence import (
-    BEFORE_ROTATION,
-    KEEP_PROBABILITY_FLOOR,
-    PLACEMENTS,
-    SubensembleState,
-    check_placement,
-    one_round,
-)
+from .noise import BEFORE_ROTATION, EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, PLACEMENTS, NoiseModel
+from .recurrence import KEEP_PROBABILITY_FLOOR, SubensembleState, one_round
 
 __all__ = [
     "build_protocol_unitaries",
@@ -191,24 +184,19 @@ _NOISE_FLAG_SHIFT = derive_two_sided_shift_table()[0, ::4]
 _FLAGS = np.arange(4)
 
 
-def oracle_one_round(
-    state: SubensembleState,
-    noise: NoiseModel,
-    placement: str = BEFORE_ROTATION,
-) -> tuple[SubensembleState, float]:
+def oracle_one_round(state: SubensembleState, noise: NoiseModel) -> tuple[SubensembleState, float]:
     """One noisy purification round on explicit 16-dim density matrices.
 
     Builds the two-pair mixed state from the product of the category
     distribution with itself, carrying the flag pair as a classical
     label on each branch; applies the noise as an explicit Kraus sum
-    (recording each event on the branch flags), the rotation and BCNOT
-    unitaries, and the coinciding-measurement projector; traces out the
-    target pair; and re-expresses every kept branch in the Bell basis
-    with flags combined through the normative table.  Raises
-    DegenerateRoundError on vanishing keep probability and
+    (recording each event on the branch flags) at ``noise.placement``,
+    the rotation and BCNOT unitaries, and the coinciding-measurement
+    projector; traces out the target pair; and re-expresses every kept
+    branch in the Bell basis with flags combined through the normative
+    table.  Raises DegenerateRoundError on vanishing keep probability and
     AssertionError if a kept branch is not Bell-diagonal.
     """
-    check_placement(placement)
     p = state.p
     # weights[flag1, flag2, bell1*4 + bell2]; branch = sum_k w_k |v_k><v_k|
     weights = np.einsum("ab,cd->acbd", p, p).reshape(4, 4, 1, 16)
@@ -225,7 +213,7 @@ def oracle_one_round(
         return out
 
     rotation, bcnot = _UNITARIES["rotation"], _UNITARIES["bcnot"]
-    if placement == BEFORE_ROTATION:
+    if noise.placement == BEFORE_ROTATION:
         branches = rotation @ apply_noise(branches) @ rotation.conj().T
     else:
         branches = apply_noise(rotation @ branches @ rotation.conj().T)
@@ -371,17 +359,16 @@ def run_conformance_checks(
         p = rng.dirichlet(np.ones(16)).reshape(4, 4)
         state = SubensembleState(p)
         f = rng.dirichlet(np.ones(16) * rng.uniform(0.3, 3.0))
-        noise = NoiseModel(f)
-        placement = PLACEMENTS[index % 2]
-        engine_state, engine_keep = one_round(state, noise, placement)
-        oracle_state, oracle_keep = oracle_one_round(state, noise, placement)
+        noise = NoiseModel(f, PLACEMENTS[index % 2])
+        engine_state, engine_keep = one_round(state, noise)
+        oracle_state, oracle_keep = oracle_one_round(state, noise)
         delta = max(
             float(np.max(np.abs(engine_state.p - oracle_state.p))),
             abs(engine_keep - oracle_keep),
         )
         if delta > worst:
             worst = delta
-            worst_detail = f"instance {index} ({placement}) deviates by {delta:.3e}"
+            worst_detail = f"instance {index} ({noise.placement}) deviates by {delta:.3e}"
     report.add(
         f"round map vs oracle on {round_samples} random instances (<= 1e-10)",
         worst <= 1e-10,

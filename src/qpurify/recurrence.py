@@ -9,9 +9,9 @@ of pairs, and pushes everything through the label algebra:
 
 1. the noise event (sigma_mu on the control pair's qubit, sigma_nu on
    the target pair's qubit) shifts each pair's Bell label and is
-   recorded on its flag; with placement ``before_rotation`` (default)
-   this happens before the bilateral rotation, with ``before_bcnot``
-   between the rotation and the CNOT;
+   recorded on its flag; the noise model's placement puts this before
+   the bilateral rotation (``before_rotation``, the default) or between
+   the rotation and the CNOT (``before_bcnot``);
 2. the bilateral half-x rotation relabels both pairs;
 3. the bilateral CNOT mixes the two labels;
 4. the pair of pairs is kept iff the target measurement coincides, in
@@ -75,11 +75,15 @@ from .bell import bcnot_map, measurement_coincides, rotation_step3
 from .errors import DegenerateRoundError, NoThresholdError
 from .flags import FLAG_UPDATE_TABLE
 from .noise import (
+    BEFORE_BCNOT,
+    BEFORE_ROTATION,
     EVENT_CONTROL_SHIFTS,
     EVENT_TARGET_SHIFTS,
+    PLACEMENTS,
     NoiseModel,
+    check_placement,
+    check_probability,
     checked_rows,
-    is_real_type,
     probability_table,
     real_array,
 )
@@ -110,10 +114,6 @@ __all__ = [
     "find_thresholds",
 ]
 
-BEFORE_ROTATION = "before_rotation"
-BEFORE_BCNOT = "before_bcnot"
-PLACEMENTS = (BEFORE_ROTATION, BEFORE_BCNOT)
-
 #: Below this keep probability the post-selected state is undefined.
 KEEP_PROBABILITY_FLOOR = 1e-9
 
@@ -122,12 +122,6 @@ DEPOLARIZED_FIDELITY = 0.25
 
 #: Cell index of a discarded pair of pairs in :func:`event_cell_table`.
 DISCARDED = 16
-
-
-def check_placement(placement: str) -> None:
-    """Raise ValueError unless ``placement`` is one of :data:`PLACEMENTS`."""
-    if placement not in PLACEMENTS:
-        raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
 
 
 @lru_cache(maxsize=None)
@@ -173,8 +167,8 @@ def _tensor_bins(placement: str) -> np.ndarray:
     return (pair * (DISCARDED + 1) + event_cell_table(placement)).ravel()
 
 
-def round_tensor(noise: NoiseModel, placement: str = BEFORE_ROTATION) -> np.ndarray:
-    """The round map of one noise model as a 256x17 quadratic form ``Q``.
+def round_tensor(noise: NoiseModel) -> np.ndarray:
+    """The round map of one noise model, at its placement, as a 256x17 quadratic form ``Q``.
 
     ``Q[i * 16 + j, c]`` is the probability, over the noise event, that
     control category ``i`` and target category ``j`` end in output cell
@@ -183,7 +177,7 @@ def round_tensor(noise: NoiseModel, placement: str = BEFORE_ROTATION) -> np.ndar
     ``outer(v, v).ravel() @ Q``.  Each row sums to 1.
     """
     totals = np.bincount(
-        _tensor_bins(placement),
+        _tensor_bins(noise.placement),
         weights=np.tile(noise.f.ravel(), 256),
         minlength=256 * (DISCARDED + 1),
     )
@@ -302,13 +296,13 @@ class SubensembleState:
         """Bell-diagonal input with flags all (00) or uniform over flags.
 
         ``bell_probs`` is indexed by packed label (Phi+, Psi+, Phi-,
-        Psi-) and is renormalized after a loose validity check.
+        Psi-); it passes :func:`~qpurify.noise.checked_rows`, like every
+        probability table, and is then renormalized.
         """
         probs = real_array(bell_probs, "bell_probs")
         if probs.shape != (4,):
             raise ValueError("bell_probs must have exactly 4 entries")
-        if not (probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-9):
-            raise ValueError(f"bell_probs is not a probability distribution: {probs}")
+        probs = checked_rows(probs, "bell_probs")
         probs = probs / probs.sum()
         p = np.zeros((4, 4))
         if flag_mode == "fixed":
@@ -322,8 +316,7 @@ class SubensembleState:
     @classmethod
     def werner(cls, fid: float, flag_mode: str = "fixed") -> "SubensembleState":
         """Werner-like input: weight ``fid`` on Phi+, the rest spread evenly."""
-        if not (is_real_type(type(fid)) and 0.0 <= fid <= 1.0):
-            raise ValueError(f"fidelity must lie in [0, 1], got {fid!r}")
+        fid = check_probability(fid, "fidelity")
         rest = (1.0 - fid) / 3.0
         return cls.from_bell_probs([fid, rest, rest, rest], flag_mode=flag_mode)
 
@@ -361,11 +354,7 @@ def conditional_fidelity(state: SubensembleState) -> float:
     return float(flag_match_weight(state.p.ravel()))
 
 
-def one_round(
-    state: SubensembleState,
-    noise: NoiseModel,
-    placement: str = BEFORE_ROTATION,
-) -> tuple[SubensembleState, float]:
+def one_round(state: SubensembleState, noise: NoiseModel) -> tuple[SubensembleState, float]:
     """Apply one noisy purification round to the category distribution.
 
     Returns the renormalized post-selected state and the keep
@@ -375,7 +364,7 @@ def one_round(
     always flips exactly one pair's amplitude makes every measurement
     anti-coincide.)  This is an :func:`iterate` of one round.
     """
-    trajectory = iterate(state, noise, max_rounds=1, fixpoint_tol=0.0, placement=placement)
+    trajectory = iterate(state, noise, max_rounds=1, fixpoint_tol=0.0)
     return SubensembleState(trajectory.coefficients[1]), float(trajectory.keeps[1])
 
 
@@ -433,7 +422,6 @@ def iterate(
     noise: NoiseModel,
     max_rounds: int = 500,
     fixpoint_tol: float = 1e-12,
-    placement: str = BEFORE_ROTATION,
 ) -> Trajectory:
     """Run rounds until the coefficients stop moving or the cap is hit.
 
@@ -450,7 +438,7 @@ def iterate(
     """
     rows, keeps = [state.p.reshape(1, 16)], [np.ones(1)]
     converged, change = False, math.inf
-    tensors = round_tensor(noise, placement)[None]
+    tensors = round_tensor(noise)[None]
     for block in _lockstep(rows[0], tensors, max_rounds, fixpoint_tol):
         ran = int(block.ran[0])
         if block.degenerate[0]:
@@ -530,7 +518,6 @@ def classify_regime(
     purify_margin: float = 1e-4,
     max_rounds: int = 3000,
     fixpoint_tol: float = 1e-12,
-    placement: str = BEFORE_ROTATION,
 ) -> RegimeReport:
     """Label the noise/initial-state combination by its limiting behavior.
 
@@ -548,7 +535,7 @@ def classify_regime(
     """
     (report,) = _classify_rows(
         initial.p.reshape(1, 16),
-        round_tensor(noise, placement)[None],
+        round_tensor(noise)[None],
         secure_tol,
         purify_margin,
         max_rounds,
@@ -641,13 +628,13 @@ def scan_thresholds(
     secure_tol: float = 1e-6,
     purify_margin: float = 1e-4,
     max_rounds: int = 3000,
-    placement: str = BEFORE_ROTATION,
     fixpoint_tol: float = 1e-12,
 ) -> list[ThresholdScan]:
     """Bisect the purification and security boundaries of several initial states, one scan each.
 
-    ``family`` maps a parameter in [lo, hi] to a noise model and must be
-    monotone (larger parameter = cleaner operations).  The scan fills a
+    ``family`` maps a parameter in [lo, hi] to a noise model, placement
+    included, and must be monotone (larger parameter = cleaner
+    operations).  The scan fills a
     table of regimes per initial state in lockstep batches
     (:func:`_classify_rows`): first both ends, then, below every open
     bracket (neighbouring classified parameters whose regimes differ,
@@ -675,7 +662,7 @@ def scan_thresholds(
         # one preallocated stack, one tensor per row
         tensors = np.empty((len(requests), 256, DISCARDED + 1))
         for i, (_, x) in enumerate(requests):
-            tensors[i] = round_tensor(family(x), placement)
+            tensors[i] = round_tensor(family(x))
         states = np.array([initials[k].p.ravel() for k, _ in requests])
         reports = _classify_rows(states, tensors, secure_tol, purify_margin, max_rounds, fixpoint_tol)
         for (k, x), report in zip(requests, reports):

@@ -1,7 +1,9 @@
 """Command-line exit codes, option handling and deterministic output."""
 
+import errno
 import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -243,6 +245,38 @@ def test_a_failed_run_keeps_an_existing_directory(tmp_path):
     out.mkdir()
     assert run(["iterate", "--config", write_config(tmp_path, DEGENERATE)], out) == 3
     assert out.is_dir() and not any(out.iterdir())
+
+
+def fail_the_second_write(monkeypatch):
+    """Make the run's second ``Path.write_text`` create its file, then fail as a full disk does."""
+    real, calls = pathlib.Path.write_text, []
+
+    def write_text(path, text, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == 2:
+            real(path, "", *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+    return calls
+
+
+def test_a_failed_write_leaves_no_output_behind(tmp_path, monkeypatch, capsys):
+    calls = fail_the_second_write(monkeypatch)
+    assert run(["iterate", "--preset", "fig1"], tmp_path / "fresh" / "run") == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(calls) == 2 and not (tmp_path / "fresh").exists()
+
+
+def test_a_failed_write_keeps_an_existing_directory(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    fail_the_second_write(monkeypatch)
+    assert run(["iterate", "--preset", "fig1"], out) == 2
+    assert [path.name for path in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_degenerate_dynamics_exits_3(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +35,7 @@ REJECTED = [
     ({"noise": {"family": "explicit", "f": [0.1] * 16}}, "sum to"),
     (with_noise(initial={"bell_probs": [0.5, 0.5]}), "list of 4 numbers"),
     (with_noise(initial={"bell_probs": [1, False, 0, 0]}), "list of 4 numbers"),
-    (with_noise(initial={"bell_probs": [0.5, 0.5, 0.5, -0.5]}), "probability distribution"),
+    (with_noise(initial={"bell_probs": [0.5, 0.5, 0.5, -0.5]}), "bell_probs entries must be nonnegative"),
     (with_noise(initial={"flag_mode": "banana"}), "flag_mode"),
     (with_noise(rounds=0), "rounds: must be >= 1"),
     (with_noise(pairs=1), "pairs: must be >= 2"),
@@ -58,7 +59,7 @@ REJECTED = [
     (with_noise(pairs=10**9), "pairs: must be <= 999999999"),
     # what a document means is checked by the constructor that owns it
     ({"noise": {"family": "uniform", "f00": -0.1}}, "f00: must be >= 0.0"),
-    (with_noise(initial={"bell_probs": [0.6, 0.1, 0.1, 0.1]}), "probability distribution"),
+    (with_noise(initial={"bell_probs": [0.6, 0.1, 0.1, 0.1]}), "bell_probs entries sum to"),
     (with_noise(initial={"flag_mode": 3}), "flag_mode"),
 ]
 
@@ -122,9 +123,31 @@ def test_scan_defaults_are_the_find_thresholds_defaults():
     # classify_regime labels one parameter the way a scan does
     single = inspect.signature(classify_regime).parameters
     shared = single.keys() & parameters.keys()
-    assert shared == {"secure_tol", "purify_margin", "max_rounds", "placement", "fixpoint_tol"}
+    assert shared == {"secure_tol", "purify_margin", "max_rounds", "fixpoint_tol"}
     for name in shared:
         assert single[name].default == parameters[name].default, name
+
+
+def dotted_keys(doc, prefix=""):
+    """Every key path of a nested mapping, parents first, joined with dots."""
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from dotted_keys(value, f"{prefix}{key}.")
+
+
+def test_readme_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = list(dotted_keys(ExperimentConfig.from_document(with_noise()).effective()))
+    assert "scan.max_rounds" in keys
+    assert [key for key in keys if f"`{key}`" not in readme] == []
+
+
+def test_noise_and_scan_family_carry_the_placement():
+    config = ExperimentConfig.from_document(with_noise(placement="before_bcnot"))
+    assert config.noise_model().placement == "before_bcnot"
+    assert config.scan_family()(0.9).placement == "before_bcnot"
+    assert ExperimentConfig.from_document(with_noise()).noise_model().placement == "before_rotation"
 
 
 def test_effective_survives_json(tmp_path):

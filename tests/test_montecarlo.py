@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ def werner_07(flag_mode="fixed"):
     return SubensembleState.from_bell_probs([0.7, 0.1, 0.1, 0.1], flag_mode=flag_mode)
 
 
-def dirichlet_noise(seed=3):
-    return NoiseModel(np.random.default_rng(seed).dirichlet(np.ones(16)))
+def dirichlet_noise(placement=BEFORE_ROTATION, seed=3):
+    return NoiseModel(np.random.default_rng(seed).dirichlet(np.ones(16)), placement)
 
 
 def scalar_survivor(control, target, event, placement):
@@ -70,7 +71,7 @@ def records_of(counts):
     return np.repeat(np.arange(16), counts)
 
 
-def reference_round(records, noise, placement, gen):
+def reference_round(records, noise, gen):
     """Per-record reference round: shuffle, pair adjacent records, drop an odd leftover.
 
     Returns the 17 output counts (the last one counts discarded pairs of pairs).
@@ -78,7 +79,7 @@ def reference_round(records, noise, placement, gen):
     shuffled = gen.permutation(records)
     m = shuffled.size // 2
     events = gen.choice(16, size=m, p=noise.f.ravel())
-    cells = event_cell_table(placement)[shuffled[0 : 2 * m : 2], shuffled[1 : 2 * m : 2], events]
+    cells = event_cell_table(noise.placement)[shuffled[0 : 2 * m : 2], shuffled[1 : 2 * m : 2], events]
     return np.bincount(cells, minlength=DISCARDED + 1)
 
 
@@ -109,7 +110,7 @@ class TestRunRoundMatchesReference:
     def test_exact_enumeration(self, placement, records):
         # every ordering of the N records times every pair of noise events,
         # against the sampler's outcome frequencies over a fixed set of seeds
-        noise = dirichlet_noise()
+        noise = dirichlet_noise(placement)
         f = noise.f.ravel()
         m = len(records) // 2
         orderings = Counter(itertools.permutations(records))  # equal records: fewer distinct orders
@@ -130,7 +131,7 @@ class TestRunRoundMatchesReference:
         sampled: Counter = Counter()
         for seed in range(draws):
             ensemble = Ensemble(counts, seed=seed)
-            run_round(ensemble, noise, placement)
+            run_round(ensemble, noise)
             assert ensemble.round_counter == 1
             sampled[tuple(records_of(ensemble.counts).tolist())] += 1
         assert set(sampled) <= set(exact)
@@ -147,16 +148,16 @@ class TestRunRoundMatchesReference:
     @pytest.mark.parametrize("placement", PLACEMENTS)
     @pytest.mark.parametrize("n", [301, 3001])
     def test_moments_match_per_record_sampler(self, placement, n):
-        noise = dirichlet_noise()
+        noise = dirichlet_noise(placement)
         counts = init_ensemble(werner_07("random"), n, seed=5).counts
         records = records_of(counts)
         repeats = 1500
         gen = np.random.default_rng(n)
-        reference = np.array([reference_round(records, noise, placement, gen) for _ in range(repeats)])
+        reference = np.array([reference_round(records, noise, gen) for _ in range(repeats)])
         ensemble_runs = []
         for seed in range(repeats):
             ensemble = Ensemble(counts, seed=seed)
-            run_round(ensemble, noise, placement)
+            run_round(ensemble, noise)
             ensemble_runs.append(np.append(ensemble.counts, n // 2 - ensemble.size))
         sampled = np.array(ensemble_runs)
 
@@ -178,11 +179,11 @@ class TestRunRoundMatchesReference:
         # digests of the count vector after init and each of three rounds; a
         # change to the streams, the sampling or the table moves them
         survivors, digest = PINNED_COUNTS[placement, seed]
-        noise = dirichlet_noise()
+        noise = dirichlet_noise(placement)
         ensemble = init_ensemble(werner_07("random"), 3001, seed=seed)
         sha = hashlib.sha256(ensemble.counts.astype("<i8").tobytes())
         for _ in range(3):
-            run_round(ensemble, noise, placement)
+            run_round(ensemble, noise)
             sha.update(ensemble.counts.astype("<i8").tobytes())
         assert ensemble.size == survivors
         assert sha.hexdigest() == digest
@@ -254,11 +255,17 @@ class TestHalting:
 
 class TestValidation:
     def test_rejects_unknown_placement(self):
-        ensemble = init_ensemble(werner_07(), 100, seed=0)
-        counts = ensemble.counts.copy()
-        with pytest.raises(ValueError, match="placement"):
-            run_round(ensemble, NoiseModel.identity(), "after_measurement")
-        assert ensemble.counts.tolist() == counts.tolist() and ensemble.round_counter == 0
+        # every constructor checks the placement, so no round runs with an unknown one
+        constructors = [
+            NoiseModel.identity,
+            partial(NoiseModel.from_one_qubit_depolarizing, 0.97),
+            partial(NoiseModel.from_uniform_residual, 0.97),
+            partial(NoiseModel.from_config, {"family": "product", "f0": 0.97}),
+            partial(NoiseModel.from_config, {"family": "explicit", "f": [1] + [0] * 15}),
+        ]
+        for build in constructors:
+            with pytest.raises(ValueError, match="placement"):
+                build(placement="after_measurement")
 
     @pytest.mark.parametrize("n_pairs", [1, MAX_PAIRS])
     def test_rejects_population_size(self, n_pairs):

@@ -1,12 +1,13 @@
 """Noise-channel construction, validation and configuration documents."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpurify.noise import NoiseModel
+from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, NoiseModel
 from qpurify.recurrence import SubensembleState
 
 #: A parameter no float can hold: refused with ValueError, not OverflowError.
@@ -116,20 +117,50 @@ class TestValidation:
         assert NoiseModel(table).f[0, 0] == 1.0
 
 
-@pytest.mark.parametrize(
-    "build", [lambda f: NoiseModel(f).f, lambda p: SubensembleState(p).p], ids=["noise", "state"]
-)
+#: Each kind of probability table, built from its first two entries padded with
+#: zeros, and read back as its stored row.
+TABLE_BUILDERS = {
+    "noise": lambda head: NoiseModel(head + [0.0] * 14).f.ravel(),
+    "state": lambda head: SubensembleState(head + [0.0] * 14).p.ravel(),
+    "bell_probs": lambda head: SubensembleState.from_bell_probs(head + [0.0] * 2).p[0],
+}
+
+
+@pytest.mark.parametrize("build", TABLE_BUILDERS.values(), ids=TABLE_BUILDERS)
 class TestSharedTableCheck:
-    """Noise tables and states pass one check, with one tolerance below 0."""
+    """Noise tables, states and Bell tables pass one check, with one tolerance."""
 
     def test_an_entry_just_below_zero_is_stored_as_zero(self, build):
-        table = build([1.0 + 1e-13, -1e-13] + [0.0] * 14)
-        assert table[0, 1] == 0.0 and not np.signbit(table[0, 1])
+        table = build([1.0 + 1e-13, -1e-13])
+        assert table[1] == 0.0 and not np.signbit(table[1])
         assert not table.flags.writeable
 
     def test_an_entry_below_the_tolerance_is_rejected(self, build):
         with pytest.raises(ValueError, match="nonnegative"):
-            build([1.0 + 1e-11, -1e-11] + [0.0] * 14)
+            build([1.0 + 1e-11, -1e-11])
+
+    def test_a_sum_off_by_more_than_the_tolerance_is_rejected(self, build):
+        with pytest.raises(ValueError, match="sum to"):
+            build([1.0 + 1e-10, 0.0])
+
+
+#: Every way to build a noise model, given its placement.
+CONSTRUCTORS = {
+    "table": partial(NoiseModel, [1.0] + [0.0] * 15),
+    "identity": NoiseModel.identity,
+    "product": partial(NoiseModel.from_one_qubit_depolarizing, 0.97),
+    "uniform": partial(NoiseModel.from_uniform_residual, 0.97),
+    "config": partial(NoiseModel.from_config, {"family": "explicit", "f": [1.0] + [0.0] * 15}),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+class TestPlacement:
+    def test_defaults_to_before_rotation(self, build):
+        assert build().placement == BEFORE_ROTATION
+
+    def test_is_carried_by_the_model(self, build):
+        assert build(placement=BEFORE_BCNOT).placement == BEFORE_BCNOT
 
 
 def from_stored_document(doc):

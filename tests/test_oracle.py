@@ -81,9 +81,9 @@ class TestOracleRound:
     def test_matches_engine(self, placement, seed):
         rng = np.random.default_rng(seed)
         state = SubensembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
-        noise = NoiseModel(rng.dirichlet(np.ones(16)))
-        engine_state, engine_keep = one_round(state, noise, placement)
-        oracle_state, oracle_keep = oracle_one_round(state, noise, placement)
+        noise = NoiseModel(rng.dirichlet(np.ones(16)), placement)
+        engine_state, engine_keep = one_round(state, noise)
+        oracle_state, oracle_keep = oracle_one_round(state, noise)
         assert abs(engine_keep - oracle_keep) < 1e-10
         assert np.max(np.abs(engine_state.p - oracle_state.p)) < 1e-10
 
@@ -121,9 +121,10 @@ FLAG_CORRELATED_NOISE = {
 
 
 def off_diagonal_weight(round_map, placement, noise, seed):
-    """Weight off the flag-correlated cells k*4 + k after one round from a state on them."""
+    """Weight off the flag-correlated cells k*4 + k after one round from a state on them,
+    with the table of ``noise`` acting at ``placement``."""
     p = np.diag(np.random.default_rng(seed).dirichlet(np.ones(4)))
-    out, _ = round_map(SubensembleState(p), noise, placement)
+    out, _ = round_map(SubensembleState(p), NoiseModel(noise.f, placement))
     return out.p.sum() - np.trace(out.p)
 
 

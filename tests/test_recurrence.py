@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from bisect import bisect_right
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from qpurify.recurrence import (
 WERNER_085 = [0.85, 0.05, 0.05, 0.05]
 
 
-def flagless_round(bell_probs, noise, placement=BEFORE_ROTATION):
+def flagless_round(bell_probs, noise):
     """Independent flag-free enumeration of the bell-marginal dynamics.
 
     Walks every (control label, target label, noise event) combination
@@ -46,7 +47,7 @@ def flagless_round(bell_probs, noise, placement=BEFORE_ROTATION):
             for mu in range(4):
                 for nu in range(4):
                     w = bell_probs[b1] * bell_probs[b2] * noise.f[mu, nu]
-                    if placement == BEFORE_ROTATION:
+                    if noise.placement == BEFORE_ROTATION:
                         c1 = rot[b1 ^ shift[mu]]
                         c2 = rot[b2 ^ shift[nu]]
                     else:
@@ -77,13 +78,13 @@ def ideal_recurrence(bell_probs):
     return out, n
 
 
-def reference_round(v, noise, placement=BEFORE_ROTATION):
+def reference_round(v, noise):
     """One round as a per-event weighted histogram of the event cell table.
 
     Every (control, target, event) weight lands in its output cell; this
     is the round map computed without the contracted round tensor.
     """
-    table = recurrence.event_cell_table(placement)
+    table = recurrence.event_cell_table(noise.placement)
     weights = np.einsum("i,j,e->ije", v, v, noise.f.ravel())
     totals = np.bincount(table.ravel(), weights=weights.ravel(), minlength=17)
     keep = totals[:16].sum()
@@ -92,7 +93,7 @@ def reference_round(v, noise, placement=BEFORE_ROTATION):
     return totals[:16] / keep, keep
 
 
-def reference_iterate(state, noise, max_rounds, placement=BEFORE_ROTATION, tol=1e-12):
+def reference_iterate(state, noise, max_rounds, tol=1e-12):
     """Loop of reference rounds under the stop rule of ``iterate``.
 
     Raises :class:`DegenerateRoundError` at a round that keeps nothing.
@@ -101,7 +102,7 @@ def reference_iterate(state, noise, max_rounds, placement=BEFORE_ROTATION, tol=1
     rows, keeps = [v], [1.0]
     converged = False
     for _ in range(max_rounds):
-        new, keep = reference_round(v, noise, placement)
+        new, keep = reference_round(v, noise)
         change = np.max(np.abs(new - v))
         rows.append(new)
         keeps.append(keep)
@@ -117,9 +118,9 @@ def random_state(seed):
     return SubensembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
 
 
-def random_noise(seed):
+def random_noise(seed, placement=BEFORE_ROTATION):
     rng = np.random.default_rng(seed + 1000)
-    return NoiseModel(rng.dirichlet(np.ones(16)))
+    return NoiseModel(rng.dirichlet(np.ones(16)), placement)
 
 
 class TestSubensembleState:
@@ -141,7 +142,7 @@ class TestSubensembleState:
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, "0.85", None])
     def test_werner_rejects_a_fidelity_outside_the_unit_interval(self, bad):
-        with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"fidelity: (must be [<>]= [01]\.0|expected a number)"):
             SubensembleState.werner(bad)
 
     def test_random_flag_mode(self):
@@ -159,7 +160,7 @@ class TestSubensembleState:
         p[3] = bad
         with pytest.raises(ValueError):
             SubensembleState(p)
-        with pytest.raises(ValueError, match="probability distribution"):
+        with pytest.raises(ValueError, match="bell_probs entries"):
             SubensembleState.from_bell_probs([bad, 0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize(
@@ -222,9 +223,9 @@ class TestOneRound:
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(4))
         state = SubensembleState.from_bell_probs(probs, flag_mode="random")
-        noise = random_noise(seed)
-        out, keep = one_round(state, noise, placement)
-        expected, expected_keep = flagless_round(probs, noise, placement)
+        noise = random_noise(seed, placement)
+        out, keep = one_round(state, noise)
+        expected, expected_keep = flagless_round(probs, noise)
         assert np.max(np.abs(out.p.sum(axis=0) - expected)) < 1e-12
         assert abs(keep - expected_keep) < 1e-12
 
@@ -260,14 +261,17 @@ class TestOneRound:
             assert np.max(np.abs(direct - relabel)) < 1e-15
 
     def test_rejects_unknown_placement(self):
+        # a placement is checked where a noise model is built, and by the cell table
         with pytest.raises(ValueError, match="placement"):
-            one_round(random_state(0), random_noise(0), "after_measurement")
+            random_noise(0, "after_measurement")
+        with pytest.raises(ValueError, match="placement"):
+            recurrence.event_cell_table("after_measurement")
 
 
 class TestRoundTensor:
     @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
     def test_rows_are_distributions_over_cells(self, placement):
-        tensor = recurrence.round_tensor(random_noise(3), placement)
+        tensor = recurrence.round_tensor(random_noise(3, placement))
         assert tensor.shape == (256, 17)
         assert tensor.min() >= 0.0
         assert np.max(np.abs(tensor.sum(axis=1) - 1.0)) < 1e-15
@@ -275,29 +279,29 @@ class TestRoundTensor:
     @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
     @pytest.mark.parametrize("seed", range(8))
     def test_one_round_matches_reference_histogram(self, placement, seed):
-        state, noise = random_state(seed), random_noise(seed)
-        out, keep = one_round(state, noise, placement)
-        expected, expected_keep = reference_round(state.p.ravel(), noise, placement)
+        state, noise = random_state(seed), random_noise(seed, placement)
+        out, keep = one_round(state, noise)
+        expected, expected_keep = reference_round(state.p.ravel(), noise)
         assert np.max(np.abs(out.p.ravel() - expected)) < 1e-15
         assert abs(keep - expected_keep) < 1e-15
 
     @pytest.mark.parametrize(
-        "noise, initial, max_rounds, placement, converged",
+        "noise, initial, max_rounds, converged",
         [
             # near threshold: spectral radius ~0.994, still moving after 2,000 rounds
             (NoiseModel.from_one_qubit_depolarizing(0.8986), SubensembleState.werner(0.85),
-             2000, BEFORE_ROTATION, False),
+             2000, False),
             (NoiseModel.from_uniform_residual(0.97), SubensembleState.werner(0.85),
-             500, BEFORE_ROTATION, True),
-            (NoiseModel.from_one_qubit_depolarizing(0.95),
+             500, True),
+            (NoiseModel.from_one_qubit_depolarizing(0.95, BEFORE_BCNOT),
              SubensembleState.from_bell_probs([0.8, 0.1, 0.05, 0.05], flag_mode="random"),
-             500, BEFORE_BCNOT, True),
+             500, True),
         ],
         ids=["near-threshold", "fig1", "bcnot-random-flags"],
     )
-    def test_iterate_matches_reference_loop(self, noise, initial, max_rounds, placement, converged):
-        traj = iterate(initial, noise, max_rounds=max_rounds, placement=placement)
-        rows, keeps, reference_converged = reference_iterate(initial, noise, max_rounds, placement)
+    def test_iterate_matches_reference_loop(self, noise, initial, max_rounds, converged):
+        traj = iterate(initial, noise, max_rounds=max_rounds)
+        rows, keeps, reference_converged = reference_iterate(initial, noise, max_rounds)
         assert traj.converged == reference_converged == converged
         assert traj.rounds == len(rows) - 1
         assert np.max(np.abs(traj.coefficients - rows)) < 1e-12
@@ -310,7 +314,7 @@ class TestRoundTensor:
         assert traj.converged and traj.rounds == 1
 
     def test_non_finite_rows_fail_the_batched_check(self, monkeypatch):
-        monkeypatch.setattr(recurrence, "round_tensor", lambda noise, placement: np.full((256, 17), np.nan))
+        monkeypatch.setattr(recurrence, "round_tensor", lambda noise: np.full((256, 17), np.nan))
         with pytest.raises(ValueError, match="NaN"):
             iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=3)
         # a long iteration fails at its first check block, not after running every round
@@ -440,8 +444,7 @@ class TestClassifyRegime:
         assert report.regime == regime
 
 
-def serial_report(noise, initial, max_rounds, placement, secure_tol=1e-6, purify_margin=1e-4,
-                  fixpoint_tol=1e-12):
+def serial_report(noise, initial, max_rounds, secure_tol=1e-6, purify_margin=1e-4, fixpoint_tol=1e-12):
     """One row classified on its own: the reference loop, then the labels of ``classify_regime``.
 
     Built on ``reference_iterate``, not on ``iterate``, so it shares no
@@ -449,7 +452,7 @@ def serial_report(noise, initial, max_rounds, placement, secure_tol=1e-6, purify
     """
     f0 = fidelity(initial)
     try:
-        rows, _, converged = reference_iterate(initial, noise, max_rounds, placement, fixpoint_tol)
+        rows, _, converged = reference_iterate(initial, noise, max_rounds, fixpoint_tol)
     except DegenerateRoundError:
         return RegimeReport(Regime.NO_PURIFICATION, math.nan, math.nan, 0, False, f0, degenerate=True)
     last = SubensembleState(rows[-1])
@@ -470,22 +473,20 @@ def x_flip_noise():
     return NoiseModel(f)
 
 
-#: (noise, initial state, placement) rows of one batch, with what each shows
-#: at 400 rounds.
+#: (noise, initial state) rows of one batch, with what each shows at 400 rounds.
 BATCH_ROWS = [
     # secure in 24 rounds
-    (NoiseModel.from_one_qubit_depolarizing(0.97), SubensembleState.werner(0.85), BEFORE_ROTATION),
+    (NoiseModel.from_one_qubit_depolarizing(0.97), SubensembleState.werner(0.85)),
     # keep probability 0 in round 1: degenerate
-    (x_flip_noise(), SubensembleState.from_bell_probs([1, 0, 0, 0]), BEFORE_ROTATION),
+    (x_flip_noise(), SubensembleState.from_bell_probs([1, 0, 0, 0])),
     # still moving at the cap
-    (NoiseModel.from_one_qubit_depolarizing(0.8986), SubensembleState.werner(0.85), BEFORE_ROTATION),
+    (NoiseModel.from_one_qubit_depolarizing(0.8986), SubensembleState.werner(0.85)),
     # collapses to the depolarized state in 35 rounds
-    (NoiseModel.from_one_qubit_depolarizing(0.80), SubensembleState.werner(0.85), BEFORE_ROTATION),
+    (NoiseModel.from_one_qubit_depolarizing(0.80), SubensembleState.werner(0.85)),
     # a fixpoint: converges in round 1
-    (NoiseModel.identity(), SubensembleState.from_bell_probs([1, 0, 0, 0]), BEFORE_ROTATION),
+    (NoiseModel.identity(), SubensembleState.from_bell_probs([1, 0, 0, 0])),
     # insecure in 41 rounds
-    (NoiseModel.from_uniform_residual(0.9), SubensembleState.werner(0.85, flag_mode="random"),
-     BEFORE_BCNOT),
+    (NoiseModel.from_uniform_residual(0.9, BEFORE_BCNOT), SubensembleState.werner(0.85, flag_mode="random")),
 ]
 
 
@@ -493,12 +494,11 @@ class TestBatchedClassification:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("max_rounds", [0, 1, 400])
     def test_batch_matches_each_row_classified_alone(self, max_rounds):
-        states = np.array([initial.p.ravel() for _, initial, _ in BATCH_ROWS])
-        tensors = np.array([recurrence.round_tensor(noise, placement) for noise, _, placement in BATCH_ROWS])
+        states = np.array([initial.p.ravel() for _, initial in BATCH_ROWS])
+        tensors = np.array([recurrence.round_tensor(noise) for noise, _ in BATCH_ROWS])
         # the batch compacts the stack it is handed, so it gets a copy
         batch = recurrence._classify_rows(states, tensors.copy(), 1e-6, 1e-4, max_rounds, 1e-12)
-        expected = [serial_report(noise, initial, max_rounds, placement)
-                    for noise, initial, placement in BATCH_ROWS]
+        expected = [serial_report(noise, initial, max_rounds) for noise, initial in BATCH_ROWS]
 
         def labels(report):
             return (report.regime, report.rounds, report.converged, report.degenerate,
@@ -548,7 +548,7 @@ class TestBatchedClassification:
         tensors = recurrence.round_tensor(noise)[None]
         (report,) = recurrence._classify_rows(initial.p.reshape(1, 16), tensors, secure_tol, purify_margin,
                                               0, 1e-12)
-        expected = serial_report(noise, initial, 0, BEFORE_ROTATION, secure_tol, purify_margin)
+        expected = serial_report(noise, initial, 0, secure_tol, purify_margin)
         assert report.regime == expected.regime == regime
         assert (report.f_max, report.conditional_limit) == (0.75, 0.75)
 
@@ -641,8 +641,8 @@ class TestBlockedLockstep:
     def test_blocks_match_a_per_round_loop(self, max_rounds):
         # BATCH_ROWS stop mid-block (24, 35 and 41 rounds), degenerate in round 1,
         # converged in round 1, and at the cap
-        states = np.array([initial.p.ravel() for _, initial, _ in BATCH_ROWS])
-        tensors = np.array([recurrence.round_tensor(noise, placement) for noise, _, placement in BATCH_ROWS])
+        states = np.array([initial.p.ravel() for _, initial in BATCH_ROWS])
+        tensors = np.array([recurrence.round_tensor(noise) for noise, _ in BATCH_ROWS])
         blocked = blocked_lockstep(states, tensors, max_rounds)
         for k, (rows, keeps, stop) in enumerate(blocked):
             expected_rows, expected_keeps, expected_stop = reference_lockstep(
@@ -680,9 +680,9 @@ class TestBlockedLockstep:
             return real(states, tensors)
 
         monkeypatch.setattr(recurrence, "_round", counting)
-        noise, initial, placement = BATCH_ROWS[0]
+        noise, initial = BATCH_ROWS[0]
         states = np.array([initial.p.ravel()] * 2)
-        tensors = np.array([recurrence.round_tensor(noise, placement), np.full((256, 17), np.nan)])
+        tensors = np.array([recurrence.round_tensor(noise), np.full((256, 17), np.nan)])
         if max_rounds == 0:
             assert blocked_lockstep(states, tensors, max_rounds)[1][2] is None
         else:
@@ -739,9 +739,9 @@ class TestTwoLevelScan:
             # the default scan, with fewer rounds
             (NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS,
              dict(bisect_tol=1e-4, max_rounds=1000)),
-            (NoiseModel.from_uniform_residual,
+            (partial(NoiseModel.from_uniform_residual, placement=BEFORE_BCNOT),
              [SubensembleState.werner(fid, flag_mode="random") for fid in (0.85, 0.6)],
-             dict(lo=0.8, hi=0.95, bisect_tol=1e-3, max_rounds=500, placement=BEFORE_BCNOT)),
+             dict(lo=0.8, hi=0.95, bisect_tol=1e-3, max_rounds=500)),
             # 0.04 halves three times before it is within 6e-3: an odd number of levels
             (NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS[:2],
              dict(bisect_tol=6e-3, max_rounds=500)),
@@ -855,7 +855,7 @@ class TestRegimeTable:
             return reports
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrence, "round_tensor", lambda x, placement: np.full((256, 17), x))
+            mp.setattr(recurrence, "round_tensor", lambda x: np.full((256, 17), x))
             mp.setattr(recurrence, "_classify_rows", labelled)
             scans = scan_thresholds(lambda x: x, initials, bisect_tol=bisect_tol)
         assert len(classified) == len(set(classified))
