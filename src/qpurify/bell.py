@@ -13,37 +13,46 @@ Bell states are indexed by two bits packed into one integer,
 Every operation the protocol uses (local Pauli errors, the bilateral
 half-x rotation, the bilateral CNOT, the target measurement) maps Bell
 states onto Bell states up to a global phase, so the hot-path arithmetic
-happens on these 2-bit labels.  The dense 4x4 layer at the bottom of
-this module (Pauli matrices, Bell vectors and projectors, and the
-reading of a matrix in the Bell basis) grounds the label maps in
-explicit matrix algebra; :mod:`qpurify.oracle` re-derives every label
-table from it and the test suite cross-checks the two routes
-exhaustively.
+happens on these 2-bit labels.  This module is the one home of every
+label-level table: the label maps, the label shifts of the sixteen
+noise events (:data:`EVENT_CONTROL_SHIFTS`, :data:`EVENT_TARGET_SHIFTS`),
+the event cell table that composes them with the flag table of
+:mod:`qpurify.flags` into one round (:func:`event_cell_table`), and the
+readers of a row of cells packed ``flag * 4 + bell``
+(:func:`phi_plus_weight`, :func:`flag_match_weight`).  The exact engine
+in :mod:`qpurify.recurrence` and the Monte Carlo in
+:mod:`qpurify.montecarlo` both run off that one table.
+
+The dense matrices that ground these maps (Pauli matrices, Bell vectors)
+live in :mod:`qpurify.oracle`, which re-derives every label table from
+them; the conformance checks and the test suite cross-check the two
+routes exhaustively.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
+from .flags import FLAG_UPDATE_TABLE
+from .noise import BEFORE_ROTATION, check_placement
+
 __all__ = [
-    "ATOL",
     "BellLabel",
     "PauliIndex",
     "PAULI_LABEL_SHIFT",
+    "EVENT_CONTROL_SHIFTS",
+    "EVENT_TARGET_SHIFTS",
     "rotation_step3",
     "bcnot_map",
     "measurement_coincides",
-    "PAULIS",
-    "BELL_VECTORS",
-    "bell_projector",
-    "bell_diagonal_overlaps",
-    "bell_offdiagonal_max",
+    "DISCARDED",
+    "event_cell_table",
+    "phi_plus_weight",
+    "flag_match_weight",
 ]
-
-#: Absolute tolerance for dense double-precision checks on 4x4/16x16 matrices.
-ATOL = 1e-12
 
 
 class BellLabel(IntEnum):
@@ -83,6 +92,16 @@ class PauliIndex(IntEnum):
 #: other shifts by ``PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu]``.
 PAULI_LABEL_SHIFT = (0b00, 0b01, 0b11, 0b10)
 
+#: Packed label shift that event ``e = mu * 4 + nu`` puts on the control pair.
+EVENT_CONTROL_SHIFTS = np.array(
+    [PAULI_LABEL_SHIFT[e >> 2] for e in range(16)], dtype=np.uint8
+)
+
+#: Packed label shift that event ``e = mu * 4 + nu`` puts on the target pair.
+EVENT_TARGET_SHIFTS = np.array(
+    [PAULI_LABEL_SHIFT[e & 3] for e in range(16)], dtype=np.uint8
+)
+
 
 def rotation_step3(label: BellLabel | int) -> BellLabel:
     """Relabeling induced by the bilateral half-x rotation.
@@ -118,46 +137,62 @@ def measurement_coincides(target: BellLabel | int) -> bool:
     return (target & 0b01) == 0
 
 
-# ---------------------------------------------------------------------------
-# Dense 4x4 layer.  Basis ordering is |ab> with a the first party's qubit.
-
-PAULIS = np.array(
-    [
-        [[1, 0], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-#: ``BELL_VECTORS[label]`` is the state vector of that Bell state.
-BELL_VECTORS = np.array(
-    [
-        [_SQRT_HALF, 0.0, 0.0, _SQRT_HALF],
-        [0.0, _SQRT_HALF, _SQRT_HALF, 0.0],
-        [_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF],
-        [0.0, _SQRT_HALF, -_SQRT_HALF, 0.0],
-    ],
-    dtype=complex,
-)
+#: Cell index of a discarded pair of pairs in :func:`event_cell_table`.
+DISCARDED = 16
 
 
-def bell_projector(label: BellLabel | int) -> np.ndarray:
-    """Rank-one projector onto the Bell state with this label."""
-    v = BELL_VECTORS[label]
-    return np.outer(v, v.conj())
+@lru_cache(maxsize=None)
+def event_cell_table(placement: str) -> np.ndarray:
+    """Output cell for every (control, target, noise event) combination.
+
+    Index axes are (control category, target category, noise event);
+    categories pack ``flag * 4 + bell`` and events pack ``mu * 4 + nu``,
+    with sigma_mu shifting the control pair and sigma_nu the target
+    pair.  Entries are the surviving ``flag * 4 + bell`` cell, or
+    :data:`DISCARDED` for a discarded pair of pairs.  The read-only
+    uint8 table is composed from the label maps and event shifts above
+    and the flag table of :mod:`qpurify.flags`: an event's shift is
+    XORed into the flag of the pair it hits, exactly as into that
+    pair's Bell label.
+    """
+    check_placement(placement)
+    labels = range(4)
+    rotated = np.array([rotation_step3(b) for b in labels], dtype=np.uint8)
+    after_bcnot = [[bcnot_map(b1, b2) for b2 in labels] for b1 in labels]
+    source = np.array([[s for s, _ in row] for row in after_bcnot], dtype=np.uint8)
+    kept = np.array([[measurement_coincides(t) for _, t in row] for row in after_bcnot])
+
+    category = np.arange(16, dtype=np.uint8)[:, None]
+    flag, bell = category >> 2, category & 3
+
+    def noisy(shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(flag, bell) of each category under each event's shift, before the BCNOT."""
+        if placement == BEFORE_ROTATION:
+            return flag ^ shifts, rotated[bell ^ shifts]
+        return flag ^ shifts, rotated[bell] ^ shifts
+
+    flag1, bell1 = (a[:, None, :] for a in noisy(EVENT_CONTROL_SHIFTS))
+    flag2, bell2 = (a[None, :, :] for a in noisy(EVENT_TARGET_SHIFTS))
+    cell = FLAG_UPDATE_TABLE[flag1, flag2] * 4 + source[bell1, bell2]
+    table = np.where(kept[bell1, bell2], cell, DISCARDED).astype(np.uint8)
+    table.setflags(write=False)
+    return table
 
 
-def bell_diagonal_overlaps(rho: np.ndarray) -> np.ndarray:
-    """The four diagonal matrix elements of ``rho`` in the Bell basis."""
-    return np.real(np.einsum("bi,ij,bj->b", BELL_VECTORS.conj(), rho, BELL_VECTORS))
+def phi_plus_weight(cells: np.ndarray) -> np.ndarray:
+    """Weight on Phi+ summed over flags, per row of sixteen packed cells.
+
+    Phi+ is Bell label 0, so these are the cells ``flag * 4``.  On a
+    normalized row this is the fidelity F; on a row of counts it is the
+    number of Phi+ pairs.
+    """
+    return cells[..., 0::4].sum(axis=-1)
 
 
-def bell_offdiagonal_max(rho: np.ndarray) -> float:
-    """Largest magnitude among Bell-basis off-diagonal elements."""
-    transformed = BELL_VECTORS.conj() @ rho @ BELL_VECTORS.T
-    off = transformed - np.diag(np.diag(transformed))
-    return float(np.max(np.abs(off)))
+def flag_match_weight(cells: np.ndarray) -> np.ndarray:
+    """Weight on the cells ``k * 4 + k`` whose flag equals the Bell label, per row.
+
+    On a normalized row this is the conditional fidelity F_cond: the
+    weight a flag-conditioned correcting rotation would map onto Phi+.
+    """
+    return cells[..., 0::5].sum(axis=-1)

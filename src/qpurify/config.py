@@ -263,17 +263,21 @@ class ExperimentConfig:
 
 
 def load_config_file(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a JSON configuration file.
+    """Parse and validate a JSON configuration file, read as UTF-8 like all JSON.
 
     JSON syntax errors are reported with their line and column.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
     return ExperimentConfig.from_document(doc, source=str(path))

@@ -13,10 +13,10 @@ the exact engine.  A round samples exactly the distribution of
    targets, giving the 16x16 counts of (control, target) pairs;
 4. each (control, target) cell draws its noise events from one
    multinomial;
-5. the event counts go through the engine's event cell table,
-   :func:`qpurify.recurrence.event_cell_table`, whose
-   :data:`~qpurify.recurrence.DISCARDED` column collects the discarded
-   pairs of pairs.
+5. the event counts go through the event cell table of the exact
+   engine, :func:`qpurify.bell.event_cell_table`, whose
+   :data:`~qpurify.bell.DISCARDED` column collects the discarded pairs
+   of pairs.
 
 A round therefore costs O(16^3) whatever the population size.  Counts
 are limited to fewer than :data:`MAX_PAIRS` pairs, numpy's bound for a
@@ -36,16 +36,10 @@ from typing import ClassVar
 
 import numpy as np
 
+from .bell import DISCARDED, event_cell_table, flag_match_weight, phi_plus_weight
 from .errors import ProtocolHaltError
 from .noise import NoiseModel
-from .recurrence import (
-    DISCARDED,
-    SubensembleState,
-    Trajectory,
-    event_cell_table,
-    flag_match_weight,
-    phi_plus_weight,
-)
+from .recurrence import SubensembleState, Trajectory
 
 __all__ = [
     "MAX_PAIRS",

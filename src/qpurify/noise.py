@@ -7,7 +7,10 @@ control pair's qubit and ``nu`` on the target pair's qubit.  ``f[0, 0]``
 is the no-error probability.  The channel fires once per pair of pairs
 per purification round; since only relative Bell-label shifts matter,
 noise in one laboratory is the canonical setup and noise in both labs
-composes into a channel of the same form.
+composes into a channel of the same form.  This module knows the
+channel only as a table of probabilities: the label shift each event
+puts on each pair is :data:`qpurify.bell.EVENT_CONTROL_SHIFTS` and
+:data:`~qpurify.bell.EVENT_TARGET_SHIFTS`.
 
 A model also carries its ``placement``, where in the round the channel
 acts: before the bilateral rotation (:data:`BEFORE_ROTATION`, the
@@ -46,8 +49,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bell import PAULI_LABEL_SHIFT
-
 __all__ = [
     "BEFORE_ROTATION",
     "BEFORE_BCNOT",
@@ -55,8 +56,6 @@ __all__ = [
     "check_placement",
     "NoiseModel",
     "NOISE_FAMILIES",
-    "EVENT_CONTROL_SHIFTS",
-    "EVENT_TARGET_SHIFTS",
     "PROBABILITY_ATOL",
     "is_real_type",
     "real_array",
@@ -71,16 +70,6 @@ PLACEMENTS = (BEFORE_ROTATION, BEFORE_BCNOT)
 
 #: Tolerance of every probability table: on its sum, and below 0 on each entry.
 PROBABILITY_ATOL = 1e-12
-
-#: Packed label shift that event ``e = mu * 4 + nu`` puts on the control pair.
-EVENT_CONTROL_SHIFTS = np.array(
-    [PAULI_LABEL_SHIFT[e >> 2] for e in range(16)], dtype=np.uint8
-)
-
-#: Packed label shift that event ``e = mu * 4 + nu`` puts on the target pair.
-EVENT_TARGET_SHIFTS = np.array(
-    [PAULI_LABEL_SHIFT[e & 3] for e in range(16)], dtype=np.uint8
-)
 
 
 def check_placement(placement: str) -> None:

@@ -1,24 +1,29 @@
 """Brute-force density-matrix reference for the protocol.
 
 Everything here is dense linear algebra on 4-dim (one pair) and 16-dim
-(two pairs) state spaces.  The dense operators are module constants,
-built and unitarity-checked once at import: the three protocol
-unitaries, the sixteen noise Kraus operators, the coinciding-measurement
-projector and the two-pair Bell basis, whose row ``c*4 + t`` is
-|B_c, B_t>.  Every Bell-label table is read back from these operators
-through one relabeling, :func:`_relabeling`, and one full noisy
-purification round is executed on density matrices with the error flags
-carried as classical side labels.  The label-based engine in
-:mod:`qpurify.recurrence` must agree with this module to 1e-10; the
-``verify`` CLI subcommand and the acceptance tests run the comparison.
+(two pairs) state spaces, and this module owns every dense matrix of the
+package: the Pauli matrices (:data:`PAULIS`), the Bell vectors
+(:data:`BELL_VECTORS`) and the reading of a matrix in the Bell basis
+(:func:`bell_diagonal_overlaps`, :func:`bell_offdiagonal_max`).  The
+dense operators are module constants, built and unitarity-checked once
+at import: the three protocol unitaries, the sixteen noise Kraus
+operators, the coinciding-measurement projector and the two-pair Bell
+basis, whose row ``c*4 + t`` is |B_c, B_t>.  Every Bell-label table is
+read back from these operators through one relabeling,
+:func:`_relabeling`, and one full noisy purification round is executed
+on density matrices with the error flags carried as classical side
+labels.  The label-based engine in :mod:`qpurify.recurrence` must agree
+with this module to 1e-10; the ``verify`` CLI subcommand and the
+acceptance tests run the comparison.
 
 The oracle stays an independent referee.  The dense round records a
 noise event on the flags by the one-sided Pauli shift the oracle derives
-itself, and reads neither the engine's event cell table
-(:func:`qpurify.recurrence.event_cell_table`) nor the :mod:`qpurify.bell`
-label maps and :mod:`qpurify.noise` event shifts it is composed from;
-those tables are what the conformance checks compare against.  The round
-shares only the normative flag table, ``FLAG_UPDATE_TABLE``.
+itself, and reads neither the event cell table
+(:func:`qpurify.bell.event_cell_table`) nor the label maps and event
+shifts of :mod:`qpurify.bell` it is composed from; those tables are
+what the conformance checks compare against, and the only names this
+module takes from :mod:`qpurify.bell`.  The round shares only the
+normative flag table, ``FLAG_UPDATE_TABLE``.
 
 Qubit ordering on the two-pair space is fixed once and used everywhere:
 (alice_control, alice_target, bob_control, bob_target).  The control
@@ -33,21 +38,19 @@ from typing import Callable
 
 import numpy as np
 
-from .bell import (
-    ATOL,
-    BELL_VECTORS,
-    PAULIS,
-    bell_diagonal_overlaps,
-    bell_offdiagonal_max,
-    bcnot_map,
-    rotation_step3,
-)
+from .bell import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, bcnot_map, rotation_step3
 from .errors import DegenerateRoundError
 from .flags import FLAG_UPDATE_TABLE
-from .noise import BEFORE_ROTATION, EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, PLACEMENTS, NoiseModel
+from .noise import BEFORE_ROTATION, PLACEMENTS, NoiseModel
 from .recurrence import KEEP_PROBABILITY_FLOOR, SubensembleState, one_round
 
 __all__ = [
+    "ATOL",
+    "PAULIS",
+    "BELL_VECTORS",
+    "bell_projector",
+    "bell_diagonal_overlaps",
+    "bell_offdiagonal_max",
     "build_protocol_unitaries",
     "derive_rotation_table",
     "derive_two_sided_shift_table",
@@ -58,6 +61,55 @@ __all__ = [
     "ConformanceReport",
     "run_conformance_checks",
 ]
+
+#: Absolute tolerance for dense double-precision checks on 4x4/16x16 matrices.
+ATOL = 1e-12
+
+# Basis ordering of one pair is |ab> with a the first party's qubit.
+
+#: sigma_0 .. sigma_3 in the order identity, x, y, z.
+PAULIS = np.array(
+    [
+        [[1, 0], [0, 1]],
+        [[0, 1], [1, 0]],
+        [[0, -1j], [1j, 0]],
+        [[1, 0], [0, -1]],
+    ],
+    dtype=complex,
+)
+
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+#: ``BELL_VECTORS[label]`` is the state vector of the Bell state with that
+#: packed label (see :mod:`qpurify.bell`).
+BELL_VECTORS = np.array(
+    [
+        [_SQRT_HALF, 0.0, 0.0, _SQRT_HALF],
+        [0.0, _SQRT_HALF, _SQRT_HALF, 0.0],
+        [_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF],
+        [0.0, _SQRT_HALF, -_SQRT_HALF, 0.0],
+    ],
+    dtype=complex,
+)
+
+
+def bell_projector(label: int) -> np.ndarray:
+    """Rank-one projector onto the Bell state with this label."""
+    v = BELL_VECTORS[label]
+    return np.outer(v, v.conj())
+
+
+def bell_diagonal_overlaps(rho: np.ndarray) -> np.ndarray:
+    """The four diagonal matrix elements of ``rho`` in the Bell basis."""
+    return np.real(np.einsum("bi,ij,bj->b", BELL_VECTORS.conj(), rho, BELL_VECTORS))
+
+
+def bell_offdiagonal_max(rho: np.ndarray) -> float:
+    """Largest magnitude among Bell-basis off-diagonal elements."""
+    transformed = BELL_VECTORS.conj() @ rho @ BELL_VECTORS.T
+    off = transformed - np.diag(np.diag(transformed))
+    return float(np.max(np.abs(off)))
+
 
 _I2 = np.eye(2, dtype=complex)
 _CNOT = np.array(

@@ -20,21 +20,21 @@ of pairs, and pushes everything through the label algebra:
 The round map is generated by exhaustively enumerating every
 (control category, target category, noise event) combination; no
 closed-form recurrence is transcribed anywhere.  The enumeration is the
-event cell table (:func:`event_cell_table`), composed once per placement
-from the label maps of :mod:`qpurify.bell`, the event shifts of
-:mod:`qpurify.noise` and the flag table of :mod:`qpurify.flags`.  It is
-the only encoding of a round: :mod:`qpurify.montecarlo` pushes its
-sampled event counts through the same table.
+event cell table of :mod:`qpurify.bell`
+(:func:`~qpurify.bell.event_cell_table`), the only encoding of a round:
+:mod:`qpurify.montecarlo` pushes its sampled event counts through the
+same table.
 
 Because control and target are drawn independently from ``p``, a round
 is a quadratic form in the sixteen coefficients.  Summing the table's
 events against one noise model gives the round tensor
 (:func:`round_tensor`), a 256x17 array whose row ``i * 16 + j`` holds
 the probability that control category ``i`` and target category ``j``
-land in each output cell (the last column is :data:`DISCARDED`).  A
-round is then one vector-matrix product, ``outer(v, v).ravel() @ Q``,
-followed by renormalization.  The one round step, :func:`_round`,
-applies that product to an array of rows, each against its own ``Q``.
+land in each output cell (the last column is
+:data:`~qpurify.bell.DISCARDED`).  A round is then one vector-matrix
+product, ``outer(v, v).ravel() @ Q``, followed by renormalization.  The
+one round step, :func:`_round`, applies that product to an array of
+rows, each against its own ``Q``.
 
 One loop runs every fixpoint iteration: :func:`_lockstep` advances a
 batch of rows, each under its own round tensor, one round per Python
@@ -71,36 +71,15 @@ from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bell import bcnot_map, measurement_coincides, rotation_step3
+from .bell import DISCARDED, event_cell_table, flag_match_weight, phi_plus_weight
 from .errors import DegenerateRoundError, NoThresholdError
-from .flags import FLAG_UPDATE_TABLE
-from .noise import (
-    BEFORE_BCNOT,
-    BEFORE_ROTATION,
-    EVENT_CONTROL_SHIFTS,
-    EVENT_TARGET_SHIFTS,
-    PLACEMENTS,
-    NoiseModel,
-    check_placement,
-    check_probability,
-    checked_rows,
-    probability_table,
-    real_array,
-)
+from .noise import NoiseModel, check_probability, checked_rows, probability_table, real_array
 
 __all__ = [
-    "BEFORE_ROTATION",
-    "BEFORE_BCNOT",
-    "PLACEMENTS",
-    "DISCARDED",
-    "check_placement",
-    "event_cell_table",
     "round_tensor",
     "KEEP_PROBABILITY_FLOOR",
     "SubensembleState",
     "COEFFICIENT_COLUMNS",
-    "phi_plus_weight",
-    "flag_match_weight",
     "fidelity",
     "conditional_fidelity",
     "one_round",
@@ -120,46 +99,6 @@ KEEP_PROBABILITY_FLOOR = 1e-9
 #: Fidelity of the completely depolarized state, the high-noise attractor.
 DEPOLARIZED_FIDELITY = 0.25
 
-#: Cell index of a discarded pair of pairs in :func:`event_cell_table`.
-DISCARDED = 16
-
-
-@lru_cache(maxsize=None)
-def event_cell_table(placement: str) -> np.ndarray:
-    """Output cell for every (control, target, noise event) combination.
-
-    Index axes are (control category, target category, noise event);
-    categories pack ``flag * 4 + bell`` and events pack ``mu * 4 + nu``,
-    with sigma_mu shifting the control pair and sigma_nu the target
-    pair.  Entries are the surviving ``flag * 4 + bell`` cell, or
-    :data:`DISCARDED` for a discarded pair of pairs.  The read-only
-    uint8 table is composed from the label primitives of
-    :mod:`qpurify.bell` and the flag table of :mod:`qpurify.flags`.
-    """
-    check_placement(placement)
-    labels = range(4)
-    rotated = np.array([rotation_step3(b) for b in labels], dtype=np.uint8)
-    after_bcnot = [[bcnot_map(b1, b2) for b2 in labels] for b1 in labels]
-    source = np.array([[s for s, _ in row] for row in after_bcnot], dtype=np.uint8)
-    kept = np.array([[measurement_coincides(t) for _, t in row] for row in after_bcnot])
-
-    category = np.arange(16, dtype=np.uint8)[:, None]
-    flag, bell = category >> 2, category & 3
-
-    def noisy(shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(flag, bell) of each category under each event's shift, before the BCNOT."""
-        if placement == BEFORE_ROTATION:
-            return flag ^ shifts, rotated[bell ^ shifts]
-        return flag ^ shifts, rotated[bell] ^ shifts
-
-    flag1, bell1 = (a[:, None, :] for a in noisy(EVENT_CONTROL_SHIFTS))
-    flag2, bell2 = (a[None, :, :] for a in noisy(EVENT_TARGET_SHIFTS))
-    cell = FLAG_UPDATE_TABLE[flag1, flag2] * 4 + source[bell1, bell2]
-    table = np.where(kept[bell1, bell2], cell, DISCARDED).astype(np.uint8)
-    table.setflags(write=False)
-    return table
-
-
 @lru_cache(maxsize=None)
 def _tensor_bins(placement: str) -> np.ndarray:
     """Flat index into the 256x17 round tensor of every event-table entry."""
@@ -172,8 +111,8 @@ def round_tensor(noise: NoiseModel) -> np.ndarray:
 
     ``Q[i * 16 + j, c]`` is the probability, over the noise event, that
     control category ``i`` and target category ``j`` end in output cell
-    ``c`` (column :data:`DISCARDED` collects the discarded pairs of
-    pairs), so one round's unnormalized output is
+    ``c`` (column :data:`~qpurify.bell.DISCARDED` collects the discarded
+    pairs of pairs), so one round's unnormalized output is
     ``outer(v, v).ravel() @ Q``.  Each row sums to 1.
     """
     totals = np.bincount(
@@ -325,32 +264,13 @@ class SubensembleState:
 COEFFICIENT_COLUMNS = tuple(f"P_f{flag:02b}_b{bell:02b}" for flag in range(4) for bell in range(4))
 
 
-def phi_plus_weight(cells: np.ndarray) -> np.ndarray:
-    """Weight on Phi+ summed over flags, per row of sixteen packed cells.
-
-    Phi+ is Bell label 0, so these are the cells ``flag * 4``.  On a
-    normalized row this is the fidelity F; on a row of counts it is the
-    number of Phi+ pairs.
-    """
-    return cells[..., 0::4].sum(axis=-1)
-
-
-def flag_match_weight(cells: np.ndarray) -> np.ndarray:
-    """Weight on the cells ``k * 4 + k`` whose flag equals the Bell label, per row.
-
-    On a normalized row this is the conditional fidelity F_cond: the
-    weight a flag-conditioned correcting rotation would map onto Phi+.
-    """
-    return cells[..., 0::5].sum(axis=-1)
-
-
 def fidelity(state: SubensembleState) -> float:
     """Overlap of the ensemble with Phi+ (the bell marginal's first entry)."""
     return float(phi_plus_weight(state.p.ravel()))
 
 
 def conditional_fidelity(state: SubensembleState) -> float:
-    """Fidelity attainable if the error flags were disclosed (see :func:`flag_match_weight`)."""
+    """Fidelity attainable if the error flags were disclosed (see :func:`.flag_match_weight`)."""
     return float(flag_match_weight(state.p.ravel()))
 
 

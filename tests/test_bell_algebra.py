@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpurify.bell import (
-    ATOL,
-    BELL_VECTORS,
     PAULI_LABEL_SHIFT,
-    PAULIS,
     BellLabel,
     PauliIndex,
     bcnot_map,
+    measurement_coincides,
+    rotation_step3,
+)
+from qpurify.oracle import (
+    ATOL,
+    BELL_VECTORS,
+    PAULIS,
     bell_diagonal_overlaps,
     bell_offdiagonal_max,
     bell_projector,
-    measurement_coincides,
-    rotation_step3,
 )
 
 PHI_PLUS = BellLabel.PHI_PLUS

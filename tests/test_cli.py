@@ -82,6 +82,15 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "too-deep"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert run(["iterate", "--config", str(path)], tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 NON_FINITE = [
     # written with json.dumps, which emits the NaN literal that json.loads accepts
     ("iterate", {"noise": {"family": "explicit", "f": [float("nan")] + [0.0] * 15}, "rounds": 3}),

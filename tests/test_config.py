@@ -164,6 +164,18 @@ def test_load_config_file_reports_syntax_position(tmp_path):
         load_config_file(path)
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe{}", "not UTF-8 text"), (b"[" * 100_000, "JSON nested too deeply")],
+    ids=["not-utf8", "too-deep"],
+)
+def test_load_config_file_refuses_an_unreadable_file(tmp_path, content, message):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=rf"unreadable.json: {message}"):
+        load_config_file(path)
+
+
 def test_unknown_preset():
     with pytest.raises(ConfigError, match="unknown preset"):
         ExperimentConfig.from_preset("fig9")

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from qpurify.bell import BellLabel, PauliIndex
+from qpurify.bell import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, BellLabel, PauliIndex, event_cell_table
 from qpurify.flags import FLAG_UPDATE_TABLE, ErrorFlag
-from qpurify.noise import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS
+from qpurify.noise import BEFORE_ROTATION, PLACEMENTS
 from qpurify.oracle import derive_two_sided_shift_table
-from qpurify.recurrence import BEFORE_ROTATION, PLACEMENTS, event_cell_table
 
 F00 = ErrorFlag.CLEAN
 F01 = ErrorFlag.AMPLITUDE

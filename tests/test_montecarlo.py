@@ -11,21 +11,22 @@ import pytest
 from scipy import stats
 
 import qpurify.montecarlo as montecarlo
-from qpurify.bell import PAULI_LABEL_SHIFT, BellLabel, bcnot_map, measurement_coincides, rotation_step3
+from qpurify.bell import (
+    DISCARDED,
+    PAULI_LABEL_SHIFT,
+    BellLabel,
+    bcnot_map,
+    event_cell_table,
+    flag_match_weight,
+    measurement_coincides,
+    phi_plus_weight,
+    rotation_step3,
+)
 from qpurify.errors import ProtocolHaltError
 from qpurify.flags import FLAG_UPDATE_TABLE
 from qpurify.montecarlo import MAX_PAIRS, Ensemble, init_ensemble, run_protocol, run_round
-from qpurify.noise import NoiseModel
-from qpurify.recurrence import (
-    BEFORE_BCNOT,
-    BEFORE_ROTATION,
-    DISCARDED,
-    SubensembleState,
-    event_cell_table,
-    flag_match_weight,
-    iterate,
-    phi_plus_weight,
-)
+from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, NoiseModel
+from qpurify.recurrence import SubensembleState, iterate
 
 PLACEMENTS = [BEFORE_ROTATION, BEFORE_BCNOT]
 

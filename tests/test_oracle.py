@@ -1,14 +1,20 @@
 """Dense-oracle derivations, round equivalence, fault injection."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qpurify.oracle as oracle
-from qpurify.bell import ATOL, BELL_VECTORS, PAULI_LABEL_SHIFT, bcnot_map, bell_projector, rotation_step3
+from qpurify.bell import PAULI_LABEL_SHIFT, bcnot_map, rotation_step3
 from qpurify.errors import DegenerateRoundError
 from qpurify.flags import FLAG_UPDATE_TABLE
-from qpurify.noise import NoiseModel
+from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, NoiseModel
 from qpurify.oracle import (
+    ATOL,
+    BELL_VECTORS,
+    bell_projector,
     build_protocol_unitaries,
     derive_bcnot_table,
     derive_flag_update_table,
@@ -17,7 +23,7 @@ from qpurify.oracle import (
     oracle_one_round,
     run_conformance_checks,
 )
-from qpurify.recurrence import BEFORE_BCNOT, BEFORE_ROTATION, SubensembleState, one_round
+from qpurify.recurrence import SubensembleState, one_round
 
 
 class TestUnitaries:
@@ -69,6 +75,26 @@ class TestDerivedTables:
             oracle._relabeling(np.kron(hadamard, np.eye(2)), BELL_VECTORS)
 
 
+def names_the_oracle_imports_from_bell() -> list[str]:
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "bell"
+        for alias in node.names
+    ]
+
+
+def broken(value):
+    """A function that refuses to be called, or a table with every entry changed."""
+    if callable(value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense round read a label map")
+
+        return refuse
+    return (np.asarray(value) + 1) % 4
+
+
 class TestOracleRound:
     def test_noiseless_pure_input(self):
         state = SubensembleState.from_bell_probs([1, 0, 0, 0])
@@ -104,6 +130,21 @@ class TestOracleRound:
         oracle_state, oracle_keep = oracle_one_round(state, noise)
         assert abs(engine_keep - oracle_keep) < 1e-10
         assert np.max(np.abs(engine_state.p - oracle_state.p)) < 1e-10
+
+    @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
+    def test_round_reads_nothing_it_imports_from_bell(self, monkeypatch, placement):
+        # what the oracle takes from bell are the shipped tables it referees
+        rng = np.random.default_rng(11)
+        state = SubensembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
+        noise = NoiseModel(rng.dirichlet(np.ones(16)), placement)
+        expected_state, expected_keep = oracle_one_round(state, noise)
+        names = names_the_oracle_imports_from_bell()
+        assert names
+        for name in names:
+            monkeypatch.setattr(oracle, name, broken(getattr(oracle, name)))
+        oracle_state, oracle_keep = oracle_one_round(state, noise)
+        assert oracle_keep == expected_keep
+        assert np.array_equal(oracle_state.p, expected_state.p)
 
     def test_degenerate_raises(self):
         f = np.zeros(16)

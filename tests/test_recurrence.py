@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qpurify.bell as bell
 import qpurify.recurrence as recurrence
 from qpurify.bell import PauliIndex
 from qpurify.errors import DegenerateRoundError, NoThresholdError
-from qpurify.noise import NoiseModel
+from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, NoiseModel
 from qpurify.recurrence import (
-    BEFORE_BCNOT,
-    BEFORE_ROTATION,
     Regime,
     RegimeReport,
     SubensembleState,
@@ -84,7 +83,7 @@ def reference_round(v, noise):
     Every (control, target, event) weight lands in its output cell; this
     is the round map computed without the contracted round tensor.
     """
-    table = recurrence.event_cell_table(noise.placement)
+    table = bell.event_cell_table(noise.placement)
     weights = np.einsum("i,j,e->ije", v, v, noise.f.ravel())
     totals = np.bincount(table.ravel(), weights=weights.ravel(), minlength=17)
     keep = totals[:16].sum()
@@ -255,7 +254,7 @@ class TestOneRound:
         w_direct = np.einsum("i,j,e->ije", v, v, noise.f.ravel())
         w_relabel = np.einsum("j,i,e->ije", v, v, noise.f.ravel())
         for placement in (BEFORE_ROTATION, BEFORE_BCNOT):
-            table = recurrence.event_cell_table(placement)
+            table = bell.event_cell_table(placement)
             direct = np.bincount(table.ravel(), weights=w_direct.ravel(), minlength=17)
             relabel = np.bincount(table.ravel(), weights=w_relabel.ravel(), minlength=17)
             assert np.max(np.abs(direct - relabel)) < 1e-15
@@ -265,7 +264,7 @@ class TestOneRound:
         with pytest.raises(ValueError, match="placement"):
             random_noise(0, "after_measurement")
         with pytest.raises(ValueError, match="placement"):
-            recurrence.event_cell_table("after_measurement")
+            bell.event_cell_table("after_measurement")
 
 
 class TestRoundTensor:
