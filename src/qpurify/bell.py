@@ -14,14 +14,29 @@ Every operation the protocol uses (local Pauli errors, the bilateral
 half-x rotation, the bilateral CNOT, the target measurement) maps Bell
 states onto Bell states up to a global phase, so the hot-path arithmetic
 happens on these 2-bit labels.  This module is the one home of every
-label-level table: the label maps, the label shifts of the sixteen
-noise events (:data:`EVENT_CONTROL_SHIFTS`, :data:`EVENT_TARGET_SHIFTS`),
-the event cell table that composes them with the flag table of
-:mod:`qpurify.flags` into one round (:func:`event_cell_table`), and the
+label-level table: the label maps, the label shift of each Pauli
+(:data:`PAULI_LABEL_SHIFT`) and of each of the sixteen noise events
+(:data:`EVENT_CONTROL_SHIFTS`, :data:`EVENT_TARGET_SHIFTS`), the two
+factors of a round and the event cell table composed from them with the
+flag table of :mod:`qpurify.flags` (:func:`event_cell_table`), and the
 readers of a row of cells packed ``flag * 4 + bell``
-(:func:`phi_plus_weight`, :func:`flag_match_weight`).  The exact engine
-in :mod:`qpurify.recurrence` and the Monte Carlo in
-:mod:`qpurify.montecarlo` both run off that one table.
+(:func:`phi_plus_weight`, :func:`flag_match_weight`).
+
+A round factors through its noise event.  Each Pauli of an event acts on
+one pair alone: it shifts that pair's Bell label and records the same
+shift on its flag.  So the event cell table is composed from two
+factors:
+
+* :func:`event_category_permutation`, the category each category
+  becomes under sigma_p, with the bilateral rotation folded in at the
+  placement's side of the noise;
+* :func:`pair_cell_table`, the cell that the noiseless bilateral CNOT
+  and the target measurement make of a control and a target category.
+
+The Monte Carlo in :mod:`qpurify.montecarlo` pushes its sampled events
+through the composed table; the exact engine in
+:mod:`qpurify.recurrence` applies the two factors one after the other,
+so that a noise model enters a round as its 4x4 table alone.
 
 The dense matrices that ground these maps (Pauli matrices, Bell vectors)
 live in :mod:`qpurify.oracle`, which re-derives every label table from
@@ -49,6 +64,8 @@ __all__ = [
     "bcnot_map",
     "measurement_coincides",
     "DISCARDED",
+    "event_category_permutation",
+    "pair_cell_table",
     "event_cell_table",
     "phi_plus_weight",
     "flag_match_weight",
@@ -137,8 +154,59 @@ def measurement_coincides(target: BellLabel | int) -> bool:
     return (target & 0b01) == 0
 
 
-#: Cell index of a discarded pair of pairs in :func:`event_cell_table`.
+#: Cell index of a discarded pair of pairs in :func:`pair_cell_table` and
+#: :func:`event_cell_table`.
 DISCARDED = 16
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def event_category_permutation(placement: str) -> np.ndarray:
+    """Category each category becomes under sigma_p on one qubit of its pair, up to the BCNOT.
+
+    ``table[p, c]``, for :class:`PauliIndex` ``p`` and category
+    ``c = flag * 4 + bell``: the shift ``PAULI_LABEL_SHIFT[p]`` is XORed
+    into the flag and into the Bell label, and the bilateral rotation
+    relabels the Bell label after the shift at ``before_rotation`` and
+    before it at ``before_bcnot``.  The shift is the same whichever pair
+    sigma_p hits, so one table serves the control and the target pair.
+    Each row is a permutation of the sixteen categories; the table is
+    read-only uint8.
+    """
+    check_placement(placement)
+    rotated = np.array([rotation_step3(b) for b in range(4)], dtype=np.uint8)
+    shift = np.array(PAULI_LABEL_SHIFT, dtype=np.uint8)[:, None]
+    category = np.arange(16, dtype=np.uint8)
+    flag, bell = category >> 2, category & 3
+    if placement == BEFORE_ROTATION:
+        bell = rotated[bell ^ shift]
+    else:
+        bell = rotated[bell] ^ shift
+    return _read_only((flag ^ shift) << 2 | bell)
+
+
+@lru_cache(maxsize=None)
+def pair_cell_table() -> np.ndarray:
+    """Output cell of a control and a target category under the noiseless BCNOT and measurement.
+
+    ``table[i, j]`` is the surviving ``flag * 4 + bell`` cell of the
+    control pair, or :data:`DISCARDED` when the target measurement does
+    not coincide; the kept control pair's flag is
+    ``FLAG_UPDATE_TABLE[control flag, target flag]``.  Read-only uint8.
+    """
+    labels = range(4)
+    after_bcnot = [[bcnot_map(b1, b2) for b2 in labels] for b1 in labels]
+    source = np.array([[s for s, _ in row] for row in after_bcnot], dtype=np.uint8)
+    kept = np.array([[measurement_coincides(t) for _, t in row] for row in after_bcnot])
+    category = np.arange(16, dtype=np.uint8)
+    flag1, bell1 = category[:, None] >> 2, category[:, None] & 3
+    flag2, bell2 = category[None, :] >> 2, category[None, :] & 3
+    cell = FLAG_UPDATE_TABLE[flag1, flag2] * 4 + source[bell1, bell2]
+    return _read_only(np.where(kept[bell1, bell2], cell, DISCARDED).astype(np.uint8))
 
 
 @lru_cache(maxsize=None)
@@ -150,33 +218,14 @@ def event_cell_table(placement: str) -> np.ndarray:
     with sigma_mu shifting the control pair and sigma_nu the target
     pair.  Entries are the surviving ``flag * 4 + bell`` cell, or
     :data:`DISCARDED` for a discarded pair of pairs.  The read-only
-    uint8 table is composed from the label maps and event shifts above
-    and the flag table of :mod:`qpurify.flags`: an event's shift is
-    XORed into the flag of the pair it hits, exactly as into that
-    pair's Bell label.
+    uint8 table composes the two factors:
+    ``pair_cell_table()[permutation[mu, i], permutation[nu, j]]`` with
+    ``permutation = event_category_permutation(placement)``.
     """
-    check_placement(placement)
-    labels = range(4)
-    rotated = np.array([rotation_step3(b) for b in labels], dtype=np.uint8)
-    after_bcnot = [[bcnot_map(b1, b2) for b2 in labels] for b1 in labels]
-    source = np.array([[s for s, _ in row] for row in after_bcnot], dtype=np.uint8)
-    kept = np.array([[measurement_coincides(t) for _, t in row] for row in after_bcnot])
-
-    category = np.arange(16, dtype=np.uint8)[:, None]
-    flag, bell = category >> 2, category & 3
-
-    def noisy(shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(flag, bell) of each category under each event's shift, before the BCNOT."""
-        if placement == BEFORE_ROTATION:
-            return flag ^ shifts, rotated[bell ^ shifts]
-        return flag ^ shifts, rotated[bell] ^ shifts
-
-    flag1, bell1 = (a[:, None, :] for a in noisy(EVENT_CONTROL_SHIFTS))
-    flag2, bell2 = (a[None, :, :] for a in noisy(EVENT_TARGET_SHIFTS))
-    cell = FLAG_UPDATE_TABLE[flag1, flag2] * 4 + source[bell1, bell2]
-    table = np.where(kept[bell1, bell2], cell, DISCARDED).astype(np.uint8)
-    table.setflags(write=False)
-    return table
+    permutation, events = event_category_permutation(placement), np.arange(16)
+    # [category, event]: the category sigma_mu makes of a control, sigma_nu of a target
+    control, target = permutation[events >> 2].T, permutation[events & 3].T
+    return _read_only(pair_cell_table()[control[:, None, :], target[None, :, :]])
 
 
 def phi_plus_weight(cells: np.ndarray) -> np.ndarray:

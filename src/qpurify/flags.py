@@ -6,10 +6,9 @@ classical bits: the error phase bit and the error amplitude bit.  A
 sigma_x record inverts the amplitude bit, sigma_z the phase bit, sigma_y
 both; recording is an XOR group action, so the order of errors never
 matters.  The recording happens inside
-:func:`qpurify.bell.event_cell_table`, which XORs each noise event's
-label shift (:data:`qpurify.bell.EVENT_CONTROL_SHIFTS` and
-:data:`~qpurify.bell.EVENT_TARGET_SHIFTS`) into the flag of the pair it
-hits, exactly as into that pair's Bell label.
+:func:`qpurify.bell.event_category_permutation`, which XORs the label
+shift of sigma_p (:data:`qpurify.bell.PAULI_LABEL_SHIFT`) into the flag
+of the pair it hits, exactly as into that pair's Bell label.
 
 When a control pair is kept after a purification step, its flag is
 combined with the measured target pair's flag through a fixed 16-entry

@@ -48,7 +48,6 @@ __all__ = [
     "ATOL",
     "PAULIS",
     "BELL_VECTORS",
-    "bell_projector",
     "bell_diagonal_overlaps",
     "bell_offdiagonal_max",
     "build_protocol_unitaries",
@@ -91,12 +90,6 @@ BELL_VECTORS = np.array(
     ],
     dtype=complex,
 )
-
-
-def bell_projector(label: int) -> np.ndarray:
-    """Rank-one projector onto the Bell state with this label."""
-    v = BELL_VECTORS[label]
-    return np.outer(v, v.conj())
 
 
 def bell_diagonal_overlaps(rho: np.ndarray) -> np.ndarray:

@@ -21,23 +21,29 @@ The round map is generated by exhaustively enumerating every
 (control category, target category, noise event) combination; no
 closed-form recurrence is transcribed anywhere.  The enumeration is the
 event cell table of :mod:`qpurify.bell`
-(:func:`~qpurify.bell.event_cell_table`), the only encoding of a round:
-:mod:`qpurify.montecarlo` pushes its sampled event counts through the
-same table.
+(:func:`~qpurify.bell.event_cell_table`), which
+:mod:`qpurify.montecarlo` pushes its sampled event counts through; the
+engine applies the table's two factors one after the other.
 
-Because control and target are drawn independently from ``p``, a round
-is a quadratic form in the sixteen coefficients.  Summing the table's
-events against one noise model gives the round tensor
-(:func:`round_tensor`), a 256x17 array whose row ``i * 16 + j`` holds
-the probability that control category ``i`` and target category ``j``
-land in each output cell (the last column is
-:data:`~qpurify.bell.DISCARDED`).  A round is then one vector-matrix
-product, ``outer(v, v).ravel() @ Q``, followed by renormalization.  The
-one round step, :func:`_round`, applies that product to an array of
-rows, each against its own ``Q``.
+A noise event sigma_mu x sigma_nu acts on each pair alone, so a round
+factors through it.  Under sigma_mu the control's category distribution
+``v`` is permuted: it becomes ``X[mu] = v[gather[mu]]``, where the
+gather index inverts the noise model's row of
+:func:`~qpurify.bell.event_category_permutation` (the rotation is
+folded in).  Control and target are drawn independently from ``p``, so
+the joint distribution of the two categories the BCNOT sees is the
+16x16 matrix ``W = X.T @ f @ X``, with ``f`` the model's 4x4 table.
+The noiseless BCNOT and measurement send each entry of ``W`` to its
+cell of :func:`~qpurify.bell.pair_cell_table`: an output cell is the
+sum of its kept entries, and the keep probability the sum of the
+cells.  A round is then the renormalized cells.  The round step,
+:func:`_round_step`, does this for a stack of rows, each under its own
+table and gather index, so a batch may mix placements.  Every operation
+in it is per row or elementwise, so a row's output is the same bits in
+any batch.
 
 One loop runs every fixpoint iteration: :func:`_lockstep` advances a
-batch of rows, each under its own round tensor, one round per Python
+batch of rows, each under its own noise table, one round per Python
 step.  Once per block of :data:`_CHECK_EVERY` rounds the loop applies
 the stop rule to the whole block (the change drops below
 ``fixpoint_tol``, the keep probability falls below
@@ -71,12 +77,17 @@ from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bell import DISCARDED, event_cell_table, flag_match_weight, phi_plus_weight
+from .bell import (
+    DISCARDED,
+    event_category_permutation,
+    flag_match_weight,
+    pair_cell_table,
+    phi_plus_weight,
+)
 from .errors import DegenerateRoundError, NoThresholdError
 from .noise import NoiseModel, check_probability, checked_rows, probability_table, real_array
 
 __all__ = [
-    "round_tensor",
     "KEEP_PROBABILITY_FLOOR",
     "SubensembleState",
     "COEFFICIENT_COLUMNS",
@@ -99,43 +110,73 @@ KEEP_PROBABILITY_FLOOR = 1e-9
 #: Fidelity of the completely depolarized state, the high-noise attractor.
 DEPOLARIZED_FIDELITY = 0.25
 
+
+def _factors(noises: Sequence[NoiseModel]) -> tuple[np.ndarray, np.ndarray]:
+    """The noise tables and gather indices of a stack of rows, one row per noise model.
+
+    ``tables[k]`` is model ``k``'s 4x4 table ``f``.  ``gathers[k, mu, c]``
+    is the category that sigma_mu turns into ``c`` at the model's
+    placement: its row of :func:`~qpurify.bell.event_category_permutation`,
+    inverted.
+    """
+    tables = np.array([noise.f for noise in noises])
+    gathers = np.array([np.argsort(event_category_permutation(noise.placement), axis=1) for noise in noises])
+    return tables, gathers
+
+
 @lru_cache(maxsize=None)
-def _tensor_bins(placement: str) -> np.ndarray:
-    """Flat index into the 256x17 round tensor of every event-table entry."""
-    pair = np.arange(256).reshape(16, 16, 1)
-    return (pair * (DISCARDED + 1) + event_cell_table(placement)).ravel()
+def _cell_runs() -> tuple[np.ndarray, np.ndarray]:
+    """The kept entries of the flattened pair cell table, grouped by cell, and where each group starts.
 
-
-def round_tensor(noise: NoiseModel) -> np.ndarray:
-    """The round map of one noise model, at its placement, as a 256x17 quadratic form ``Q``.
-
-    ``Q[i * 16 + j, c]`` is the probability, over the noise event, that
-    control category ``i`` and target category ``j`` end in output cell
-    ``c`` (column :data:`~qpurify.bell.DISCARDED` collects the discarded
-    pairs of pairs), so one round's unnormalized output is
-    ``outer(v, v).ravel() @ Q``.  Each row sums to 1.
+    Every cell has at least one entry, so the groups are the runs that
+    ``np.add.reduceat`` sums.  Both arrays are read-only.
     """
-    totals = np.bincount(
-        _tensor_bins(noise.placement),
-        weights=np.tile(noise.f.ravel(), 256),
-        minlength=256 * (DISCARDED + 1),
-    )
-    return totals.reshape(256, DISCARDED + 1)
+    cells = pair_cell_table().ravel()
+    order = np.argsort(cells, kind="stable")[: np.count_nonzero(cells != DISCARDED)]
+    runs = order, np.searchsorted(cells[order], np.arange(DISCARDED))
+    for array in runs:
+        array.setflags(write=False)
+    return runs
 
 
-def _round(states: np.ndarray, tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One round on a stack of rows: the renormalized outputs and the keep probabilities.
+def _round_step(tables: np.ndarray, gathers: np.ndarray) -> Callable[..., None]:
+    """One round of a stack of rows, as a function ``step(states, out, keeps)``.
 
-    ``states`` is ``(B, 16)`` and ``tensors`` the matching ``(B, 256, 17)``
-    stack of round tensors.  A row whose keep probability is below
-    :data:`KEEP_PROBABILITY_FLOOR` comes back unnormalized; the caller
-    decides what a degenerate row means.
+    Row ``k`` advances under ``tables[k]`` and ``gathers[k]`` (see
+    :func:`_factors`).  ``step`` reads the ``(B, 16)`` states and writes
+    the renormalized outputs to ``out`` and the keep probabilities to
+    ``keeps``, in buffers made here once.  A row whose keep probability
+    is below :data:`KEEP_PROBABILITY_FLOOR` comes back unnormalized; the
+    caller decides what a degenerate row means.  The kept entries of
+    each row are summed into its cells by one fixed-order reduction, not
+    a product over the batch, whose summation order would depend on the
+    batch.
     """
-    outer = np.einsum("bi,bj->bij", states, states).reshape(len(states), 1, 256)
-    kept = (outer @ tensors)[:, 0, :DISCARDED]
-    keep = kept.sum(axis=1)
-    # the floor changes no valid row's divisor and keeps a degenerate row off 0/0
-    return kept / np.maximum(keep, KEEP_PROBABILITY_FLOOR)[:, None], keep
+    rows = np.arange(len(tables))
+    order, starts = _cell_runs()
+    sources = gathers + 16 * rows[:, None, None]  # flat indices into the states
+    kept_entries = order + 256 * rows[:, None]  # flat indices into the joint distributions
+    noisy = np.empty(gathers.shape)  # noisy[k, mu]: row k under sigma_mu
+    weighted = np.empty(gathers.shape)
+    pairs = np.empty((len(rows), 16, 16))
+    kept = np.empty(kept_entries.shape)
+    cells = np.empty((len(rows), 16))
+    divisor = np.empty(len(rows))
+    noisy_t, divisor_column = noisy.transpose(0, 2, 1), divisor[:, None]
+
+    # every index is in range; "clip" spares take the copy that its bounds check makes
+    def step(states: np.ndarray, out: np.ndarray, keeps: np.ndarray) -> None:
+        states.take(sources, out=noisy, mode="clip")
+        np.matmul(tables, noisy, out=weighted)
+        np.matmul(noisy_t, weighted, out=pairs)
+        pairs.take(kept_entries, out=kept, mode="clip")
+        np.add.reduceat(kept, starts, axis=1, out=cells)
+        np.add.reduce(cells, axis=1, out=keeps)
+        # the floor changes no valid row's divisor and keeps a degenerate row off 0/0
+        np.maximum(keeps, KEEP_PROBABILITY_FLOOR, out=divisor)
+        np.divide(cells, divisor_column, out=out)
+
+    return step
 
 
 #: The lockstep loop applies its stop rule and validates the rows it produced
@@ -162,26 +203,25 @@ class _Block(NamedTuple):
 
 
 def _lockstep(
-    states: np.ndarray, tensors: np.ndarray, max_rounds: int, fixpoint_tol: float
+    states: np.ndarray, tables: np.ndarray, gathers: np.ndarray, max_rounds: int, fixpoint_tol: float
 ) -> Iterator[_Block]:
     """Iterate a batch of rows in lockstep, in blocks of rounds, until each stops.
 
-    Row ``k`` starts at ``states[k]`` and advances under ``tensors[k]``.
+    Row ``k`` starts at ``states[k]`` and advances under ``tables[k]``
+    and ``gathers[k]`` (see :func:`_factors`).
     It stops at the first round where its sup-norm change drops below
     ``fixpoint_tol``, where its keep probability falls below
     :data:`KEEP_PROBABILITY_FLOOR` (it is degenerate, and its last output
     unnormalized), or where it has run ``max_rounds`` rounds.
 
-    Each Python step is one :func:`_round` of every running row.  The
+    Each Python step is one :func:`_round_step` of every running row.  The
     stop rule is applied to a whole block of :data:`_CHECK_EVERY` rounds
     at once, so a row that stops inside a block runs on to its end, and
     what it produces after its stop is never read.  Each block's rows
     through each one's stop, except the last of a row that stops
     degenerate, pass :func:`~qpurify.noise.checked_rows`, the check of
     :class:`SubensembleState`, on a copy, and the block is yielded as a
-    :class:`_Block`.  The rows that stopped then leave the batch, and
-    ``tensors`` is compacted in place to the rows that stay, so the
-    stack the caller hands in comes back reordered.
+    :class:`_Block`.  The rows that stopped then leave the batch.
     """
     live, latest = np.arange(len(states)), states
     start = 0
@@ -189,8 +229,9 @@ def _lockstep(
         n, span = len(live), min(_CHECK_EVERY, max_rounds - start)
         rows, keeps = np.empty((span + 1, n, 16)), np.empty((span, n))
         rows[0] = latest
-        for i in range(span):
-            rows[i + 1], keeps[i] = _round(rows[i], tensors[:n])
+        step = _round_step(tables, gathers)
+        for before, after, keep in zip(rows, rows[1:], keeps):
+            step(before, after, keep)
         new = rows[1:]
         changes = new - rows[:-1]
         changes = np.abs(changes, out=changes).max(axis=2)
@@ -209,10 +250,8 @@ def _lockstep(
         yield _Block(live, start, new, keeps, changes, last + 1, stopped, converged, degenerate)
         start += span
         stay = np.flatnonzero(~stopped)
-        # copying forward in place: a copy of the stack would double its memory
-        for i, k in enumerate(stay.tolist()):
-            tensors[i] = tensors[k]
         live, latest = live[stay], new[-1, stay]
+        tables, gathers = tables[stay], gathers[stay]
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,8 +337,8 @@ class Trajectory:
     CSV rows, laid out as :attr:`columns`, are computed from them on
     request.  Every row passed :func:`~qpurify.noise.checked_rows`: it
     sums to 1 within :data:`~qpurify.noise.PROBABILITY_ATOL`, and no
-    entry is negative, since a round multiplies and divides nonnegative
-    rows and a nonnegative round tensor.
+    entry is negative, since a round multiplies, adds and divides
+    nonnegative rows and a nonnegative noise table.
     """
 
     #: CSV columns of :meth:`rows`.
@@ -358,8 +397,7 @@ def iterate(
     """
     rows, keeps = [state.p.reshape(1, 16)], [np.ones(1)]
     converged, change = False, math.inf
-    tensors = round_tensor(noise)[None]
-    for block in _lockstep(rows[0], tensors, max_rounds, fixpoint_tol):
+    for block in _lockstep(rows[0], *_factors([noise]), max_rounds, fixpoint_tol):
         ran = int(block.ran[0])
         if block.degenerate[0]:
             raise DegenerateRoundError(
@@ -391,7 +429,7 @@ class RegimeReport:
 
 def _classify_rows(
     states: np.ndarray,
-    tensors: np.ndarray,
+    noises: Sequence[NoiseModel],
     secure_tol: float,
     purify_margin: float,
     max_rounds: int,
@@ -399,19 +437,18 @@ def _classify_rows(
 ) -> list[RegimeReport]:
     """Classify a :func:`_lockstep` batch by the rows that leave it.
 
-    Row ``k`` iterates ``states[k]`` under ``tensors[k]``.  Its final row
+    Row ``k`` iterates ``states[k]`` under ``noises[k]``.  Its final row
     is its last output, or NaN when it stops degenerate; a
     degenerate row also reports 0 rounds and not converged.  One rule
     then labels every row, as :func:`classify_regime` describes: its
     rank, an index into :class:`Regime`, is 1 if it purifies plus 1 if it
     is also secure.  NaN compares False, so a degenerate row ranks 0,
-    NO_PURIFICATION.  The loop compacts ``tensors`` in place, so the
-    caller's stack comes back reordered.
+    NO_PURIFICATION.
     """
     final = states.copy()
     rounds = np.zeros(len(states), dtype=int)
     converged = np.zeros(len(states), dtype=bool)
-    for block in _lockstep(states, tensors, max_rounds, fixpoint_tol):
+    for block in _lockstep(states, *_factors(noises), max_rounds, fixpoint_tol):
         final[block.live[block.degenerate]] = math.nan
         stopped = np.flatnonzero(block.stopped & ~block.degenerate)
         rows, ran = block.live[stopped], block.ran[stopped]
@@ -455,7 +492,7 @@ def classify_regime(
     """
     (report,) = _classify_rows(
         initial.p.reshape(1, 16),
-        round_tensor(noise)[None],
+        [noise],
         secure_tol,
         purify_margin,
         max_rounds,
@@ -579,12 +616,9 @@ def scan_thresholds(
 
     def classify(requests: list[tuple[int, float]]) -> None:
         """Classify (initial state, parameter) requests, none of them known yet, as one batch."""
-        # one preallocated stack, one tensor per row
-        tensors = np.empty((len(requests), 256, DISCARDED + 1))
-        for i, (_, x) in enumerate(requests):
-            tensors[i] = round_tensor(family(x))
+        noises = [family(x) for _, x in requests]
         states = np.array([initials[k].p.ravel() for k, _ in requests])
-        reports = _classify_rows(states, tensors, secure_tol, purify_margin, max_rounds, fixpoint_tol)
+        reports = _classify_rows(states, noises, secure_tol, purify_margin, max_rounds, fixpoint_tol)
         for (k, x), report in zip(requests, reports):
             known[k][x] = report.regime
 

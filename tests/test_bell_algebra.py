@@ -1,24 +1,33 @@
 """Label maps against explicit matrix algebra, plus the Bell-basis reading of dense matrices."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from projectors import bell_projector
 
 from qpurify.bell import (
+    DISCARDED,
     PAULI_LABEL_SHIFT,
     BellLabel,
     PauliIndex,
     bcnot_map,
+    event_category_permutation,
+    event_cell_table,
     measurement_coincides,
+    pair_cell_table,
     rotation_step3,
 )
+from qpurify.flags import FLAG_UPDATE_TABLE
+from qpurify.noise import BEFORE_ROTATION, PLACEMENTS
 from qpurify.oracle import (
     ATOL,
     BELL_VECTORS,
     PAULIS,
     bell_diagonal_overlaps,
     bell_offdiagonal_max,
-    bell_projector,
 )
 
 PHI_PLUS = BellLabel.PHI_PLUS
@@ -149,6 +158,60 @@ class TestMeasurement:
     def test_psi_type_anticoincides(self):
         assert not measurement_coincides(PSI_PLUS)
         assert not measurement_coincides(PSI_MINUS)
+
+
+#: SHA-256 of ``event_cell_table(placement).tobytes()``: the Monte Carlo reads this
+#: table, so composing it from other factors must not move a byte of it.
+EVENT_CELL_TABLE_SHA256 = {
+    "before_rotation": "f1dc258c64fdbae9a9fffb09b8dad20509f2c13eb303c3945fd83a643cee77c1",
+    "before_bcnot": "c1852f6a6c5ab5ce3a80875f807f268a56e2a90f5c2ad2c827b583c63abf8a67",
+}
+
+# plain-int copies of the label maps, as in a hand enumeration
+ROTATED = [0, 1, 3, 2]
+SHIFT = [0b00, 0b01, 0b11, 0b10]
+
+
+class TestRoundFactors:
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_event_cell_table_is_pinned(self, placement):
+        table = event_cell_table(placement)
+        assert table.dtype == np.uint8 and table.shape == (16, 16, 16)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == EVENT_CELL_TABLE_SHA256[placement]
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_permutation_shifts_flag_and_label_around_the_rotation(self, placement):
+        permutation = event_category_permutation(placement)
+        for pauli, category in itertools.product(range(4), range(16)):
+            flag, label, shift = category >> 2, category & 3, SHIFT[pauli]
+            if placement == BEFORE_ROTATION:
+                label = ROTATED[label ^ shift]
+            else:
+                label = ROTATED[label] ^ shift
+            assert permutation[pauli, category] == (flag ^ shift) * 4 + label
+        assert [sorted(row) for row in permutation.tolist()] == [list(range(16))] * 4
+
+    def test_pair_cell_table_is_the_noiseless_bcnot_and_measurement(self):
+        table = pair_cell_table()
+        for control, target in itertools.product(range(16), range(16)):
+            b1, b2 = control & 3, target & 3
+            source, measured = b1 ^ (b2 & 2), b2 ^ (b1 & 1)
+            flag = FLAG_UPDATE_TABLE[control >> 2, target >> 2]
+            assert table[control, target] == (DISCARDED if measured & 1 else flag * 4 + source)
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_event_cell_table_composes_the_two_factors(self, placement):
+        permutation, pairs = event_category_permutation(placement), pair_cell_table()
+        table = event_cell_table(placement)
+        for control, target, event in itertools.product(range(16), repeat=3):
+            mu, nu = divmod(event, 4)
+            assert table[control, target, event] == pairs[permutation[mu, control], permutation[nu, target]]
+
+    def test_tables_are_read_only(self):
+        for table in (pair_cell_table(), *map(event_category_permutation, PLACEMENTS),
+                      *map(event_cell_table, PLACEMENTS)):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 def random_density_matrix(seed):

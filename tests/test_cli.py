@@ -353,12 +353,12 @@ BCNOT_ITERATE = {
 
 PINNED_ITERATIONS = [
     # (config or preset, format, SHA-256 of the trajectory file, SHA-256 of metadata.json)
-    ("fig1", "csv", "84c26ffa634c96f1e6ef840a8511aaafafd7d17980a9c1a79a64ee933a532eef",
+    ("fig1", "csv", "164010aebda1f3ac3ee43ec3e2c838b42e483eae6f4b850980e60b333d2a32b0",
      "37a4e3f743623c3e5e0f25ece9b4eaba692212b548d86232b976d1e53ecb89b0"),
-    ("fig1", "json", "a0332745f88096df4ef2e22fa340a6b1b44d361a34e399e902e2081cd33e304f",
+    ("fig1", "json", "fdc24b940bc4511b11b499d6b2eb87d48db6b8cd1b1f3cbd849bee468b5ee103",
      "37a4e3f743623c3e5e0f25ece9b4eaba692212b548d86232b976d1e53ecb89b0"),
-    (BCNOT_ITERATE, "csv", "659b5e86d1c701f4f306022f9a0eb046c7beb6f5e2c0845773fdaa4ff738b769",
-     "11f36be2ead389db3310b634b606b2fe62980a1ab290b515b8ecf89fef3ea016"),
+    (BCNOT_ITERATE, "csv", "651f4e75232773d86d3f1e2a2b6abba535385826af2512a1b6f01e7ee55b5f17",
+     "8ccff83d86343e1348a0f1b4cbfa0c650de36385b2598052dd7cc53f2c2b5d33"),
 ]
 
 

@@ -81,7 +81,8 @@ def reference_round(v, noise):
     """One round as a per-event weighted histogram of the event cell table.
 
     Every (control, target, event) weight lands in its output cell; this
-    is the round map computed without the contracted round tensor.
+    is the round map computed from the composed table, not from its two
+    factors as the engine computes it.
     """
     table = bell.event_cell_table(noise.placement)
     weights = np.einsum("i,j,e->ije", v, v, noise.f.ravel())
@@ -120,6 +121,40 @@ def random_state(seed):
 def random_noise(seed, placement=BEFORE_ROTATION):
     rng = np.random.default_rng(seed + 1000)
     return NoiseModel(rng.dirichlet(np.ones(16)), placement)
+
+
+def run_step(states, tables, gathers):
+    """One :func:`recurrence._round_step` round of a stack of rows: (outputs, keeps)."""
+    out, keeps = np.empty((len(states), 16)), np.empty(len(states))
+    recurrence._round_step(tables, gathers)(states, out, keeps)
+    return out, keeps
+
+
+def counting_steps(monkeypatch, rounds):
+    """Record the number of rows of every round step the engine takes."""
+    real = recurrence._round_step
+
+    def counting(tables, gathers):
+        step = real(tables, gathers)
+
+        def counted(states, out, keeps):
+            rounds.append(len(states))
+            step(states, out, keeps)
+
+        return counted
+
+    monkeypatch.setattr(recurrence, "_round_step", counting)
+
+
+def nan_tables(monkeypatch):
+    """Make every noise table the engine builds NaN, with the true gather indices."""
+    real = recurrence._factors
+
+    def factors(noises):
+        tables, gathers = real(noises)
+        return np.full_like(tables, np.nan), gathers
+
+    monkeypatch.setattr(recurrence, "_factors", factors)
 
 
 class TestSubensembleState:
@@ -267,11 +302,28 @@ class TestOneRound:
             bell.event_cell_table("after_measurement")
 
 
+def factored_tensor(noise):
+    """The round as a 256x17 quadratic form, built from the two factors of the event cell table.
+
+    Row ``i * 16 + j`` holds where control category ``i`` and target
+    category ``j`` land, over the noise events: sigma_mu takes ``i`` to
+    ``permutation[mu, i]``, sigma_nu takes ``j`` to ``permutation[nu, j]``,
+    and the pair cell table places the pair.
+    """
+    permutation = bell.event_category_permutation(noise.placement)
+    cells = bell.pair_cell_table()[permutation[:, None, :, None], permutation[None, :, None, :]]
+    pair = np.arange(256).reshape(16, 16)
+    bins = pair[None, None] * 17 + cells  # [mu, nu, i, j]
+    weights = np.broadcast_to(noise.f[:, :, None, None], bins.shape)
+    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=256 * 17).reshape(256, 17)
+
+
 class TestRoundTensor:
+    """The round map, factored through its noise events."""
+
     @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
     def test_rows_are_distributions_over_cells(self, placement):
-        tensor = recurrence.round_tensor(random_noise(3, placement))
-        assert tensor.shape == (256, 17)
+        tensor = factored_tensor(random_noise(3, placement))
         assert tensor.min() >= 0.0
         assert np.max(np.abs(tensor.sum(axis=1) - 1.0)) < 1e-15
 
@@ -313,21 +365,58 @@ class TestRoundTensor:
         assert traj.converged and traj.rounds == 1
 
     def test_non_finite_rows_fail_the_batched_check(self, monkeypatch):
-        monkeypatch.setattr(recurrence, "round_tensor", lambda noise: np.full((256, 17), np.nan))
+        nan_tables(monkeypatch)
         with pytest.raises(ValueError, match="NaN"):
             iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=3)
         # a long iteration fails at its first check block, not after running every round
         rounds = []
-        real = recurrence._round
-
-        def counting(states, tensors):
-            rounds.append(len(states))
-            return real(states, tensors)
-
-        monkeypatch.setattr(recurrence, "_round", counting)
+        counting_steps(monkeypatch, rounds)
         with pytest.raises(ValueError, match="NaN"):
             iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=10**6)
         assert 0 < len(rounds) <= recurrence._CHECK_EVERY
+
+
+def mixed_batch(size, seed):
+    """Random rows and Dirichlet(0.3) noise models, alternating the two placements."""
+    rng = np.random.default_rng(seed)
+    noises = [NoiseModel(rng.dirichlet(np.full(16, 0.3)), (BEFORE_ROTATION, BEFORE_BCNOT)[k % 2])
+              for k in range(size)]
+    return rng.dirichlet(np.ones(16), size=size), noises
+
+
+class TestRoundStep:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_event_table_reference(self, seed):
+        states, noises = mixed_batch(21, seed)
+        out, keeps = run_step(states, *recurrence._factors(noises))
+        for v, noise, row, keep in zip(states, noises, out, keeps):
+            expected, expected_keep = reference_round(v, noise)
+            assert np.max(np.abs(row - expected)) <= 1e-15
+            assert abs(keep - expected_keep) <= 1e-15
+
+    def test_a_row_is_the_same_bits_in_any_batch(self):
+        states, noises = mixed_batch(21, 7)
+        tables, gathers = recurrence._factors(noises)
+        whole = run_step(states, tables, gathers)
+        for size in (1, 2):
+            for start in range(0, 21 - size + 1):
+                rows = slice(start, start + size)
+                part = run_step(states[rows], tables[rows], gathers[rows])
+                # array_equal compares bit for bit
+                assert np.array_equal(part[0], whole[0][rows]) and np.array_equal(part[1], whole[1][rows])
+
+    def test_every_cell_has_a_run_of_kept_entries(self):
+        # reduceat would read an empty run as the next run's first entry
+        order, starts = recurrence._cell_runs()
+        cells = bell.pair_cell_table().ravel()[order]
+        assert np.all(np.diff(starts) > 0) and len(starts) == 16 and len(order) == 128
+        assert np.array_equal(cells, np.sort(cells)) and cells[-1] < bell.DISCARDED
+
+    def test_a_degenerate_row_is_floored_not_divided_by_zero(self):
+        # with warnings as errors, a 0/0 would raise
+        _, gathers = recurrence._factors([x_flip_noise()])
+        out, keeps = run_step(np.eye(16)[:1], x_flip_noise().f[None], gathers)
+        assert keeps[0] == 0.0 and np.array_equal(out, np.zeros((1, 16)))
 
 
 class TestIterate:
@@ -494,9 +583,8 @@ class TestBatchedClassification:
     @pytest.mark.parametrize("max_rounds", [0, 1, 400])
     def test_batch_matches_each_row_classified_alone(self, max_rounds):
         states = np.array([initial.p.ravel() for _, initial in BATCH_ROWS])
-        tensors = np.array([recurrence.round_tensor(noise) for noise, _ in BATCH_ROWS])
-        # the batch compacts the stack it is handed, so it gets a copy
-        batch = recurrence._classify_rows(states, tensors.copy(), 1e-6, 1e-4, max_rounds, 1e-12)
+        noises = [noise for noise, _ in BATCH_ROWS]
+        batch = recurrence._classify_rows(states, noises, 1e-6, 1e-4, max_rounds, 1e-12)
         expected = [serial_report(noise, initial, max_rounds) for noise, initial in BATCH_ROWS]
 
         def labels(report):
@@ -510,7 +598,7 @@ class TestBatchedClassification:
         # NaN on the degenerate row, on both sides
         np.testing.assert_allclose(limits(batch), limits(expected), rtol=0, atol=1e-12)
         alone = [
-            recurrence._classify_rows(states[k:k + 1], tensors[k:k + 1], 1e-6, 1e-4, max_rounds, 1e-12)[0]
+            recurrence._classify_rows(states[k:k + 1], noises[k:k + 1], 1e-6, 1e-4, max_rounds, 1e-12)[0]
             for k in range(len(BATCH_ROWS))
         ]
 
@@ -544,8 +632,7 @@ class TestBatchedClassification:
         # F = F_cond = 0.75 and every sum is exact; with no round the input is the final row
         initial = SubensembleState.from_bell_probs([0.75, 0.25, 0, 0])
         noise = NoiseModel.identity()
-        tensors = recurrence.round_tensor(noise)[None]
-        (report,) = recurrence._classify_rows(initial.p.reshape(1, 16), tensors, secure_tol, purify_margin,
+        (report,) = recurrence._classify_rows(initial.p.reshape(1, 16), [noise], secure_tol, purify_margin,
                                               0, 1e-12)
         expected = serial_report(noise, initial, 0, secure_tol, purify_margin)
         assert report.regime == expected.regime == regime
@@ -553,17 +640,11 @@ class TestBatchedClassification:
 
     def test_non_finite_rows_fail_at_the_first_check_block(self, monkeypatch):
         rounds = []
-        real = recurrence._round
-
-        def counting(states, tensors):
-            rounds.append(len(states))
-            return real(states, tensors)
-
-        monkeypatch.setattr(recurrence, "_round", counting)
-        tensors = np.full((2, 256, 17), np.nan)
+        counting_steps(monkeypatch, rounds)
+        nan_tables(monkeypatch)
         states = np.tile(SubensembleState.werner(0.85).p.ravel(), (2, 1))
         with pytest.raises(ValueError, match="NaN"):
-            recurrence._classify_rows(states, tensors, 1e-6, 1e-4, 10_000, 1e-12)
+            recurrence._classify_rows(states, [NoiseModel.identity()] * 2, 1e-6, 1e-4, 10_000, 1e-12)
         assert rounds == [2] * recurrence._CHECK_EVERY
 
     def test_shared_midpoints_are_classified_once(self, monkeypatch):
@@ -599,8 +680,8 @@ class TestBatchedClassification:
         assert batches[1] == [mid, 0.5 * (lo + mid), 0.5 * (mid + hi)]
 
 
-def reference_lockstep(state, tensor, max_rounds, tol=1e-12):
-    """One row through the stop rule, one round at a time.
+def reference_lockstep(state, table, gather, max_rounds, tol=1e-12):
+    """One row through the stop rule, one round at a time, in a batch of its own.
 
     Returns its outputs and keeps up to the round it stops at, and
     ``(rounds, converged, degenerate)`` at that round (None when it runs
@@ -608,7 +689,7 @@ def reference_lockstep(state, tensor, max_rounds, tol=1e-12):
     """
     v, rows, keeps = state, [], []
     for n in range(1, max_rounds + 1):
-        (new,), (keep,) = recurrence._round(v[None], tensor[None])
+        (new,), (keep,) = run_step(v[None], table[None], gather[None])
         rows.append(new)
         keeps.append(keep)
         settled = np.abs(new - v).max() < tol
@@ -619,12 +700,12 @@ def reference_lockstep(state, tensor, max_rounds, tol=1e-12):
     return np.empty((0, 16)), np.empty(0), None
 
 
-def blocked_lockstep(states, tensors, max_rounds, tol=1e-12):
+def blocked_lockstep(states, tables, gathers, max_rounds, tol=1e-12):
     """Every row's outputs, keeps and stop, read from the blocks of ``_lockstep``."""
     rows = [[np.empty((0, 16))] for _ in states]
     keeps = [[np.empty(0)] for _ in states]
     stops = [None] * len(states)
-    for block in recurrence._lockstep(states, tensors.copy(), max_rounds, tol):
+    for block in recurrence._lockstep(states, tables, gathers, max_rounds, tol):
         for j, k in enumerate(block.live.tolist()):
             ran = block.ran[j]
             rows[k].append(block.new[:ran, j].copy())
@@ -641,11 +722,11 @@ class TestBlockedLockstep:
         # BATCH_ROWS stop mid-block (24, 35 and 41 rounds), degenerate in round 1,
         # converged in round 1, and at the cap
         states = np.array([initial.p.ravel() for _, initial in BATCH_ROWS])
-        tensors = np.array([recurrence.round_tensor(noise) for noise, _ in BATCH_ROWS])
-        blocked = blocked_lockstep(states, tensors, max_rounds)
+        tables, gathers = recurrence._factors([noise for noise, _ in BATCH_ROWS])
+        blocked = blocked_lockstep(states, tables, gathers, max_rounds)
         for k, (rows, keeps, stop) in enumerate(blocked):
             expected_rows, expected_keeps, expected_stop = reference_lockstep(
-                states[k], tensors[k], max_rounds)
+                states[k], tables[k], gathers[k], max_rounds)
             # array_equal compares bit for bit; no row here is NaN
             assert np.array_equal(rows, expected_rows)
             assert np.array_equal(keeps, expected_keeps)
@@ -657,36 +738,34 @@ class TestBlockedLockstep:
             ]
 
     def test_rows_before_a_degenerate_round_are_validated(self):
-        # from pure category 0, round 1 makes (1.5, -0.5, 0, ...), keeping everything, and
-        # round 2 keeps nothing: only the degenerate round itself is spared the check
-        tensor = np.zeros((256, 17))
-        tensor[0, :2] = 1.5, -0.5
-        tensor[1] = tensor[16] = 1.5 * tensor[0]
+        # from pure category 0 this table keeps a third, from events 5 and 7, and round 1
+        # makes the row (-1 at cell 5, 2 at cell 15); round 2 keeps -1, below the floor:
+        # only the degenerate round itself is spared the check.  Its output is divided by
+        # the floor, 1e-9, so the rounds the block runs past it grow fast; three stay finite
+        table = np.zeros(16)
+        table[[5, 7, 12]] = -1 / 3, 2 / 3, 2 / 3
+        tables, gathers = table.reshape(1, 4, 4), recurrence._factors([NoiseModel.identity()])[1]
         state = np.eye(16)[:1]
-        rows, keeps, stop = reference_lockstep(state[0], tensor, 10)
-        assert stop == (2, False, True) and rows[0, 1] == -0.5
+        rows, keeps, stop = reference_lockstep(state[0], tables[0], gathers[0], 3)
+        assert stop == (2, False, True) and rows[0, 5] < -0.9 and keeps[1] < -0.9
         with pytest.raises(ValueError, match="negative"):
-            blocked_lockstep(state, tensor[None], 10)
+            blocked_lockstep(state, tables, gathers, 3)
 
     @pytest.mark.parametrize("max_rounds", [0, 1, 63, 64, 65, 130, 3000])
     def test_a_nan_tensor_fails_its_first_block(self, max_rounds, monkeypatch):
-        # the NaN row stops only at the cap, so it fails when its first block is validated
+        # a NaN noise table: its row stops only at the cap, so it fails when its first
+        # block is validated
         rounds = []
-        real = recurrence._round
-
-        def counting(states, tensors):
-            rounds.append(len(states))
-            return real(states, tensors)
-
-        monkeypatch.setattr(recurrence, "_round", counting)
+        counting_steps(monkeypatch, rounds)
         noise, initial = BATCH_ROWS[0]
         states = np.array([initial.p.ravel()] * 2)
-        tensors = np.array([recurrence.round_tensor(noise), np.full((256, 17), np.nan)])
+        tables, gathers = recurrence._factors([noise, noise])
+        tables[1] = np.nan
         if max_rounds == 0:
-            assert blocked_lockstep(states, tensors, max_rounds)[1][2] is None
+            assert blocked_lockstep(states, tables, gathers, max_rounds)[1][2] is None
         else:
             with pytest.raises(ValueError, match="NaN"):
-                blocked_lockstep(states, tensors, max_rounds)
+                blocked_lockstep(states, tables, gathers, max_rounds)
         assert rounds == [2] * min(max_rounds, recurrence._CHECK_EVERY)
 
 
@@ -780,6 +859,7 @@ class TestTwoLevelScan:
         assert len(rows) == 3 and rows[0] == 2 and rows[2] <= 2
 
     def test_a_batch_holds_one_tensor_per_row(self, monkeypatch):
+        # one noise model, whose 4x4 table the row carries, per row
         batches, params = [], []
         real_rows = recurrence._classify_rows
 
@@ -787,23 +867,23 @@ class TestTwoLevelScan:
             params.append(x)
             return NoiseModel.from_one_qubit_depolarizing(x)
 
-        def recording(states, tensors, *args):
-            batches.append((len(states), len(tensors), len(set(params))))
+        def recording(states, noises, *args):
+            batches.append((len(states), len(noises), len(set(params))))
             params.clear()
-            return real_rows(states, tensors, *args)
+            return real_rows(states, noises, *args)
 
         monkeypatch.setattr(recurrence, "_classify_rows", recording)
         scan_thresholds(family, DEFAULT_SCAN_INITIALS)
-        for rows, tensors, _ in batches:
-            assert tensors == rows
+        for rows, noises, _ in batches:
+            assert noises == rows
         # the ends and the first midpoints are shared by all four initial states
         assert batches[0] == (8, 8, 2) and batches[1] == (12, 12, 3)
         assert [rows for rows, *_ in batches] == [8, 12, 12, 12, 12, 21, 21]
 
     def test_a_scan_copies_no_tensor_stack(self):
-        # one warmed default scan peaks at about 1.34 MB; copying the stack of the rows
-        # that stay at each block end (``tensors[stay]``) makes it about 2.4 MB, and a
-        # block-sized temporary for the changes or the clipped rows about 1.5 MB
+        # each row carries a 4x4 noise table, so one warmed default scan peaks at about
+        # 0.76 MB, nearly all of it block buffers; a block-sized temporary for the changes
+        # or the clipped rows would make it about 0.93 MB
         def scan():
             return scan_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS)
 
@@ -814,7 +894,7 @@ class TestTwoLevelScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.45e6
+        assert peak < 0.85e6
 
 
 #: The regimes in the order a monotone family meets them as the parameter grows.
@@ -845,16 +925,15 @@ class TestRegimeTable:
         owner = {initial.p.tobytes(): k for k, initial in enumerate(initials)}
         classified = []
 
-        def labelled(states, tensors, *args):
+        def labelled(states, noises, *args):
             reports = []
-            for state, tensor in zip(states, tensors):
-                k, x = owner[state.tobytes()], float(tensor[0, 0])
+            for state, x in zip(states, noises):
+                k = owner[state.tobytes()]
                 classified.append((k, x))
                 reports.append(RegimeReport(regimes[k](x), math.nan, math.nan, 0, True, 0.0))
             return reports
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrence, "round_tensor", lambda x: np.full((256, 17), x))
             mp.setattr(recurrence, "_classify_rows", labelled)
             scans = scan_thresholds(lambda x: x, initials, bisect_tol=bisect_tol)
         assert len(classified) == len(set(classified))
@@ -941,9 +1020,9 @@ class TestThresholds:
         # a zero or negative tolerance never ends the loop once the bracket
         # reaches adjacent doubles, and a NaN one skips the bisection
         def no_evaluation(*args, **kwargs):
-            raise AssertionError("built a round tensor before checking bisect_tol")
+            raise AssertionError("built a noise table stack before checking bisect_tol")
 
-        monkeypatch.setattr(recurrence, "round_tensor", no_evaluation)
+        monkeypatch.setattr(recurrence, "_factors", no_evaluation)
         with pytest.raises(ValueError, match="bisect_tol must be positive and finite"):
             find_thresholds(
                 NoiseModel.from_one_qubit_depolarizing,
