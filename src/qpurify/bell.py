@@ -15,10 +15,10 @@ half-x rotation, the bilateral CNOT, the target measurement) maps Bell
 states onto Bell states up to a global phase, so the hot-path arithmetic
 happens on these 2-bit labels.  This module is the one home of every
 label-level table: the label maps, the label shift of each Pauli
-(:data:`PAULI_LABEL_SHIFT`) and of each of the sixteen noise events
-(:data:`EVENT_CONTROL_SHIFTS`, :data:`EVENT_TARGET_SHIFTS`), the two
-factors of a round and the event cell table composed from them with the
-flag table of :mod:`qpurify.flags` (:func:`event_cell_table`), and the
+(:data:`PAULI_LABEL_SHIFT`), which every round reads through
+:func:`event_category_permutation`, the two factors of a round and the
+event cell table composed from them with the flag table of
+:mod:`qpurify.flags` (:func:`event_cell_table`), and the
 readers of a row of cells packed ``flag * 4 + bell``
 (:func:`phi_plus_weight`, :func:`flag_match_weight`).
 
@@ -58,8 +58,6 @@ __all__ = [
     "BellLabel",
     "PauliIndex",
     "PAULI_LABEL_SHIFT",
-    "EVENT_CONTROL_SHIFTS",
-    "EVENT_TARGET_SHIFTS",
     "rotation_step3",
     "bcnot_map",
     "measurement_coincides",
@@ -108,16 +106,6 @@ class PauliIndex(IntEnum):
 #: side the Pauli acts on, and sigma_mu on one qubit with sigma_nu on the
 #: other shifts by ``PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu]``.
 PAULI_LABEL_SHIFT = (0b00, 0b01, 0b11, 0b10)
-
-#: Packed label shift that event ``e = mu * 4 + nu`` puts on the control pair.
-EVENT_CONTROL_SHIFTS = np.array(
-    [PAULI_LABEL_SHIFT[e >> 2] for e in range(16)], dtype=np.uint8
-)
-
-#: Packed label shift that event ``e = mu * 4 + nu`` puts on the target pair.
-EVENT_TARGET_SHIFTS = np.array(
-    [PAULI_LABEL_SHIFT[e & 3] for e in range(16)], dtype=np.uint8
-)
 
 
 def rotation_step3(label: BellLabel | int) -> BellLabel:

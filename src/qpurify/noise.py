@@ -8,9 +8,9 @@ is the no-error probability.  The channel fires once per pair of pairs
 per purification round; since only relative Bell-label shifts matter,
 noise in one laboratory is the canonical setup and noise in both labs
 composes into a channel of the same form.  This module knows the
-channel only as a table of probabilities: the label shift each event
-puts on each pair is :data:`qpurify.bell.EVENT_CONTROL_SHIFTS` and
-:data:`~qpurify.bell.EVENT_TARGET_SHIFTS`.
+channel only as a table of probabilities: what each Pauli of an event
+does to the category of the pair it hits is
+:func:`qpurify.bell.event_category_permutation`.
 
 A model also carries its ``placement``, where in the round the channel
 acts: before the bilateral rotation (:data:`BEFORE_ROTATION`, the

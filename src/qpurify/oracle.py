@@ -19,10 +19,10 @@ acceptance tests run the comparison.
 The oracle stays an independent referee.  The dense round records a
 noise event on the flags by the one-sided Pauli shift the oracle derives
 itself, and reads neither the event cell table
-(:func:`qpurify.bell.event_cell_table`) nor the label maps and event
-shifts of :mod:`qpurify.bell` it is composed from; those tables are
-what the conformance checks compare against, and the only names this
-module takes from :mod:`qpurify.bell`.  The round shares only the
+(:func:`qpurify.bell.event_cell_table`) nor the label maps and Pauli
+label shifts of :mod:`qpurify.bell` it is composed from; those tables
+are what the conformance checks compare against, and the only names
+this module takes from :mod:`qpurify.bell`.  The round shares only the
 normative flag table, ``FLAG_UPDATE_TABLE``.
 
 Qubit ordering on the two-pair space is fixed once and used everywhere:
@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bell import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, bcnot_map, rotation_step3
+from .bell import PAULI_LABEL_SHIFT, bcnot_map, rotation_step3
 from .errors import DegenerateRoundError
 from .flags import FLAG_UPDATE_TABLE
 from .noise import BEFORE_ROTATION, PLACEMENTS, NoiseModel
@@ -355,20 +355,16 @@ def run_conformance_checks(
         lambda b, table, oracle: f"label {b}: table {table}, oracle {oracle}",
     )
 
-    derived_shifts = derive_two_sided_shift_table()
-    events = np.arange(16)
-    for side, shipped, pauli in (
-        ("control", EVENT_CONTROL_SHIFTS, events >> 2),
-        ("target", EVENT_TARGET_SHIFTS, events & 3),
-    ):
-        # column p * 4 is sigma_p alone on the first qubit of a pair
-        _compare(
-            report,
-            f"{side}-pair event shifts vs dense conjugation",
-            _FLAGS[:, None] ^ shipped,
-            derived_shifts[:, pauli * 4],
-            lambda label, event, table, oracle: f"(label {label}, event {event})",
-        )
+    # column p * 4 is sigma_p alone on the first qubit of a pair
+    _compare(
+        report,
+        "Pauli label shifts vs dense conjugation",
+        _FLAGS[:, None] ^ PAULI_LABEL_SHIFT,
+        derive_two_sided_shift_table()[:, ::4],
+        lambda label, pauli, table, oracle: (
+            f"(label {label}, Pauli {pauli}): table {table}, oracle {oracle}"
+        ),
+    )
 
     # label pairs packed as source*4 + target
     shipped_bcnot = np.array([[bcnot_map(s, t) for t in range(4)] for s in range(4)]) @ [4, 1]

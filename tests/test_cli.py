@@ -111,8 +111,7 @@ def test_verify_prints_every_check_in_order(capsys):
     assert main(["verify"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "[PASS] rotation relabeling vs dense conjugation",
-        "[PASS] control-pair event shifts vs dense conjugation",
-        "[PASS] target-pair event shifts vs dense conjugation",
+        "[PASS] Pauli label shifts vs dense conjugation",
         "[PASS] BCNOT label map vs dense conjugation",
         "[PASS] BCNOT label map is a bijection",
         "[PASS] flag combination table vs label-algebra derivation",

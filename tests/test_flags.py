@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qpurify.bell import EVENT_CONTROL_SHIFTS, EVENT_TARGET_SHIFTS, BellLabel, PauliIndex, event_cell_table
+from qpurify.bell import BellLabel, PauliIndex, event_category_permutation, event_cell_table
 from qpurify.flags import FLAG_UPDATE_TABLE, ErrorFlag
 from qpurify.noise import BEFORE_ROTATION, PLACEMENTS
 from qpurify.oracle import derive_two_sided_shift_table
@@ -37,14 +37,16 @@ def engine_flag_update(control, target, placement=BEFORE_ROTATION):
 def record(flag, pauli):
     """Flag after sigma_pauli is recorded on a pair, as the engine records it.
 
-    ``event_cell_table`` XORs a noise event's label shift into the flag of
-    the pair it hits: sigma_pauli alone on the control pair is event
-    ``pauli * 4``, alone on the target pair event ``pauli``.
+    Read off the category permutation every round applies to the pair
+    that sigma_pauli hits, whichever pair that is; the rotation moves only
+    the Bell label, so both placements record the same flag.
     """
-    on_control = flag ^ EVENT_CONTROL_SHIFTS[pauli * 4]
-    on_target = flag ^ EVENT_TARGET_SHIFTS[pauli]
-    assert on_control == on_target
-    return ErrorFlag(on_control)
+    recorded = {
+        int(event_category_permutation(placement)[pauli, flag * 4]) >> 2
+        for placement in PLACEMENTS
+    }
+    assert len(recorded) == 1
+    return ErrorFlag(recorded.pop())
 
 
 def test_table_is_encoded_verbatim():

@@ -207,16 +207,18 @@ class TestConformance:
 
     @pytest.mark.parametrize("side", ["control", "target"])
     def test_mutated_shipping_shift_table_fails(self, monkeypatch, side):
-        # the tables event_cell_table composes the round from, not a copy of the formula
-        name = f"EVENT_{side.upper()}_SHIFTS"
-        broken = getattr(oracle, name).copy()
-        # events 1 and 2 differ in nu only, events 4 and 8 in mu only
-        broken[[1, 2]] = broken[[2, 1]]
-        broken[[4, 8]] = broken[[8, 4]]
-        monkeypatch.setattr(oracle, name, broken)
+        # event mu * 4 + nu shifts the control pair by entry mu and the target
+        # pair by entry nu of the one table, so a swap of x and z reaches both
+        events = np.arange(16)
+        read = events >> 2 if side == "control" else events & 3
+        shift = list(oracle.PAULI_LABEL_SHIFT)
+        shift[PauliIndex.X], shift[PauliIndex.Z] = shift[PauliIndex.Z], shift[PauliIndex.X]
+        moved = np.take(shift, read) != np.take(PAULI_LABEL_SHIFT, read)
+        assert set(read[moved]) == {PauliIndex.X, PauliIndex.Z}
+        monkeypatch.setattr(oracle, "PAULI_LABEL_SHIFT", tuple(shift))
         report = run_conformance_checks(round_samples=0)
         failing = [c.name for c in report.checks if not c.passed]
-        assert failing == [f"{side}-pair event shifts vs dense conjugation"]
+        assert failing == ["Pauli label shifts vs dense conjugation"]
 
     def test_mutated_bcnot_breaks_bijection(self, monkeypatch):
         def broken(src, tgt):

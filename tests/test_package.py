@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,16 @@ def test_every_exported_name_resolves():
 
 PACKAGE = Path(qpurify.__file__).resolve().parent
 SUBMODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+
+def test_importing_the_package_loads_no_submodule():
+    # each name is imported from its module, so any module can be entered first
+    code = "import sys, qpurify; print(sorted(m for m in sys.modules if m.startswith('qpurify.')))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def module_tree(stem: str) -> ast.Module:
