@@ -12,9 +12,10 @@ basis, whose row ``c*4 + t`` is |B_c, B_t>.  Every Bell-label table is
 read back from these operators through one relabeling,
 :func:`_relabeling`, and one full noisy purification round is executed
 on density matrices with the error flags carried as classical side
-labels.  The label-based engine in :mod:`qpurify.recurrence` must agree
-with this module to 1e-10; the ``verify`` CLI subcommand and the
-acceptance tests run the comparison.
+labels; its sixteen kept branches are read in the Bell basis in one
+pass, as one ``(4, 4, 4, 4)`` stack.  The label-based engine in
+:mod:`qpurify.recurrence` must agree with this module to 1e-10; the
+``verify`` CLI subcommand and the acceptance tests run the comparison.
 
 The oracle stays an independent referee.  The dense round records a
 noise event on the flags by the one-sided Pauli shift the oracle derives
@@ -93,15 +94,14 @@ BELL_VECTORS = np.array(
 
 
 def bell_diagonal_overlaps(rho: np.ndarray) -> np.ndarray:
-    """The four diagonal matrix elements of ``rho`` in the Bell basis."""
-    return np.real(np.einsum("bi,ij,bj->b", BELL_VECTORS.conj(), rho, BELL_VECTORS))
+    """The four Bell-basis diagonal elements of each matrix in a ``(..., 4, 4)`` stack."""
+    return np.real(np.einsum("bi,...ij,bj->...b", BELL_VECTORS.conj(), rho, BELL_VECTORS))
 
 
 def bell_offdiagonal_max(rho: np.ndarray) -> float:
-    """Largest magnitude among Bell-basis off-diagonal elements."""
+    """Largest magnitude among Bell-basis off-diagonal elements of a ``(..., 4, 4)`` stack."""
     transformed = BELL_VECTORS.conj() @ rho @ BELL_VECTORS.T
-    off = transformed - np.diag(np.diag(transformed))
-    return float(np.max(np.abs(off)))
+    return float(np.max(np.abs(transformed[..., ~np.eye(4, dtype=bool)])))
 
 
 _I2 = np.eye(2, dtype=complex)
@@ -237,9 +237,10 @@ def oracle_one_round(state: SubensembleState, noise: NoiseModel) -> tuple[Subens
     label on each branch; applies the noise as an explicit Kraus sum
     (recording each event on the branch flags) at ``noise.placement``,
     the rotation and BCNOT unitaries, and the coinciding-measurement
-    projector; traces out the target pair; and re-expresses every kept
-    branch in the Bell basis with flags combined through the normative
-    table.  Raises DegenerateRoundError on vanishing keep probability and
+    projector; traces out the target pair; and reads the sixteen kept
+    branches in the Bell basis in one pass, their overlaps summing to the
+    keep probability and combined through the normative flag table.
+    Raises DegenerateRoundError on vanishing keep probability and
     AssertionError if a kept branch is not Bell-diagonal.
     """
     p = state.p
@@ -248,14 +249,14 @@ def oracle_one_round(state: SubensembleState, noise: NoiseModel) -> tuple[Subens
     branches = (_TWO_PAIR_BASIS.T * weights) @ _TWO_PAIR_BASIS.conj()
 
     def apply_noise(branches: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(branches)
-        f = noise.f.ravel()
-        for event in np.flatnonzero(f):
-            k = _NOISE_KRAUS[event]
-            rows = _FLAGS ^ _NOISE_FLAG_SHIFT[event >> 2]
-            cols = _FLAGS ^ _NOISE_FLAG_SHIFT[event & 3]
-            out[np.ix_(rows, cols)] += f[event] * (k @ branches @ k.conj().T)
-        return out
+        # event mu*4 + nu moves flags (a, b) to (a ^ s[mu], b ^ s[nu]), s = _NOISE_FLAG_SHIFT;
+        # each shift is its own inverse, so its branch at (a, b) comes from (a ^ s[mu], b ^ s[nu])
+        f, kraus = noise.f.ravel(), _NOISE_KRAUS
+        source = _FLAGS ^ _NOISE_FLAG_SHIFT[:, None]
+        return sum(
+            f[e] * (kraus[e] @ branches[np.ix_(source[e >> 2], source[e & 3])] @ kraus[e].conj().T)
+            for e in np.flatnonzero(f)
+        )
 
     rotation, bcnot = _UNITARIES["rotation"], _UNITARIES["bcnot"]
     if noise.placement == BEFORE_ROTATION:
@@ -267,19 +268,16 @@ def oracle_one_round(state: SubensembleState, noise: NoiseModel) -> tuple[Subens
     kept = np.einsum("...abcdebgd->...aceg", branches.reshape(4, 4, *[2] * 8))
     kept = kept.reshape(4, 4, 4, 4)
 
-    out = np.zeros((4, 4))
-    keep = 0.0
-    for flag1 in range(4):
-        for flag2 in range(4):
-            kept_pair = kept[flag1, flag2]
-            keep += float(np.real(np.trace(kept_pair)))
-            if bell_offdiagonal_max(kept_pair) > ATOL:
-                raise AssertionError("kept pair is not Bell-diagonal")
-            out[FLAG_UPDATE_TABLE[flag1, flag2]] += bell_diagonal_overlaps(kept_pair)
+    if bell_offdiagonal_max(kept) > ATOL:
+        raise AssertionError("kept pair is not Bell-diagonal")
+    overlaps = bell_diagonal_overlaps(kept)
+    keep = float(overlaps.sum())
     if keep < KEEP_PROBABILITY_FLOOR:
         raise DegenerateRoundError(
             f"keep probability {keep:.3e} below {KEEP_PROBABILITY_FLOOR:.0e}"
         )
+    out = np.zeros((4, 4))
+    np.add.at(out, FLAG_UPDATE_TABLE, overlaps)
     return SubensembleState(out / keep), keep
 
 

@@ -1,5 +1,6 @@
 """Command-line exit codes, option handling and deterministic output."""
 
+import datetime
 import errno
 import hashlib
 import json
@@ -46,6 +47,16 @@ def test_iterate_preset_succeeds(tmp_path):
     assert metadata["command"] == "iterate"
     assert "mode" not in metadata["config"]
     assert "timestamp" not in metadata
+
+
+def test_a_run_without_deterministic_stamps_its_utc_time(tmp_path):
+    before = datetime.datetime.now(datetime.timezone.utc)
+    assert main(["iterate", "--preset", "fig1", "--out", str(tmp_path / "out")]) == 0
+    after = datetime.datetime.now(datetime.timezone.utc)
+    metadata = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    stamp = datetime.datetime.fromisoformat(metadata["timestamp"])
+    assert stamp.utcoffset() == datetime.timedelta(0)
+    assert before <= stamp <= after
 
 
 @pytest.mark.parametrize("command", ["mc"])

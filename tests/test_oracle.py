@@ -147,6 +147,13 @@ class TestOracleRound:
         assert oracle_keep == expected_keep
         assert np.array_equal(oracle_state.p, expected_state.p)
 
+    def test_a_kept_pair_off_the_bell_basis_fails_the_round(self, monkeypatch):
+        # read in the computational basis, the kept Bell-diagonal pairs have off-diagonal terms
+        monkeypatch.setattr(oracle, "BELL_VECTORS", np.eye(4, dtype=complex))
+        state = SubensembleState.from_bell_probs([0.85, 0.05, 0.05, 0.05])
+        with pytest.raises(AssertionError, match="not Bell-diagonal"):
+            oracle_one_round(state, NoiseModel.identity())
+
     def test_degenerate_raises(self):
         f = np.zeros(16)
         f[1] = 1.0  # always flip the target pair's amplitude

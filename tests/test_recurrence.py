@@ -188,6 +188,10 @@ class TestSubensembleState:
         with pytest.raises(ValueError, match="flag_mode"):
             SubensembleState.from_bell_probs(WERNER_085, flag_mode="banana")
 
+    def test_rejects_a_bell_table_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="exactly 4 entries"):
+            SubensembleState.from_bell_probs([0.5, 0.5])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         p = np.full(16, 1.0 / 16.0)
@@ -858,7 +862,7 @@ class TestTwoLevelScan:
         assert len(scan.evaluations) == 2 + 3 + 3
         assert len(rows) == 3 and rows[0] == 2 and rows[2] <= 2
 
-    def test_a_batch_holds_one_tensor_per_row(self, monkeypatch):
+    def test_a_batch_holds_one_noise_table_per_row(self, monkeypatch):
         # one noise model, whose 4x4 table the row carries, per row
         batches, params = [], []
         real_rows = recurrence._classify_rows
@@ -880,7 +884,7 @@ class TestTwoLevelScan:
         assert batches[0] == (8, 8, 2) and batches[1] == (12, 12, 3)
         assert [rows for rows, *_ in batches] == [8, 12, 12, 12, 12, 21, 21]
 
-    def test_a_scan_copies_no_tensor_stack(self):
+    def test_a_scan_makes_no_block_sized_temporary(self):
         # each row carries a 4x4 noise table, so one warmed default scan peaks at about
         # 0.76 MB, nearly all of it block buffers; a block-sized temporary for the changes
         # or the clipped rows would make it about 0.93 MB
