@@ -10,6 +10,12 @@ What a value means is checked by the constructor that owns it:
 :class:`~qpurify.noise.NoiseModel` for the noise and
 :meth:`~qpurify.recurrence.SubensembleState.from_bell_probs` for the
 initial state.
+
+The noise takes one of three forms, ``{"family": "product", "f0": x}``,
+``{"family": "uniform", "f00": x}`` and ``{"family": "explicit", "f":
+[16 numbers]}``; ``_NOISE_FAMILIES`` names each family's parameter key,
+the parser of its shape and its constructor, and is the only place the
+families are told apart.
 """
 
 from __future__ import annotations
@@ -24,16 +30,10 @@ from typing import Callable
 
 from .errors import ConfigError
 from .montecarlo import MAX_PAIRS
-from .noise import BEFORE_ROTATION, NOISE_FAMILIES, PLACEMENTS, NoiseModel
+from .noise import BEFORE_ROTATION, PLACEMENTS, NoiseModel
 from .recurrence import SubensembleState
 
 __all__ = ["ScanSettings", "InitialSettings", "ExperimentConfig", "PRESETS", "load_config_file"]
-
-#: The one list-valued noise parameter: the explicit family's 16-entry table.
-_TABLE_KEY = "f"
-
-#: Families a scan can bisect: those with one probability as parameter.
-_SCAN_FAMILIES = tuple(name for name, (key, _) in NOISE_FAMILIES.items() if key != _TABLE_KEY)
 
 #: Named configurations.  ``fig1`` pins the white-noise trajectory setup:
 #: uniform-residual noise at 97% noise fidelity, Werner 0.85 input with
@@ -109,6 +109,19 @@ def _choice(value, path: str, choices: tuple) -> str:
     return value
 
 
+#: The noise families: name -> (parameter key, parser, constructor).  Each
+#: constructor takes the parameter and a placement; ``explicit``'s
+#: parameter is the 16-entry table, the others' one probability.
+_NOISE_FAMILIES: dict[str, tuple[str, Callable, Callable]] = {
+    "product": ("f0", _number, NoiseModel.from_one_qubit_depolarizing),
+    "uniform": ("f00", _number, NoiseModel.from_uniform_residual),
+    "explicit": ("f", partial(_number_list, length=16), NoiseModel),
+}
+
+#: Families a scan can bisect: those with one probability as parameter.
+_SCAN_FAMILIES = tuple(name for name, (_, parse, _) in _NOISE_FAMILIES.items() if parse is _number)
+
+
 def _as_is(value, path: str):
     return value
 
@@ -150,18 +163,17 @@ def _plain(value):
 
 
 def _noise(doc, path: str) -> dict:
-    """The shape of a noise document; :class:`NoiseModel` checks its meaning."""
+    """A noise document, checked once: its shape here, its meaning by the family's constructor."""
     doc = _require_mapping(doc, path)
-    family = _choice(doc.get("family"), f"{path}.family", tuple(NOISE_FAMILIES))
-    key, _ = NOISE_FAMILIES[family]
+    # a tuple compares by ==: an unhashable family is refused, not a TypeError
+    family = _choice(doc.get("family"), f"{path}.family", tuple(_NOISE_FAMILIES))
+    key, parse, build = _NOISE_FAMILIES[family]
     _reject_unknown(doc, ("family", key), path)
-    if key in doc:  # a missing key is reported by NoiseModel.from_config
-        if key == _TABLE_KEY:
-            _number_list(doc[key], f"{path}.{key}", 16)
-        else:
-            _number(doc[key], f"{path}.{key}")
+    if key not in doc:
+        raise ConfigError(f"{path}: {family} family requires {key!r}")
+    parse(doc[key], f"{path}.{key}")
     try:
-        NoiseModel.from_config(doc)
+        build(doc[key])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return dict(doc)
@@ -248,14 +260,15 @@ class ExperimentConfig:
 
     def noise_model(self) -> NoiseModel:
         """The configured noise, acting at the configured placement."""
-        return NoiseModel.from_config(self.noise, self.placement)
+        key, _, build = _NOISE_FAMILIES[self.noise["family"]]
+        return build(self.noise[key], self.placement)
 
     def scan_family(self) -> Callable[[float], NoiseModel]:
         """The constructor of ``noise.family`` with the placement bound; a scan bisects its parameter."""
         family = self.noise["family"]
         if family not in _SCAN_FAMILIES:
             raise ConfigError(f"noise.family: a scan needs one of {_SCAN_FAMILIES}, got {family!r}")
-        return partial(NOISE_FAMILIES[family][1], placement=self.placement)
+        return partial(_NOISE_FAMILIES[family][2], placement=self.placement)
 
     def effective(self) -> dict:
         """Full configuration with every default made explicit."""

@@ -25,13 +25,9 @@ Two named families cover the usual parameterizations:
 * ``uniform``: ``f[0, 0] = f00`` with the remaining probability spread
   evenly over the fifteen error rotations.
 
-Models are built from the configuration forms ``{"family": "product",
-"f0": x}``, ``{"family": "uniform", "f00": x}`` and ``{"family":
-"explicit", "f": [16 numbers]}``; :data:`NOISE_FAMILIES` names each
-family's parameter key and constructor, and is the only place the
-families are told apart.  The constructors check what the parameter
-means (a probability, a normalized table) and raise ValueError for
-anything else, a number too large for a float included.
+The constructors check what the parameter means (a probability, a
+normalized table) and raise ValueError for anything else, a number too
+large for a float included.
 
 :func:`probability_table` is the one check of a sixteen-entry
 probability table, the noise table here and the flagged-pair state of
@@ -45,7 +41,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -55,7 +50,6 @@ __all__ = [
     "PLACEMENTS",
     "check_placement",
     "NoiseModel",
-    "NOISE_FAMILIES",
     "PROBABILITY_ATOL",
     "is_real_type",
     "real_array",
@@ -179,26 +173,3 @@ class NoiseModel:
         f = np.full(16, (1.0 - f00) / 15.0)
         f[0] = f00
         return cls(f, placement)
-
-    @classmethod
-    def from_config(cls, doc: dict, placement: str = BEFORE_ROTATION) -> "NoiseModel":
-        """Build a model from one of the three serialized forms, acting at ``placement``."""
-        if not isinstance(doc, dict) or "family" not in doc:
-            raise ValueError("noise config must be a mapping with a 'family' key")
-        # a tuple compares by ==: an unhashable family is unknown, not a TypeError
-        if doc["family"] not in tuple(NOISE_FAMILIES):
-            raise ValueError(f"unknown noise family {doc['family']!r}")
-        key, build = NOISE_FAMILIES[doc["family"]]
-        if key not in doc:
-            raise ValueError(f"{doc['family']} family requires {key!r}")
-        return build(doc[key], placement)
-
-
-#: The serialized noise families: name -> (parameter key, constructor).
-#: Each constructor takes the parameter and a placement; ``explicit``'s
-#: parameter is the 16-entry table, the others' one probability.
-NOISE_FAMILIES: dict[str, tuple[str, Callable]] = {
-    "product": ("f0", NoiseModel.from_one_qubit_depolarizing),
-    "uniform": ("f00", NoiseModel.from_uniform_residual),
-    "explicit": ("f", NoiseModel),
-}

@@ -207,6 +207,16 @@ class TestRoundFactors:
             mu, nu = divmod(event, 4)
             assert table[control, target, event] == pairs[permutation[mu, control], permutation[nu, target]]
 
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_flags_never_reach_the_bell_label_or_the_discard(self, placement):
+        # [control flag, control label, target flag, target label, event]: every
+        # flag pair sees the same output Bell labels and the same discards,
+        # so F and the keep probability follow the Bell marginal alone
+        table = event_cell_table(placement).reshape(4, 4, 4, 4, 16)
+        marginal = np.where(table == DISCARDED, -1, table & 3)
+        for control_flag, target_flag in itertools.product(range(4), repeat=2):
+            assert np.array_equal(marginal[control_flag, :, target_flag], marginal[0, :, 0])
+
     def test_tables_are_read_only(self):
         for table in (pair_cell_table(), *map(event_category_permutation, PLACEMENTS),
                       *map(event_cell_table, PLACEMENTS)):

@@ -3,12 +3,15 @@
 import dataclasses
 import inspect
 import json
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qpurify.config import PRESETS, ExperimentConfig, ScanSettings, load_config_file
 from qpurify.errors import ConfigError
+from qpurify.noise import PLACEMENTS, NoiseModel
 from qpurify.recurrence import classify_regime, scan_thresholds
 
 PRODUCT = {"family": "product", "f0": 0.97}
@@ -61,6 +64,13 @@ REJECTED = [
     ({"noise": {"family": "uniform", "f00": -0.1}}, "f00: must be >= 0.0"),
     (with_noise(initial={"bell_probs": [0.6, 0.1, 0.1, 0.1]}), "bell_probs entries sum to"),
     (with_noise(initial={"flag_mode": 3}), "flag_mode"),
+    # the noise document is read once, here: its mapping, its family, its parameter's shape
+    ({"noise": [1, 2, 3]}, "expected a mapping"),
+    ({"noise": {"family": []}}, "must be one of"),
+    ({"noise": {"family": {}}}, "must be one of"),
+    ({"noise": {"family": "product", "f0": [0.9]}}, "expected a number"),
+    ({"noise": {"family": "uniform", "f00": "0.9"}}, "expected a number"),
+    ({"noise": {"family": "explicit", "f": {"mu": 0, "nu": 0}}}, "list of 16 numbers"),
 ]
 
 
@@ -148,6 +158,36 @@ def test_noise_and_scan_family_carry_the_placement():
     assert config.noise_model().placement == "before_bcnot"
     assert config.scan_family()(0.9).placement == "before_bcnot"
     assert ExperimentConfig.from_document(with_noise()).noise_model().placement == "before_rotation"
+
+
+#: Each family's noise document, and its constructor given the placement.
+DIRICHLET = np.random.default_rng(3).dirichlet(np.ones(16))
+NOISE_DOCUMENTS = {
+    "product": ({"family": "product", "f0": 0.93}, partial(NoiseModel.from_one_qubit_depolarizing, 0.93)),
+    "uniform": ({"family": "uniform", "f00": 0.42}, partial(NoiseModel.from_uniform_residual, 0.42)),
+    "explicit": ({"family": "explicit", "f": DIRICHLET.tolist()}, partial(NoiseModel, DIRICHLET)),
+}
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("family", NOISE_DOCUMENTS)
+def test_a_stored_noise_document_builds_its_constructors_model(family, placement):
+    noise, build = NOISE_DOCUMENTS[family]
+    stored = json.loads(json.dumps({"noise": noise, "placement": placement}))
+    model = ExperimentConfig.from_document(stored).noise_model()
+    assert np.array_equal(model.f, build(placement=placement).f)
+    assert model.placement == placement
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("family, key", [("product", "f0"), ("uniform", "f00")])
+def test_scan_family_builds_the_configured_model(family, key, placement):
+    scanned = ExperimentConfig.from_document({"noise": {"family": family, key: 0.5}, "placement": placement})
+    for x in (0.0, 0.89, 0.97, 1.0):
+        configured = ExperimentConfig.from_document({"noise": {"family": family, key: x}, "placement": placement})
+        model, expected = scanned.scan_family()(x), configured.noise_model()
+        assert np.array_equal(model.f, expected.f)
+        assert model.placement == expected.placement == placement
 
 
 def test_effective_survives_json(tmp_path):

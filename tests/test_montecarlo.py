@@ -209,6 +209,64 @@ class TestEngineAgreement:
             assert abs(matches / n - fc) < 5 * np.sqrt(fc * (1 - fc) / n)
 
 
+def round_transfer(noise):
+    """Q[control * 16 + target, cell]: the probability that a pair of pairs lands in each of the 17 cells."""
+    cells = event_cell_table(noise.placement).reshape(256, 16).astype(np.int64)
+    index = np.arange(256)[:, None] * (DISCARDED + 1) + cells
+    weights = np.broadcast_to(noise.f.ravel(), cells.shape)
+    return np.bincount(
+        index.ravel(), weights=weights.ravel(), minlength=256 * (DISCARDED + 1)
+    ).reshape(256, DISCARDED + 1)
+
+
+def exact_round_mean(counts, q):
+    """E[17 output counts | counts] of one round of uniform pairing without replacement.
+
+    An even population of N pairs forms (n n^T - diag n) / (2(N - 1))
+    expected (control, target) pairs; an odd one first drops pair r with
+    probability n_r / N.
+    """
+    n = counts.sum()
+    if n % 2:
+        drops = np.eye(16, dtype=np.int64)
+        return sum(c / n * exact_round_mean(counts - drops[r], q) for r, c in enumerate(counts) if c)
+    return ((np.outer(counts, counts) - np.diag(counts)) / (2 * (n - 1))).ravel() @ q
+
+
+def infinite_population_mean(counts, q):
+    """The same mean if pairing drew with replacement from an infinite population."""
+    return (np.outer(counts, counts) / (2 * counts.sum())).ravel() @ q
+
+
+class TestExactRoundWitness:
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("n", [11, 200])
+    def test_one_round_matches_its_conditional_mean(self, placement, n):
+        # single seeded rounds from one population, each cell z-scored against
+        # the closed form of one round's conditional expectation
+        noise = NoiseModel.from_uniform_residual(0.97, placement)
+        counts = init_ensemble(SubensembleState.werner(0.8), n, seed=5).counts
+        repeats = 8000
+        outcomes = np.empty((repeats, DISCARDED + 1))
+        for s in range(repeats):
+            ensemble = Ensemble(counts, seed=1000 + s)
+            run_round(ensemble, noise)
+            outcomes[s] = np.append(ensemble.counts, n // 2 - ensemble.size)
+        mean, spread = outcomes.mean(axis=0), outcomes.std(axis=0, ddof=1)
+        varies = spread > 0
+        q = round_transfer(noise)
+
+        def max_z(expected):
+            return np.abs((mean - expected)[varies] / (spread[varies] / np.sqrt(repeats))).max()
+
+        exact = exact_round_mean(counts, q)
+        assert max_z(exact) < 5
+        # a cell that never moved is one the formula all but empties
+        assert np.all(repeats * exact[~varies] < 5)
+        if n == 11:  # the finite-size term -diag(n) is what tells the two apart
+            assert max_z(infinite_population_mean(counts, q)) > 10
+
+
 def scalar_rows(counts):
     """Reference CSV rows, one round at a time in Python arithmetic."""
     rows, previous = [], None
@@ -261,8 +319,7 @@ class TestValidation:
             NoiseModel.identity,
             partial(NoiseModel.from_one_qubit_depolarizing, 0.97),
             partial(NoiseModel.from_uniform_residual, 0.97),
-            partial(NoiseModel.from_config, {"family": "product", "f0": 0.97}),
-            partial(NoiseModel.from_config, {"family": "explicit", "f": [1] + [0] * 15}),
+            partial(NoiseModel, [1] + [0] * 15),
         ]
         for build in constructors:
             with pytest.raises(ValueError, match="placement"):

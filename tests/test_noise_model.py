@@ -1,6 +1,5 @@
-"""Noise-channel construction, validation and configuration documents."""
+"""Noise-channel construction and validation."""
 
-import json
 from functools import partial
 
 import numpy as np
@@ -150,7 +149,6 @@ CONSTRUCTORS = {
     "identity": NoiseModel.identity,
     "product": partial(NoiseModel.from_one_qubit_depolarizing, 0.97),
     "uniform": partial(NoiseModel.from_uniform_residual, 0.97),
-    "config": partial(NoiseModel.from_config, {"family": "explicit", "f": [1.0] + [0.0] * 15}),
 }
 
 
@@ -161,53 +159,3 @@ class TestPlacement:
 
     def test_is_carried_by_the_model(self, build):
         assert build(placement=BEFORE_BCNOT).placement == BEFORE_BCNOT
-
-
-def from_stored_document(doc):
-    """The model of a literal noise document after a trip through JSON, as a config file stores it."""
-    return NoiseModel.from_config(json.loads(json.dumps(doc)))
-
-
-class TestSerialization:
-    def test_product_round_trip(self):
-        model = from_stored_document({"family": "product", "f0": 0.93})
-        assert np.array_equal(model.f, NoiseModel.from_one_qubit_depolarizing(0.93).f)
-
-    def test_uniform_round_trip(self):
-        model = from_stored_document({"family": "uniform", "f00": 0.42})
-        assert np.array_equal(model.f, NoiseModel.from_uniform_residual(0.42).f)
-
-    def test_explicit_round_trip(self):
-        f = np.random.default_rng(3).dirichlet(np.ones(16))
-        model = from_stored_document({"family": "explicit", "f": f.tolist()})
-        assert np.array_equal(model.f, NoiseModel(f).f)
-
-    def test_rejects_missing_parameter(self):
-        with pytest.raises(ValueError, match="product family requires 'f0'"):
-            NoiseModel.from_config({"family": "product"})
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"family": "product", "f0": [0.9]},
-            {"family": "uniform", "f00": "0.9"},
-            {"family": "explicit", "f": {"mu": 0, "nu": 0}},
-        ],
-        ids=["list", "string", "mapping"],
-    )
-    def test_rejects_non_number_parameter(self, doc):
-        with pytest.raises(ValueError, match="number"):
-            NoiseModel.from_config(doc)
-
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown noise family"):
-            NoiseModel.from_config({"family": "amplitude_damping", "gamma": 0.1})
-
-    @pytest.mark.parametrize("family", [[], {}], ids=["list", "mapping"])
-    def test_rejects_unhashable_family(self, family):
-        with pytest.raises(ValueError, match="unknown noise family"):
-            NoiseModel.from_config({"family": family})
-
-    def test_rejects_non_mapping(self):
-        with pytest.raises(ValueError, match="mapping"):
-            NoiseModel.from_config([1, 2, 3])

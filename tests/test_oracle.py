@@ -114,6 +114,23 @@ class TestOracleRound:
         assert abs(engine_keep - oracle_keep) < 1e-10
         assert np.max(np.abs(engine_state.p - oracle_state.p)) < 1e-10
 
+    @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flags_never_reach_the_bell_marginal(self, placement, seed):
+        # two inputs with one Bell marginal and different flag splits: the dense
+        # round gives them one output Bell marginal and one keep probability
+        rng = np.random.default_rng(seed)
+        marginal = rng.dirichlet(np.ones(4))
+        noise = NoiseModel(rng.dirichlet(np.ones(16)), placement)
+        # split[flag, bell]: how each Bell label's weight is shared among the flags
+        splits = [rng.dirichlet(np.ones(4), size=4).T for _ in range(2)]
+        (first, first_keep), (second, second_keep) = (
+            oracle_one_round(SubensembleState(split * marginal), noise) for split in splits
+        )
+        assert np.max(np.abs(first.p.sum(axis=0) - second.p.sum(axis=0))) <= 1e-14
+        assert abs(first_keep - second_keep) <= 1e-14
+        assert np.max(np.abs(first.p - second.p)) > 1e-3  # the flags themselves differ
+
     def test_keep_probability_in_unit_interval(self):
         rng = np.random.default_rng(99)
         state = SubensembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
