@@ -42,7 +42,7 @@ from .config import ExperimentConfig, PRESETS, load_config_file
 from .errors import ConfigError, DegenerateRoundError, NoThresholdError
 from .montecarlo import init_ensemble, run_protocol
 from .oracle import run_conformance_checks
-from .recurrence import SubensembleState, iterate, scan_thresholds
+from .recurrence import SubensembleState, find_thresholds, iterate
 
 
 def _csv(columns: Sequence[str], rows: list, config: ExperimentConfig) -> str:
@@ -107,7 +107,7 @@ def _cmd_scan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict,
     flag_mode = config.initial.flag_mode
     initials = [config.initial.state]
     initials += [SubensembleState.werner(fid, flag_mode=flag_mode) for fid in werner_grid]
-    primary, *grid_scans = scan_thresholds(config.scan_family(), initials, **options)
+    primary, *grid_scans = find_thresholds(config.scan_family(), initials, **options)
     primary.require_found()
     grid = {fid: scan if scan.found else None for fid, scan in zip(werner_grid, grid_scans)}
 

@@ -208,8 +208,10 @@ class ScanSettings:
 
     A scan bisects the parameter of the configured ``noise.family`` over
     ``[lo, hi]``.  Every setting but ``werner_grid`` is the
-    :func:`~qpurify.recurrence.scan_thresholds` parameter of that name,
-    with the same default.
+    :func:`~qpurify.recurrence.find_thresholds` parameter of that name,
+    with the same default; ``secure_tol``, ``purify_margin`` and
+    ``max_rounds`` are also :func:`~qpurify.recurrence.classify_regime`
+    parameters, with the same defaults.
     """
 
     lo: float = _key(0.88, _number, lo=0.0, hi=1.0)
@@ -223,10 +225,6 @@ class ScanSettings:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def from_document(cls, doc, path: str = "scan") -> "ScanSettings":
-        return _settings(doc, path, cls)
 
     def as_dict(self) -> dict:
         return _plain(self)

@@ -52,18 +52,17 @@ row stops at the first round that meets it; it then validates the rows
 produced and drops the rows that stopped.
 :func:`iterate` is a batch of one that records every round,
 :func:`one_round` is an :func:`iterate` of one round, and
-:func:`classify_regime` labels the row that leaves a batch of one.
+:func:`classify_regime` labels every row that leaves a batch.
 
 Thresholds are found by bisection.  A threshold scan
-(:func:`scan_thresholds`) first fills a table of regimes for each
-initial state, in lockstep batches: after the ends, each batch
-classifies the :data:`_LEVELS` levels of midpoints below every bracket
-of neighbouring classified parameters whose regimes differ and which is
-wider than ``bisect_tol``.  When no such bracket is left, each threshold
-(purification, security) is read off the table by one serial bisection
-(:func:`_bisect`); every midpoint it reads is in the table, so a
-parameter that both bisections read is iterated once.
-:func:`find_thresholds` is a scan of one initial state.
+(:func:`find_thresholds`) first fills a table of regimes for each
+initial state, in batches of :func:`classify_regime`: after the ends,
+each batch classifies the :data:`_LEVELS` levels of midpoints below
+every bracket of neighbouring classified parameters whose regimes
+differ and which is wider than ``bisect_tol``.  When no such bracket is
+left, each threshold (purification, security) is read off the table by
+one serial bisection (:func:`_bisect`); every midpoint it reads is in
+the table, so a parameter that both bisections read is iterated once.
 """
 
 from __future__ import annotations
@@ -91,8 +90,6 @@ __all__ = [
     "KEEP_PROBABILITY_FLOOR",
     "SubensembleState",
     "COEFFICIENT_COLUMNS",
-    "fidelity",
-    "conditional_fidelity",
     "one_round",
     "Trajectory",
     "iterate",
@@ -100,7 +97,6 @@ __all__ = [
     "RegimeReport",
     "classify_regime",
     "ThresholdScan",
-    "scan_thresholds",
     "find_thresholds",
 ]
 
@@ -303,16 +299,6 @@ class SubensembleState:
 COEFFICIENT_COLUMNS = tuple(f"P_f{flag:02b}_b{bell:02b}" for flag in range(4) for bell in range(4))
 
 
-def fidelity(state: SubensembleState) -> float:
-    """Overlap of the ensemble with Phi+ (the bell marginal's first entry)."""
-    return float(phi_plus_weight(state.p.ravel()))
-
-
-def conditional_fidelity(state: SubensembleState) -> float:
-    """Fidelity attainable if the error flags were disclosed (see :func:`.flag_match_weight`)."""
-    return float(flag_match_weight(state.p.ravel()))
-
-
 def one_round(state: SubensembleState, noise: NoiseModel) -> tuple[SubensembleState, float]:
     """Apply one noisy purification round to the category distribution.
 
@@ -427,24 +413,34 @@ class RegimeReport:
     degenerate: bool = False
 
 
-def _classify_rows(
-    states: np.ndarray,
+def classify_regime(
     noises: Sequence[NoiseModel],
-    secure_tol: float,
-    purify_margin: float,
-    max_rounds: int,
-    fixpoint_tol: float,
+    initials: Sequence[SubensembleState],
+    secure_tol: float = 1e-6,
+    purify_margin: float = 1e-4,
+    max_rounds: int = 3000,
+    fixpoint_tol: float = 1e-12,
 ) -> list[RegimeReport]:
-    """Classify a :func:`_lockstep` batch by the rows that leave it.
+    """Label each noise/initial-state row of a :func:`_lockstep` batch by its limiting behavior.
 
-    Row ``k`` iterates ``states[k]`` under ``noises[k]``.  Its final row
-    is its last output, or NaN when it stops degenerate; a
-    degenerate row also reports 0 rounds and not converged.  One rule
-    then labels every row, as :func:`classify_regime` describes: its
-    rank, an index into :class:`Regime`, is 1 if it purifies plus 1 if it
-    is also secure.  NaN compares False, so a degenerate row ranks 0,
-    NO_PURIFICATION.
+    Row ``k`` iterates ``initials[k]`` under ``noises[k]``.  Its final
+    row is its last output, or NaN when it stops degenerate; a
+    degenerate row also reports 0 rounds and not converged.
+
+    In the high-noise regime the iteration collapses to the completely
+    depolarized state, so purifying means the limiting fidelity stays
+    above the depolarized value 1/4 by ``purify_margin``.  (Near the
+    purification boundary the attracting fixpoint lies well below a
+    Werner-0.85 input fidelity, so comparing against the input would
+    mislabel a large purifying band; the collapse gap is ~0.5 and makes
+    this criterion sharp.)  Secure additionally requires the conditional
+    fidelity to reach 1 within ``secure_tol``.  A row's rank, an index
+    into :class:`Regime`, is 1 if it purifies plus 1 if it is also
+    secure.  NaN compares False, so a degenerate row ranks 0,
+    NO_PURIFICATION.  The defaults are those of :func:`find_thresholds`,
+    so a row is labelled as a scan labels its parameter.
     """
+    states = np.array([initial.p.ravel() for initial in initials])
     final = states.copy()
     rounds = np.zeros(len(states), dtype=int)
     converged = np.zeros(len(states), dtype=bool)
@@ -466,39 +462,6 @@ def _classify_rows(
         RegimeReport(regimes[rank], *fields, degenerate=degenerate)
         for rank, *fields, degenerate in zip(*(column.tolist() for column in columns))
     ]
-
-
-def classify_regime(
-    noise: NoiseModel,
-    initial: SubensembleState,
-    secure_tol: float = 1e-6,
-    purify_margin: float = 1e-4,
-    max_rounds: int = 3000,
-    fixpoint_tol: float = 1e-12,
-) -> RegimeReport:
-    """Label the noise/initial-state combination by its limiting behavior.
-
-    In the high-noise regime the iteration collapses to the completely
-    depolarized state, so purifying means the limiting fidelity stays
-    above the depolarized value 1/4 by ``purify_margin``.  (Near the
-    purification boundary the attracting fixpoint lies well below a
-    Werner-0.85 input fidelity, so comparing against the input would
-    mislabel a large purifying band; the collapse gap is ~0.5 and makes
-    this criterion sharp.)  Secure additionally requires the conditional
-    fidelity to reach 1 within ``secure_tol``.  A degenerate round maps
-    to NO_PURIFICATION.  This is a batch of one row, and the defaults are
-    those of :func:`scan_thresholds`, so it labels a scan's parameter as
-    the scan does.
-    """
-    (report,) = _classify_rows(
-        initial.p.reshape(1, 16),
-        [noise],
-        secure_tol,
-        purify_margin,
-        max_rounds,
-        fixpoint_tol,
-    )
-    return report
 
 
 @dataclass
@@ -575,7 +538,7 @@ def _bisect(
     return (a, b), trace
 
 
-def scan_thresholds(
+def find_thresholds(
     family: Callable[[float], NoiseModel],
     initials: Sequence[SubensembleState],
     *,
@@ -593,7 +556,7 @@ def scan_thresholds(
     included, and must be monotone (larger parameter = cleaner
     operations).  The scan fills a
     table of regimes per initial state in lockstep batches
-    (:func:`_classify_rows`): first both ends, then, below every open
+    (:func:`classify_regime`): first both ends, then, below every open
     bracket (neighbouring classified parameters whose regimes differ,
     more than ``bisect_tol`` apart), the midpoints of its next
     :data:`_LEVELS` bisection levels, until no bracket is open.  One
@@ -604,7 +567,8 @@ def scan_thresholds(
     parameter classified inside one is its midpoint, so the table holds
     every midpoint it reads.  The evaluations list the ends, then the two traces.  A scan
     whose ends share a regime brackets nothing (see
-    :attr:`ThresholdScan.found`).
+    :attr:`ThresholdScan.found`), and raises nothing: a caller that
+    needs a threshold calls :meth:`ThresholdScan.require_found`.
     These keyword defaults are the defaults of every threshold scan.
     """
     if not lo < hi:
@@ -617,8 +581,8 @@ def scan_thresholds(
     def classify(requests: list[tuple[int, float]]) -> None:
         """Classify (initial state, parameter) requests, none of them known yet, as one batch."""
         noises = [family(x) for _, x in requests]
-        states = np.array([initials[k].p.ravel() for k, _ in requests])
-        reports = _classify_rows(states, noises, secure_tol, purify_margin, max_rounds, fixpoint_tol)
+        states = [initials[k] for k, _ in requests]
+        reports = classify_regime(noises, states, secure_tol, purify_margin, max_rounds, fixpoint_tol)
         for (k, x), report in zip(requests, reports):
             known[k][x] = report.regime
 
@@ -645,15 +609,3 @@ def scan_thresholds(
         evaluations += [e for _, trace in bisections for e in trace]
         scans.append(ThresholdScan(*midpoints, *brackets, evaluations, lo, hi, bisect_tol))
     return scans
-
-
-def find_thresholds(
-    family: Callable[[float], NoiseModel], initial: SubensembleState, **settings
-) -> ThresholdScan:
-    """The :func:`scan_thresholds` scan of one initial state, with the same keyword settings.
-
-    Raises :class:`NoThresholdError` when both endpoints classify into
-    the same regime, since no boundary is bracketed at all.
-    """
-    (scan,) = scan_thresholds(family, [initial], **settings)
-    return scan.require_found()

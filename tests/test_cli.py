@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from qpurify import cli, oracle
+from qpurify import cli, oracle, recurrence
 from qpurify.cli import main
 
 DEGENERATE = {
@@ -200,6 +200,26 @@ def test_scan_bisects_the_configured_noise_family(tmp_path, noise, f_purify, f_s
     assert "family" not in report["config"]["scan"]
 
 
+def test_a_scan_runs_through_both_batched_layers(tmp_path, monkeypatch):
+    # one find_thresholds call per scan, whose batches reach classify_regime by its module name
+    calls = {"find_thresholds": 0, "classify_regime": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli, "find_thresholds")
+    count(recurrence, "classify_regime")
+    path = write_config(tmp_path, {"noise": {"family": "product", "f0": 0.97}, "scan": QUICK_SCAN})
+    assert run(["scan", "--config", path], tmp_path / "out") == 0
+    assert calls["find_thresholds"] == 1 and calls["classify_regime"] >= 1
+
+
 def test_scan_of_explicit_noise_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {**DEGENERATE, "scan": QUICK_SCAN})
     assert run(["scan", "--config", path], tmp_path / "out") == 2
@@ -232,7 +252,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv, compute",
     [(["iterate", "--preset", "fig1"], "iterate"), (["mc", "--preset", "fig1"], "run_protocol"),
-     (["scan", "--config", None], "scan_thresholds")],
+     (["scan", "--config", None], "find_thresholds")],
     ids=["iterate", "mc", "scan"],
 )
 def test_unwritable_output_exits_2_before_the_work(tmp_path, monkeypatch, capsys, argv, compute):

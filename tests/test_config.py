@@ -12,7 +12,7 @@ import pytest
 from qpurify.config import PRESETS, ExperimentConfig, ScanSettings, load_config_file
 from qpurify.errors import ConfigError
 from qpurify.noise import PLACEMENTS, NoiseModel
-from qpurify.recurrence import classify_regime, scan_thresholds
+from qpurify.recurrence import classify_regime, find_thresholds
 
 PRODUCT = {"family": "product", "f0": 0.97}
 NAN = float("nan")
@@ -124,18 +124,17 @@ def test_effective_pins_every_default():
 
 
 def test_scan_defaults_are_the_find_thresholds_defaults():
-    # each ScanSettings field but werner_grid is a scan_thresholds parameter;
-    # find_thresholds forwards its settings there, so these are its defaults too
-    parameters = inspect.signature(scan_thresholds).parameters
+    # each ScanSettings field but werner_grid is a find_thresholds parameter
+    parameters = inspect.signature(find_thresholds).parameters
     for f in dataclasses.fields(ScanSettings):
         if f.name != "werner_grid":
             assert f.default == parameters[f.name].default, f.name
-    # classify_regime labels one parameter the way a scan does
-    single = inspect.signature(classify_regime).parameters
-    shared = single.keys() & parameters.keys()
+    # classify_regime labels a batch of parameters the way a scan does
+    batch = inspect.signature(classify_regime).parameters
+    shared = {name for name, p in batch.items() if p.default is not p.empty} & parameters.keys()
     assert shared == {"secure_tol", "purify_margin", "max_rounds", "fixpoint_tol"}
     for name in shared:
-        assert single[name].default == parameters[name].default, name
+        assert batch[name].default == parameters[name].default, name
 
 
 def dotted_keys(doc, prefix=""):
@@ -233,6 +232,6 @@ class TestSeedOverride:
 
 
 def test_scan_settings_defaults_round_trip():
-    settings = ScanSettings.from_document({})
-    assert settings == ScanSettings()
-    assert ScanSettings.from_document(settings.as_dict()) == settings
+    config = ExperimentConfig.from_document(with_noise())
+    assert config.scan == ScanSettings()
+    assert ExperimentConfig.from_document(with_noise(scan=config.effective()["scan"])).scan == config.scan

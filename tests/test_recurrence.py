@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import qpurify.bell as bell
 import qpurify.recurrence as recurrence
-from qpurify.bell import PauliIndex
+from qpurify.bell import PauliIndex, flag_match_weight, phi_plus_weight
 from qpurify.errors import DegenerateRoundError, NoThresholdError
 from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, NoiseModel
 from qpurify.recurrence import (
@@ -19,12 +19,9 @@ from qpurify.recurrence import (
     RegimeReport,
     SubensembleState,
     classify_regime,
-    conditional_fidelity,
-    fidelity,
     find_thresholds,
     iterate,
     one_round,
-    scan_thresholds,
 )
 
 WERNER_085 = [0.85, 0.05, 0.05, 0.05]
@@ -219,20 +216,20 @@ class TestFidelities:
         p = np.zeros((4, 4))
         p[0, 0] = 1.0
         state = SubensembleState(p)
-        assert fidelity(state) == 1.0
-        assert conditional_fidelity(state) == 1.0
+        assert phi_plus_weight(state.p.ravel()) == 1.0
+        assert flag_match_weight(state.p.ravel()) == 1.0
 
     def test_flag_predicts_state(self):
         p = np.zeros((4, 4))
         p[3, 3] = 1.0  # flag (11), Bell Psi-
         state = SubensembleState(p)
-        assert fidelity(state) == 0.0
-        assert conditional_fidelity(state) == 1.0
+        assert phi_plus_weight(state.p.ravel()) == 0.0
+        assert flag_match_weight(state.p.ravel()) == 1.0
 
     def test_uniform(self):
         state = SubensembleState(np.full((4, 4), 1.0 / 16.0))
-        assert fidelity(state) == pytest.approx(0.25, abs=1e-15)
-        assert conditional_fidelity(state) == pytest.approx(0.25, abs=1e-15)
+        assert phi_plus_weight(state.p.ravel()) == pytest.approx(0.25, abs=1e-15)
+        assert flag_match_weight(state.p.ravel()) == pytest.approx(0.25, abs=1e-15)
 
 
 class TestOneRound:
@@ -322,7 +319,7 @@ def factored_tensor(noise):
     return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=256 * 17).reshape(256, 17)
 
 
-class TestRoundTensor:
+class TestFactoredRound:
     """The round map, factored through its noise events."""
 
     @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
@@ -471,8 +468,8 @@ class TestIterate:
         for n, (row, coefficients, keep) in enumerate(zip(rows, traj.coefficients, traj.keeps)):
             state = SubensembleState(coefficients)
             assert row[0] == n and row[3] == keep and row[4:] == coefficients.tolist()
-            assert row[1] == pytest.approx(fidelity(state), abs=1e-15)
-            assert row[2] == pytest.approx(conditional_fidelity(state), abs=1e-15)
+            assert row[1] == pytest.approx(phi_plus_weight(state.p.ravel()), abs=1e-15)
+            assert row[2] == pytest.approx(flag_match_weight(state.p.ravel()), abs=1e-15)
         assert traj.limiting_fidelity == rows[-1][1]
         assert traj.limiting_conditional_fidelity == rows[-1][2]
 
@@ -485,22 +482,22 @@ class TestIterate:
 
 class TestClassifyRegime:
     def test_low_noise_is_secure(self):
-        report = classify_regime(
-            NoiseModel.from_one_qubit_depolarizing(0.999), SubensembleState.werner(0.85)
+        (report,) = classify_regime(
+            [NoiseModel.from_one_qubit_depolarizing(0.999)], [SubensembleState.werner(0.85)]
         )
         assert report.regime == Regime.PURIFY_SECURE
 
     def test_high_noise_no_purification(self):
-        report = classify_regime(
-            NoiseModel.from_one_qubit_depolarizing(0.80), SubensembleState.werner(0.85)
+        (report,) = classify_regime(
+            [NoiseModel.from_one_qubit_depolarizing(0.80)], [SubensembleState.werner(0.85)]
         )
         assert report.regime == Regime.NO_PURIFICATION
         assert report.f_max == pytest.approx(0.25, abs=1e-6)
 
     def test_intermediate_regime_at_08985(self):
-        report = classify_regime(
-            NoiseModel.from_one_qubit_depolarizing(0.8985),
-            SubensembleState.werner(0.85),
+        (report,) = classify_regime(
+            [NoiseModel.from_one_qubit_depolarizing(0.8985)],
+            [SubensembleState.werner(0.85)],
             max_rounds=3000,
         )
         assert report.regime == Regime.PURIFY_INSECURE
@@ -510,15 +507,15 @@ class TestClassifyRegime:
     def test_degenerate_maps_to_no_purification(self):
         f = np.zeros(16)
         f[PauliIndex.X] = 1.0
-        report = classify_regime(
-            NoiseModel(f), SubensembleState.from_bell_probs([1, 0, 0, 0])
+        (report,) = classify_regime(
+            [NoiseModel(f)], [SubensembleState.from_bell_probs([1, 0, 0, 0])]
         )
         assert report.regime == Regime.NO_PURIFICATION
         assert report.degenerate
 
     def test_noiseless_limit_is_secure(self):
-        report = classify_regime(
-            NoiseModel.from_one_qubit_depolarizing(1.0), SubensembleState.werner(0.85)
+        (report,) = classify_regime(
+            [NoiseModel.from_one_qubit_depolarizing(1.0)], [SubensembleState.werner(0.85)]
         )
         assert report.regime == Regime.PURIFY_SECURE
 
@@ -530,8 +527,8 @@ class TestClassifyRegime:
     )
     def test_defaults_label_as_the_default_scan(self, f0, regime):
         # parameters of the default primary scan whose label takes more than 500 rounds
-        report = classify_regime(
-            NoiseModel.from_one_qubit_depolarizing(f0), SubensembleState.from_bell_probs(WERNER_085)
+        (report,) = classify_regime(
+            [NoiseModel.from_one_qubit_depolarizing(f0)], [SubensembleState.from_bell_probs(WERNER_085)]
         )
         assert report.regime == regime
 
@@ -542,13 +539,13 @@ def serial_report(noise, initial, max_rounds, secure_tol=1e-6, purify_margin=1e-
     Built on ``reference_iterate``, not on ``iterate``, so it shares no
     loop with the batch it checks.
     """
-    f0 = fidelity(initial)
+    f0 = phi_plus_weight(initial.p.ravel())
     try:
         rows, _, converged = reference_iterate(initial, noise, max_rounds, fixpoint_tol)
     except DegenerateRoundError:
         return RegimeReport(Regime.NO_PURIFICATION, math.nan, math.nan, 0, False, f0, degenerate=True)
     last = SubensembleState(rows[-1])
-    f_max, cond_limit = fidelity(last), conditional_fidelity(last)
+    f_max, cond_limit = phi_plus_weight(last.p.ravel()), flag_match_weight(last.p.ravel())
     purifies = f_max > 0.25 + purify_margin
     if purifies and 1.0 - cond_limit < secure_tol:
         regime = Regime.PURIFY_SECURE
@@ -586,9 +583,9 @@ class TestBatchedClassification:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("max_rounds", [0, 1, 400])
     def test_batch_matches_each_row_classified_alone(self, max_rounds):
-        states = np.array([initial.p.ravel() for _, initial in BATCH_ROWS])
+        initials = [initial for _, initial in BATCH_ROWS]
         noises = [noise for noise, _ in BATCH_ROWS]
-        batch = recurrence._classify_rows(states, noises, 1e-6, 1e-4, max_rounds, 1e-12)
+        batch = classify_regime(noises, initials, 1e-6, 1e-4, max_rounds, 1e-12)
         expected = [serial_report(noise, initial, max_rounds) for noise, initial in BATCH_ROWS]
 
         def labels(report):
@@ -602,7 +599,7 @@ class TestBatchedClassification:
         # NaN on the degenerate row, on both sides
         np.testing.assert_allclose(limits(batch), limits(expected), rtol=0, atol=1e-12)
         alone = [
-            recurrence._classify_rows(states[k:k + 1], noises[k:k + 1], 1e-6, 1e-4, max_rounds, 1e-12)[0]
+            classify_regime(noises[k:k + 1], initials[k:k + 1], 1e-6, 1e-4, max_rounds, 1e-12)[0]
             for k in range(len(BATCH_ROWS))
         ]
 
@@ -636,8 +633,7 @@ class TestBatchedClassification:
         # F = F_cond = 0.75 and every sum is exact; with no round the input is the final row
         initial = SubensembleState.from_bell_probs([0.75, 0.25, 0, 0])
         noise = NoiseModel.identity()
-        (report,) = recurrence._classify_rows(initial.p.reshape(1, 16), [noise], secure_tol, purify_margin,
-                                              0, 1e-12)
+        (report,) = classify_regime([noise], [initial], secure_tol, purify_margin, 0, 1e-12)
         expected = serial_report(noise, initial, 0, secure_tol, purify_margin)
         assert report.regime == expected.regime == regime
         assert (report.f_max, report.conditional_limit) == (0.75, 0.75)
@@ -646,30 +642,30 @@ class TestBatchedClassification:
         rounds = []
         counting_steps(monkeypatch, rounds)
         nan_tables(monkeypatch)
-        states = np.tile(SubensembleState.werner(0.85).p.ravel(), (2, 1))
+        initials = [SubensembleState.werner(0.85)] * 2
         with pytest.raises(ValueError, match="NaN"):
-            recurrence._classify_rows(states, [NoiseModel.identity()] * 2, 1e-6, 1e-4, 10_000, 1e-12)
+            classify_regime([NoiseModel.identity()] * 2, initials, 1e-6, 1e-4, 10_000, 1e-12)
         assert rounds == [2] * recurrence._CHECK_EVERY
 
     def test_shared_midpoints_are_classified_once(self, monkeypatch):
         # with one initial state, a batch's rows are the parameters whose noise model it built
         batches, built = [], []
-        real = recurrence._classify_rows
+        real = recurrence.classify_regime
 
         def family(x):
             built.append(x)
             return NoiseModel.from_one_qubit_depolarizing(x)
 
-        def counting(states, *args):
-            assert len(states) == len(built)
+        def counting(noises, initials, *args):
+            assert len(initials) == len(built)
             batches.append(built[:])
             built.clear()
-            return real(states, *args)
+            return real(noises, initials, *args)
 
-        monkeypatch.setattr(recurrence, "_classify_rows", counting)
+        monkeypatch.setattr(recurrence, "classify_regime", counting)
         lo, hi = 0.895, 0.905
-        scan = find_thresholds(family, SubensembleState.werner(0.85), lo=lo, hi=hi, bisect_tol=1e-3,
-                               max_rounds=500)
+        (scan,) = find_thresholds(family, [SubensembleState.werner(0.85)], lo=lo, hi=hi, bisect_tol=1e-3,
+                                  max_rounds=500)
         classified = [x for batch in batches for x in batch]
         evaluated = {x for x, _ in scan.evaluations}
         # both bisections read the midpoints they share off the table, so the evaluations
@@ -756,7 +752,7 @@ class TestBlockedLockstep:
             blocked_lockstep(state, tables, gathers, 3)
 
     @pytest.mark.parametrize("max_rounds", [0, 1, 63, 64, 65, 130, 3000])
-    def test_a_nan_tensor_fails_its_first_block(self, max_rounds, monkeypatch):
+    def test_a_nan_noise_table_fails_its_first_block(self, max_rounds, monkeypatch):
         # a NaN noise table: its row stops only at the cap, so it fails when its first
         # block is validated
         rounds = []
@@ -839,23 +835,23 @@ class TestTwoLevelScan:
     )
     def test_scan_matches_serial_bisection(self, family, initials, settings):
         settings = {"lo": 0.88, "hi": 0.92, **settings}
-        scans = scan_thresholds(family, initials, **settings)
+        scans = find_thresholds(family, initials, **settings)
         bisection = {key: settings.pop(key) for key in ("lo", "hi", "bisect_tol")}
         assert [scan.as_dict() for scan in scans] == [
-            serial_scan(lambda x: classify_regime(family(x), initial, **settings).regime, **bisection)
+            serial_scan(lambda x: classify_regime([family(x)], [initial], **settings)[0].regime, **bisection)
             for initial in initials
         ]
 
     def test_the_last_of_odd_levels_classifies_no_children(self, monkeypatch):
         rows = []
-        real = recurrence._classify_rows
+        real = recurrence.classify_regime
 
-        def counting(states, *args):
-            rows.append(len(states))
-            return real(states, *args)
+        def counting(noises, initials, *args):
+            rows.append(len(initials))
+            return real(noises, initials, *args)
 
-        monkeypatch.setattr(recurrence, "_classify_rows", counting)
-        (scan,) = scan_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS[:1],
+        monkeypatch.setattr(recurrence, "classify_regime", counting)
+        (scan,) = find_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS[:1],
                                   bisect_tol=6e-3, max_rounds=500)
         # each bisection reads three levels: after the ends, one batch of two levels, then
         # the one midpoint below each bracket still open
@@ -865,19 +861,19 @@ class TestTwoLevelScan:
     def test_a_batch_holds_one_noise_table_per_row(self, monkeypatch):
         # one noise model, whose 4x4 table the row carries, per row
         batches, params = [], []
-        real_rows = recurrence._classify_rows
+        real_rows = recurrence.classify_regime
 
         def family(x):
             params.append(x)
             return NoiseModel.from_one_qubit_depolarizing(x)
 
-        def recording(states, noises, *args):
-            batches.append((len(states), len(noises), len(set(params))))
+        def recording(noises, initials, *args):
+            batches.append((len(initials), len(noises), len(set(params))))
             params.clear()
-            return real_rows(states, noises, *args)
+            return real_rows(noises, initials, *args)
 
-        monkeypatch.setattr(recurrence, "_classify_rows", recording)
-        scan_thresholds(family, DEFAULT_SCAN_INITIALS)
+        monkeypatch.setattr(recurrence, "classify_regime", recording)
+        find_thresholds(family, DEFAULT_SCAN_INITIALS)
         for rows, noises, _ in batches:
             assert noises == rows
         # the ends and the first midpoints are shared by all four initial states
@@ -889,7 +885,7 @@ class TestTwoLevelScan:
         # 0.76 MB, nearly all of it block buffers; a block-sized temporary for the changes
         # or the clipped rows would make it about 0.93 MB
         def scan():
-            return scan_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS)
+            return find_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS)
 
         scan()
         tracemalloc.start()
@@ -929,17 +925,17 @@ class TestRegimeTable:
         owner = {initial.p.tobytes(): k for k, initial in enumerate(initials)}
         classified = []
 
-        def labelled(states, noises, *args):
+        def labelled(noises, states, *args):
             reports = []
             for state, x in zip(states, noises):
-                k = owner[state.tobytes()]
+                k = owner[state.p.tobytes()]
                 classified.append((k, x))
                 reports.append(RegimeReport(regimes[k](x), math.nan, math.nan, 0, True, 0.0))
             return reports
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrence, "_classify_rows", labelled)
-            scans = scan_thresholds(lambda x: x, initials, bisect_tol=bisect_tol)
+            mp.setattr(recurrence, "classify_regime", labelled)
+            scans = find_thresholds(lambda x: x, initials, bisect_tol=bisect_tol)
         assert len(classified) == len(set(classified))
         assert [scan.as_dict() for scan in scans] == [
             serial_scan(regime, 0.88, 0.92, bisect_tol) for regime in regimes
@@ -948,9 +944,9 @@ class TestRegimeTable:
 
 class TestThresholds:
     def test_product_family_brackets_reference_interval(self):
-        scan = find_thresholds(
+        (scan,) = find_thresholds(
             NoiseModel.from_one_qubit_depolarizing,
-            SubensembleState.werner(0.85),
+            [SubensembleState.werner(0.85)],
             lo=0.895,
             hi=0.905,
             bisect_tol=1e-5,
@@ -965,9 +961,9 @@ class TestThresholds:
         # threshold lies below the security threshold, leaving a band of
         # noise in which the state purifies but the flags are not perfectly
         # correlated with the Bell labels
-        scan = find_thresholds(
+        (scan,) = find_thresholds(
             NoiseModel.from_one_qubit_depolarizing,
-            SubensembleState.werner(0.85),
+            [SubensembleState.werner(0.85)],
             bisect_tol=1e-5,
             max_rounds=3000,
         )
@@ -976,18 +972,19 @@ class TestThresholds:
         assert scan.f_secure - scan.f_purify > 3e-4
 
     def test_all_secure_range_raises(self):
+        (scan,) = find_thresholds(
+            NoiseModel.from_one_qubit_depolarizing,
+            [SubensembleState.werner(0.85)],
+            lo=0.99,
+            hi=1.0,
+        )
         with pytest.raises(NoThresholdError):
-            find_thresholds(
-                NoiseModel.from_one_qubit_depolarizing,
-                SubensembleState.werner(0.85),
-                lo=0.99,
-                hi=1.0,
-            )
+            scan.require_found()
 
     def test_uniform_family_has_its_own_thresholds(self):
-        scan = find_thresholds(
+        (scan,) = find_thresholds(
             NoiseModel.from_uniform_residual,
-            SubensembleState.werner(0.85),
+            [SubensembleState.werner(0.85)],
             lo=0.82,
             hi=0.92,
             bisect_tol=1e-4,
@@ -997,7 +994,7 @@ class TestThresholds:
         assert scan.f_purify <= scan.f_secure
 
     def test_werner_grid(self):
-        scans = scan_thresholds(
+        scans = find_thresholds(
             NoiseModel.from_one_qubit_depolarizing,
             [SubensembleState.werner(0.85), SubensembleState.werner(0.95)],
             lo=0.895,
@@ -1014,7 +1011,7 @@ class TestThresholds:
         with pytest.raises(ValueError, match="lo < hi"):
             find_thresholds(
                 NoiseModel.from_one_qubit_depolarizing,
-                SubensembleState.werner(0.85),
+                [SubensembleState.werner(0.85)],
                 lo=0.9,
                 hi=0.9,
             )
@@ -1030,6 +1027,6 @@ class TestThresholds:
         with pytest.raises(ValueError, match="bisect_tol must be positive and finite"):
             find_thresholds(
                 NoiseModel.from_one_qubit_depolarizing,
-                SubensembleState.werner(0.85),
+                [SubensembleState.werner(0.85)],
                 bisect_tol=bisect_tol,
             )
