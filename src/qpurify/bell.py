@@ -78,18 +78,6 @@ class BellLabel(IntEnum):
     PHI_MINUS = 0b10
     PSI_MINUS = 0b11
 
-    @property
-    def phase_bit(self) -> int:
-        return (self >> 1) & 1
-
-    @property
-    def amplitude_bit(self) -> int:
-        return self & 1
-
-    def shifted(self, shift: int) -> "BellLabel":
-        """Label after XOR-ing in a packed (phase, amplitude) shift."""
-        return BellLabel(self ^ (shift & 0b11))
-
 
 class PauliIndex(IntEnum):
     """sigma_0 .. sigma_3 in the order identity, x, y, z."""

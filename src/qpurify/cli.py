@@ -134,7 +134,7 @@ def _cmd_scan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict,
         "thresholds.json": _json(report),
         "scan_points.csv": _csv(("parameter", "regime", "source"), sorted(points), config),
     }
-    return files, {"thresholds": report["primary"]}
+    return files, {}
 
 
 def _run(args: argparse.Namespace) -> None:

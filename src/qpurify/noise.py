@@ -150,11 +150,6 @@ class NoiseModel:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def identity(cls, placement: str = BEFORE_ROTATION) -> "NoiseModel":
-        """Deterministic identity channel (no errors)."""
-        return cls.from_one_qubit_depolarizing(1.0, placement)
-
-    @classmethod
     def from_one_qubit_depolarizing(cls, f0: float, placement: str = BEFORE_ROTATION) -> "NoiseModel":
         """Independent depolarizing channel on each of the pair's qubits.
 

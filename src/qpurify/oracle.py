@@ -51,7 +51,6 @@ __all__ = [
     "BELL_VECTORS",
     "bell_diagonal_overlaps",
     "bell_offdiagonal_max",
-    "build_protocol_unitaries",
     "derive_rotation_table",
     "derive_two_sided_shift_table",
     "derive_bcnot_table",
@@ -156,15 +155,6 @@ _TWO_PAIR_BASIS = _read_only(
     .transpose(0, 1, 3, 2, 4)
     .reshape(16, 16)
 )
-
-
-def build_protocol_unitaries() -> dict[str, np.ndarray]:
-    """Explicit matrices for the round's unitaries, read-only.
-
-    Returns ``rotation_pair`` (4x4, one pair), ``rotation`` (16x16, both
-    pairs) and ``bcnot`` (16x16), each checked unitary once at import.
-    """
-    return dict(_UNITARIES)
 
 
 def _relabeling(u: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -92,13 +92,6 @@ class TestTwoSidedPauli:
         assert dense_conjugate_label(label, op) == two_sided(label, mu, nu)
 
 
-class TestLabelGroup:
-    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
-    def test_xor_composable(self, label, s, t):
-        shifted = BellLabel(label).shifted(s).shifted(t)
-        assert shifted == BellLabel(label).shifted(s ^ t)
-
-
 class TestRotation:
     def test_fixes_phi_plus_and_psi_plus(self):
         assert rotation_step3(PHI_PLUS) == PHI_PLUS
@@ -139,11 +132,10 @@ class TestBcnot:
     def test_bit_structure(self):
         for source in BellLabel:
             for target in BellLabel:
-                out_source, out_target = bcnot_map(source, target)
-                assert out_source.phase_bit == source.phase_bit ^ target.phase_bit
-                assert out_source.amplitude_bit == source.amplitude_bit
-                assert out_target.phase_bit == target.phase_bit
-                assert out_target.amplitude_bit == source.amplitude_bit ^ target.amplitude_bit
+                (phase1, amplitude1), (phase2, amplitude2) = bits(source), bits(target)
+                out_source, out_target = map(bits, bcnot_map(source, target))
+                assert out_source == (phase1 ^ phase2, amplitude1)
+                assert out_target == (phase2, amplitude1 ^ amplitude2)
 
     def test_bijection_on_label_pairs(self):
         images = {bcnot_map(s, t) for s in BellLabel for t in BellLabel}

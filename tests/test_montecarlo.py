@@ -55,9 +55,9 @@ def scalar_survivor(control, target, event, placement):
         flag, bell = record >> 2, BellLabel(record & 3)
         shift = PAULI_LABEL_SHIFT[mu]
         if placement == BEFORE_ROTATION:
-            bell = rotation_step3(bell.shifted(shift))
+            bell = rotation_step3(BellLabel(bell ^ shift))
         else:
-            bell = rotation_step3(bell).shifted(shift)
+            bell = BellLabel(rotation_step3(bell) ^ shift)
         return flag ^ shift, bell
 
     flag1, bell1 = noisy(control, event >> 2)
@@ -238,13 +238,33 @@ def infinite_population_mean(counts, q):
     return (np.outer(counts, counts) / (2 * counts.sum())).ravel() @ q
 
 
+#: Noise of the exact-round witness, given its placement.
+WITNESS_NOISE = {
+    "uniform": partial(NoiseModel.from_uniform_residual, 0.97),
+    "product": partial(NoiseModel.from_one_qubit_depolarizing, 0.97),
+    "dirichlet": dirichlet_noise,
+}
+WITNESS_CASES = [
+    pytest.param("uniform", placement, n, id=f"{n}-{placement}")
+    for n in (11, 200)
+    for placement in PLACEMENTS
+] + [
+    pytest.param(family, placement, n, id=f"{family}-{n}-{placement}")
+    for family, placement, n in [
+        ("product", BEFORE_ROTATION, 3),
+        ("product", BEFORE_BCNOT, 11),
+        ("dirichlet", BEFORE_BCNOT, 3),
+        ("dirichlet", BEFORE_ROTATION, 11),
+    ]
+]
+
+
 class TestExactRoundWitness:
-    @pytest.mark.parametrize("placement", PLACEMENTS)
-    @pytest.mark.parametrize("n", [11, 200])
-    def test_one_round_matches_its_conditional_mean(self, placement, n):
+    @pytest.mark.parametrize("family, placement, n", WITNESS_CASES)
+    def test_one_round_matches_its_conditional_mean(self, family, placement, n):
         # single seeded rounds from one population, each cell z-scored against
         # the closed form of one round's conditional expectation
-        noise = NoiseModel.from_uniform_residual(0.97, placement)
+        noise = WITNESS_NOISE[family](placement=placement)
         counts = init_ensemble(SubensembleState.werner(0.8), n, seed=5).counts
         repeats = 8000
         outcomes = np.empty((repeats, DISCARDED + 1))
@@ -263,7 +283,7 @@ class TestExactRoundWitness:
         assert max_z(exact) < 5
         # a cell that never moved is one the formula all but empties
         assert np.all(repeats * exact[~varies] < 5)
-        if n == 11:  # the finite-size term -diag(n) is what tells the two apart
+        if n <= 11:  # the finite-size term -diag(n) is what tells the two apart
             assert max_z(infinite_population_mean(counts, q)) > 10
 
 
@@ -301,11 +321,11 @@ class TestHalting:
     def test_run_round_on_one_record_raises(self):
         ensemble = Ensemble(np.eye(16, dtype=np.int64)[0], seed=0)
         with pytest.raises(ProtocolHaltError):
-            run_round(ensemble, NoiseModel.identity())
+            run_round(ensemble, NoiseModel.from_one_qubit_depolarizing(1.0))
 
     def test_run_protocol_stops_when_population_runs_out(self):
         ensemble = init_ensemble(werner_07(), 5, seed=2)
-        trajectory = run_protocol(ensemble, NoiseModel.identity(), 20)
+        trajectory = run_protocol(ensemble, NoiseModel.from_one_qubit_depolarizing(1.0), 20)
         assert trajectory.halted
         assert trajectory.survivors()[-1] < 2
         assert len(trajectory.counts) < 21
@@ -316,7 +336,7 @@ class TestValidation:
     def test_rejects_unknown_placement(self):
         # every constructor checks the placement, so no round runs with an unknown one
         constructors = [
-            NoiseModel.identity,
+            partial(NoiseModel.from_one_qubit_depolarizing, 1.0),
             partial(NoiseModel.from_one_qubit_depolarizing, 0.97),
             partial(NoiseModel.from_uniform_residual, 0.97),
             partial(NoiseModel, [1] + [0] * 15),

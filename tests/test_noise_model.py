@@ -146,7 +146,6 @@ class TestSharedTableCheck:
 #: Every way to build a noise model, given its placement.
 CONSTRUCTORS = {
     "table": partial(NoiseModel, [1.0] + [0.0] * 15),
-    "identity": NoiseModel.identity,
     "product": partial(NoiseModel.from_one_qubit_depolarizing, 0.97),
     "uniform": partial(NoiseModel.from_uniform_residual, 0.97),
 }

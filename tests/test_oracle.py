@@ -16,7 +16,6 @@ from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, NoiseModel
 from qpurify.oracle import (
     ATOL,
     BELL_VECTORS,
-    build_protocol_unitaries,
     derive_bcnot_table,
     derive_flag_update_table,
     derive_rotation_table,
@@ -29,22 +28,21 @@ from qpurify.recurrence import SubensembleState, one_round
 
 class TestUnitaries:
     def test_unitarity(self):
-        ops = build_protocol_unitaries()
-        for name, u in ops.items():
+        for name, u in oracle._UNITARIES.items():
             dim = u.shape[0]
             assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < ATOL, name
 
     def test_rotation_moves_phi_minus_to_psi_minus(self):
-        u = build_protocol_unitaries()["rotation_pair"]
+        u = oracle._UNITARIES["rotation_pair"]
         rho = u @ bell_projector(0b10) @ u.conj().T
         assert np.max(np.abs(rho - bell_projector(0b11))) < ATOL
 
     def test_unitaries_are_read_only(self):
         with pytest.raises(ValueError):
-            build_protocol_unitaries()["bcnot"][0, 0] = 0
+            oracle._UNITARIES["bcnot"][0, 0] = 0
 
     def test_bcnot_is_an_involution(self):
-        u = build_protocol_unitaries()["bcnot"]
+        u = oracle._UNITARIES["bcnot"]
         assert np.max(np.abs(u @ u - np.eye(16))) < ATOL
 
 
@@ -99,7 +97,7 @@ def broken(value):
 class TestOracleRound:
     def test_noiseless_pure_input(self):
         state = SubensembleState.from_bell_probs([1, 0, 0, 0])
-        out, keep = oracle_one_round(state, NoiseModel.identity())
+        out, keep = oracle_one_round(state, NoiseModel.from_one_qubit_depolarizing(1.0))
         assert keep == pytest.approx(1.0, abs=1e-12)
         assert out.p[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -169,7 +167,7 @@ class TestOracleRound:
         monkeypatch.setattr(oracle, "BELL_VECTORS", np.eye(4, dtype=complex))
         state = SubensembleState.from_bell_probs([0.85, 0.05, 0.05, 0.05])
         with pytest.raises(AssertionError, match="not Bell-diagonal"):
-            oracle_one_round(state, NoiseModel.identity())
+            oracle_one_round(state, NoiseModel.from_one_qubit_depolarizing(1.0))
 
     def test_degenerate_raises(self):
         f = np.zeros(16)

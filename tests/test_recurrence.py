@@ -235,7 +235,7 @@ class TestFidelities:
 class TestOneRound:
     def test_noiseless_matches_ideal_recurrence(self):
         rng = np.random.default_rng(42)
-        identity = NoiseModel.identity()
+        identity = NoiseModel.from_one_qubit_depolarizing(1.0)
         for _ in range(20):
             probs = rng.dirichlet(np.ones(4))
             state = SubensembleState.from_bell_probs(probs)
@@ -246,7 +246,7 @@ class TestOneRound:
 
     def test_noiseless_pure_input_is_fixed_point(self):
         state = SubensembleState.from_bell_probs([1, 0, 0, 0])
-        out, keep = one_round(state, NoiseModel.identity())
+        out, keep = one_round(state, NoiseModel.from_one_qubit_depolarizing(1.0))
         assert keep == pytest.approx(1.0, abs=1e-15)
         assert out.p[0, 0] == pytest.approx(1.0, abs=1e-15)
 
@@ -319,6 +319,21 @@ def factored_tensor(noise):
     return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=256 * 17).reshape(256, 17)
 
 
+def bell_marginal_transfer(noise):
+    """Q[control * 4 + target, label]: where two Bell labels land, label 4 for a discard.
+
+    The two factors of the event cell table with the flags summed out: a
+    Pauli's label shift and the pair cell table's Bell label and discard do
+    not depend on the flags, so the flag-0 categories carry them.
+    """
+    labels = bell.event_category_permutation(noise.placement)[:, :4] & 3  # [pauli, label]
+    cells = bell.pair_cell_table()[:4, :4][labels[:, None, :, None], labels[None, :, None, :]]
+    out = np.where(cells == bell.DISCARDED, 4, cells & 3)  # [mu, nu, control, target]
+    bins = np.arange(16).reshape(4, 4)[None, None] * 5 + out
+    weights = np.broadcast_to(noise.f[:, :, None, None], bins.shape)
+    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=16 * 5).reshape(16, 5)
+
+
 class TestFactoredRound:
     """The round map, factored through its noise events."""
 
@@ -359,21 +374,37 @@ class TestFactoredRound:
         assert np.max(np.abs(traj.coefficients - rows)) < 1e-12
         assert np.max(np.abs(traj.keeps - keeps)) < 1e-12
 
+    @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
+    def test_fig1_trajectory_follows_the_bell_marginal_map(self, placement):
+        # F and the keep probability are functions of the 4-label Bell marginal alone
+        noise = NoiseModel.from_uniform_residual(0.97, placement)
+        traj = iterate(SubensembleState.werner(0.85), noise, max_rounds=10)
+        q = bell_marginal_transfer(noise)
+        marginal, fidelities, keeps = np.array(WERNER_085), [WERNER_085[0]], [1.0]
+        for _ in range(traj.rounds):
+            landed = np.outer(marginal, marginal).ravel() @ q
+            keeps.append(landed[:4].sum())
+            marginal = landed[:4] / keeps[-1]
+            fidelities.append(marginal[0])
+        assert traj.rounds == 10
+        assert np.max(np.abs(traj.fidelities() - fidelities)) < 1e-14
+        assert np.max(np.abs(traj.keeps - keeps)) < 1e-14
+
     def test_round_buffer_is_not_preallocated(self):
         # a pure Phi+ input is a fixpoint of the noiseless map: one round
-        traj = iterate(SubensembleState.from_bell_probs([1, 0, 0, 0]), NoiseModel.identity(),
+        traj = iterate(SubensembleState.from_bell_probs([1, 0, 0, 0]), NoiseModel.from_one_qubit_depolarizing(1.0),
                        max_rounds=10**15)
         assert traj.converged and traj.rounds == 1
 
     def test_non_finite_rows_fail_the_batched_check(self, monkeypatch):
         nan_tables(monkeypatch)
         with pytest.raises(ValueError, match="NaN"):
-            iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=3)
+            iterate(SubensembleState.werner(0.85), NoiseModel.from_one_qubit_depolarizing(1.0), max_rounds=3)
         # a long iteration fails at its first check block, not after running every round
         rounds = []
         counting_steps(monkeypatch, rounds)
         with pytest.raises(ValueError, match="NaN"):
-            iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=10**6)
+            iterate(SubensembleState.werner(0.85), NoiseModel.from_one_qubit_depolarizing(1.0), max_rounds=10**6)
         assert 0 < len(rounds) <= recurrence._CHECK_EVERY
 
 
@@ -422,14 +453,14 @@ class TestRoundStep:
 
 class TestIterate:
     def test_noiseless_werner_07_converges_to_unity(self):
-        traj = iterate(SubensembleState.werner(0.7), NoiseModel.identity(), max_rounds=200)
+        traj = iterate(SubensembleState.werner(0.7), NoiseModel.from_one_qubit_depolarizing(1.0), max_rounds=200)
         assert traj.converged
         assert traj.limiting_fidelity == pytest.approx(1.0, abs=1e-9)
         f = traj.fidelities()
         assert np.all(np.diff(f) >= -1e-12)
 
     def test_noiseless_werner_03_fails_to_purify(self):
-        traj = iterate(SubensembleState.werner(0.3), NoiseModel.identity(), max_rounds=200)
+        traj = iterate(SubensembleState.werner(0.3), NoiseModel.from_one_qubit_depolarizing(1.0), max_rounds=200)
         assert traj.limiting_fidelity == pytest.approx(0.25, abs=1e-6)
 
     def test_product_097_purifies_and_is_secure(self):
@@ -441,7 +472,7 @@ class TestIterate:
 
     def test_round_zero_records_input(self):
         state = SubensembleState.werner(0.85)
-        traj = iterate(state, NoiseModel.identity(), max_rounds=3)
+        traj = iterate(state, NoiseModel.from_one_qubit_depolarizing(1.0), max_rounds=3)
         assert np.array_equal(traj.coefficients[0], state.p.ravel())
         round_index, f, _, keep, *_ = traj.rows()[0]
         assert round_index == 0
@@ -474,7 +505,7 @@ class TestIterate:
         assert traj.limiting_conditional_fidelity == rows[-1][2]
 
     def test_rows_schema(self):
-        traj = iterate(SubensembleState.werner(0.85), NoiseModel.identity(), max_rounds=2)
+        traj = iterate(SubensembleState.werner(0.85), NoiseModel.from_one_qubit_depolarizing(1.0), max_rounds=2)
         rows = traj.rows()
         assert len(rows) == 3
         assert all(len(row) == 20 for row in rows)
@@ -573,7 +604,7 @@ BATCH_ROWS = [
     # collapses to the depolarized state in 35 rounds
     (NoiseModel.from_one_qubit_depolarizing(0.80), SubensembleState.werner(0.85)),
     # a fixpoint: converges in round 1
-    (NoiseModel.identity(), SubensembleState.from_bell_probs([1, 0, 0, 0])),
+    (NoiseModel.from_one_qubit_depolarizing(1.0), SubensembleState.from_bell_probs([1, 0, 0, 0])),
     # insecure in 41 rounds
     (NoiseModel.from_uniform_residual(0.9, BEFORE_BCNOT), SubensembleState.werner(0.85, flag_mode="random")),
 ]
@@ -632,7 +663,7 @@ class TestBatchedClassification:
     def test_a_tie_falls_below_its_threshold(self, purify_margin, secure_tol, regime):
         # F = F_cond = 0.75 and every sum is exact; with no round the input is the final row
         initial = SubensembleState.from_bell_probs([0.75, 0.25, 0, 0])
-        noise = NoiseModel.identity()
+        noise = NoiseModel.from_one_qubit_depolarizing(1.0)
         (report,) = classify_regime([noise], [initial], secure_tol, purify_margin, 0, 1e-12)
         expected = serial_report(noise, initial, 0, secure_tol, purify_margin)
         assert report.regime == expected.regime == regime
@@ -644,7 +675,7 @@ class TestBatchedClassification:
         nan_tables(monkeypatch)
         initials = [SubensembleState.werner(0.85)] * 2
         with pytest.raises(ValueError, match="NaN"):
-            classify_regime([NoiseModel.identity()] * 2, initials, 1e-6, 1e-4, 10_000, 1e-12)
+            classify_regime([NoiseModel.from_one_qubit_depolarizing(1.0)] * 2, initials, 1e-6, 1e-4, 10_000, 1e-12)
         assert rounds == [2] * recurrence._CHECK_EVERY
 
     def test_shared_midpoints_are_classified_once(self, monkeypatch):
@@ -744,7 +775,7 @@ class TestBlockedLockstep:
         # the floor, 1e-9, so the rounds the block runs past it grow fast; three stay finite
         table = np.zeros(16)
         table[[5, 7, 12]] = -1 / 3, 2 / 3, 2 / 3
-        tables, gathers = table.reshape(1, 4, 4), recurrence._factors([NoiseModel.identity()])[1]
+        tables, gathers = table.reshape(1, 4, 4), recurrence._factors([NoiseModel.from_one_qubit_depolarizing(1.0)])[1]
         state = np.eye(16)[:1]
         rows, keeps, stop = reference_lockstep(state[0], tables[0], gathers[0], 3)
         assert stop == (2, False, True) and rows[0, 5] < -0.9 and keeps[1] < -0.9
