@@ -56,7 +56,6 @@ from .noise import BEFORE_ROTATION, check_placement
 
 __all__ = [
     "BellLabel",
-    "PauliIndex",
     "PAULI_LABEL_SHIFT",
     "rotation_step3",
     "bcnot_map",
@@ -79,17 +78,8 @@ class BellLabel(IntEnum):
     PSI_MINUS = 0b11
 
 
-class PauliIndex(IntEnum):
-    """sigma_0 .. sigma_3 in the order identity, x, y, z."""
-
-    I = 0
-    X = 1
-    Y = 2
-    Z = 3
-
-
 #: Packed label shift induced by sigma_p on one qubit of a pair, indexed by
-#: :class:`PauliIndex`: identity does nothing, x flips the amplitude bit,
+#: p in the order identity, x, y, z: identity does nothing, x flips the amplitude bit,
 #: z flips the phase bit, y flips both.  The shift is the same whichever
 #: side the Pauli acts on, and sigma_mu on one qubit with sigma_nu on the
 #: other shifts by ``PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu]``.
@@ -144,7 +134,7 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 def event_category_permutation(placement: str) -> np.ndarray:
     """Category each category becomes under sigma_p on one qubit of its pair, up to the BCNOT.
 
-    ``table[p, c]``, for :class:`PauliIndex` ``p`` and category
+    ``table[p, c]``, for Pauli ``p`` (identity, x, y, z) and category
     ``c = flag * 4 + bell``: the shift ``PAULI_LABEL_SHIFT[p]`` is XORed
     into the flag and into the Bell label, and the bilateral rotation
     relabels the Bell label after the shift at ``before_rotation`` and

@@ -22,20 +22,9 @@ exercised by the recurrence and Monte Carlo suites.
 
 from __future__ import annotations
 
-from enum import IntEnum
-
 import numpy as np
 
-__all__ = ["ErrorFlag", "FLAG_UPDATE_TABLE"]
-
-
-class ErrorFlag(IntEnum):
-    """Two error bits packed as ``(phase << 1) | amplitude``."""
-
-    CLEAN = 0b00
-    AMPLITUDE = 0b01
-    PHASE = 0b10
-    BOTH = 0b11
+__all__ = ["FLAG_UPDATE_TABLE"]
 
 
 #: Updated flag of a kept control pair, indexed [control flag, target flag].

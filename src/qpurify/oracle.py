@@ -5,17 +5,26 @@ Everything here is dense linear algebra on 4-dim (one pair) and 16-dim
 package: the Pauli matrices (:data:`PAULIS`), the Bell vectors
 (:data:`BELL_VECTORS`) and the reading of a matrix in the Bell basis
 (:func:`bell_diagonal_overlaps`, :func:`bell_offdiagonal_max`).  The
-dense operators are module constants, built and unitarity-checked once
-at import: the three protocol unitaries, the sixteen noise Kraus
-operators, the coinciding-measurement projector and the two-pair Bell
-basis, whose row ``c*4 + t`` is |B_c, B_t>.  Every Bell-label table is
-read back from these operators through one relabeling,
-:func:`_relabeling`, and one full noisy purification round is executed
-on density matrices with the error flags carried as classical side
-labels; its sixteen kept branches are read in the Bell basis in one
-pass, as one ``(4, 4, 4, 4)`` stack.  The label-based engine in
-:mod:`qpurify.recurrence` must agree with this module to 1e-10; the
-``verify`` CLI subcommand and the acceptance tests run the comparison.
+dense operators are module constants, built and checked once at
+import: the three protocol unitaries, the sixteen noise Kraus operators,
+the coinciding-measurement projector and the two-pair Bell basis, whose
+row ``c*4 + t`` is |B_c, B_t>.  Every Bell-label table is read back from
+these operators through one relabeling, :func:`_relabeling`, and one
+full noisy purification round is executed on density matrices with the
+error flags carried as classical side labels; its sixteen kept branches
+are read in the Bell basis in one pass, as one ``(4, 4, 4, 4)`` stack.
+The label-based engine in :mod:`qpurify.recurrence` must agree with this
+module to 1e-10; the ``verify`` CLI subcommand and the acceptance tests
+run the comparison.
+
+The round applies the rotation, the BCNOT and the keep projector as
+dense 16x16 products.  Each noise Kraus operator is a Pauli product, a
+phase times a permutation; its row permutation and phases are read off
+the dense matrix at import, and :func:`_phase_permutation` checks that
+they rebuild it exactly.  The noise step, :func:`_apply_noise`, applies
+each operator as a gather of those rows and columns times the phases:
+every entry of K B K^dagger has one nonzero term and a phase of +-1 or
++-i, so the gather gives the bits of the dense products.
 
 The oracle stays an independent referee.  The dense round records a
 noise event on the flags by the one-sided Pauli shift the oracle derives
@@ -141,6 +150,27 @@ _NOISE_KRAUS = _read_only(
     np.array([_kron(PAULIS[e >> 2], PAULIS[e & 3], _I2, _I2) for e in range(16)])
 )
 
+
+def _phase_permutation(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column and phase of the one nonzero entry in each row of each operator.
+
+    Returns ``(columns, phases)``, both ``ops.shape[:-1]``: row ``i`` of
+    ``ops[k]`` is ``phases[k, i]`` at ``columns[k, i]``.  Raises
+    AssertionError unless rebuilding from them gives every operator back
+    exactly and every phase is +-1 or +-i.
+    """
+    columns = np.argmax(np.abs(ops), axis=-1)
+    phases = np.take_along_axis(ops, columns[..., None], axis=-1)[..., 0]
+    rebuilt = np.zeros_like(ops)
+    np.put_along_axis(rebuilt, columns[..., None], phases[..., None], axis=-1)
+    if not (np.array_equal(rebuilt, ops) and np.isin(phases, (1, -1, 1j, -1j)).all()):
+        raise AssertionError("an operator is not a phase-permutation")
+    return _read_only(columns), _read_only(phases)
+
+
+#: Row ``i`` of ``_NOISE_KRAUS[e]`` is ``_NOISE_PHASES[e, i]`` at column ``_NOISE_COLUMNS[e, i]``.
+_NOISE_COLUMNS, _NOISE_PHASES = _phase_permutation(_NOISE_KRAUS)
+
 #: Both halves of the target pair (qubits 1 and 3) read the same z value.
 _KEEP_PROJECTOR = _read_only(
     sum(_kron(_I2, np.diag(z), _I2, np.diag(z)) for z in ([1, 0], [0, 1]))
@@ -219,6 +249,35 @@ _NOISE_FLAG_SHIFT = derive_two_sided_shift_table()[0, ::4]
 _FLAGS = np.arange(4)
 
 
+def _apply_noise(branches: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The noise Kraus sum on a ``(4, 4, 16, 16)`` stack of flag branches, events weighted by ``f``.
+
+    Event mu*4 + nu moves flags (a, b) to (a ^ s[mu], b ^ s[nu]), s =
+    ``_NOISE_FLAG_SHIFT``; each shift is its own inverse, so its branch at
+    (a, b) comes from (a ^ s[mu], b ^ s[nu]).  With K = ``_NOISE_KRAUS[e]``,
+    entry (i, j) of K B K^dagger is ``phases[i] * conj(phases[j]) *
+    B[columns[i], columns[j]]``.  Events are summed in ascending order.
+    """
+    source = _FLAGS ^ _NOISE_FLAG_SHIFT[:, None]
+    # [event, a*4 + b]: the flag pair each event's branch at (a, b) is read from
+    flag_pairs = (source[:, None, :, None] * 4 + source[None, :, None, :]).reshape(16, 16)
+    columns, phases = _NOISE_COLUMNS, _NOISE_PHASES
+    entries = (columns[:, :, None] * 16 + columns[:, None, :]).reshape(16, 256)
+    stack = branches.reshape(16, 256)
+
+    def term(e: int) -> np.ndarray:
+        gathered = stack.take(flag_pairs[e], axis=0).take(entries[e], axis=1)
+        gathered *= f[e] * np.outer(phases[e], phases[e].conj()).ravel()
+        return gathered
+
+    # summed in place, one term at a time, the step holds no more memory than dense products
+    first, *rest = np.flatnonzero(f)
+    total = term(first)
+    for e in rest:
+        total += term(e)
+    return total.reshape(branches.shape)
+
+
 def oracle_one_round(state: SubensembleState, noise: NoiseModel) -> tuple[SubensembleState, float]:
     """One noisy purification round on explicit 16-dim density matrices.
 
@@ -238,21 +297,12 @@ def oracle_one_round(state: SubensembleState, noise: NoiseModel) -> tuple[Subens
     weights = np.einsum("ab,cd->acbd", p, p).reshape(4, 4, 1, 16)
     branches = (_TWO_PAIR_BASIS.T * weights) @ _TWO_PAIR_BASIS.conj()
 
-    def apply_noise(branches: np.ndarray) -> np.ndarray:
-        # event mu*4 + nu moves flags (a, b) to (a ^ s[mu], b ^ s[nu]), s = _NOISE_FLAG_SHIFT;
-        # each shift is its own inverse, so its branch at (a, b) comes from (a ^ s[mu], b ^ s[nu])
-        f, kraus = noise.f.ravel(), _NOISE_KRAUS
-        source = _FLAGS ^ _NOISE_FLAG_SHIFT[:, None]
-        return sum(
-            f[e] * (kraus[e] @ branches[np.ix_(source[e >> 2], source[e & 3])] @ kraus[e].conj().T)
-            for e in np.flatnonzero(f)
-        )
-
+    f = noise.f.ravel()
     rotation, bcnot = _UNITARIES["rotation"], _UNITARIES["bcnot"]
     if noise.placement == BEFORE_ROTATION:
-        branches = rotation @ apply_noise(branches) @ rotation.conj().T
+        branches = rotation @ _apply_noise(branches, f) @ rotation.conj().T
     else:
-        branches = apply_noise(rotation @ branches @ rotation.conj().T)
+        branches = _apply_noise(rotation @ branches @ rotation.conj().T, f)
     branches = _KEEP_PROJECTOR @ (bcnot @ branches @ bcnot.conj().T) @ _KEEP_PROJECTOR
     # trace out qubits 1 and 3, leaving the control pair of every branch
     kept = np.einsum("...abcdebgd->...aceg", branches.reshape(4, 4, *[2] * 8))

@@ -6,13 +6,13 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from labels import PauliIndex
 from projectors import bell_projector
 
 from qpurify.bell import (
     DISCARDED,
     PAULI_LABEL_SHIFT,
     BellLabel,
-    PauliIndex,
     bcnot_map,
     event_category_permutation,
     event_cell_table,

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from labels import ErrorFlag, PauliIndex
 
-from qpurify.bell import BellLabel, PauliIndex, event_category_permutation, event_cell_table
-from qpurify.flags import FLAG_UPDATE_TABLE, ErrorFlag
+from qpurify.bell import BellLabel, event_category_permutation, event_cell_table
+from qpurify.flags import FLAG_UPDATE_TABLE
 from qpurify.noise import BEFORE_ROTATION, PLACEMENTS
 from qpurify.oracle import derive_two_sided_shift_table
 

@@ -1,18 +1,20 @@
 """Dense-oracle derivations, round equivalence, fault injection."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
+from labels import PauliIndex
 from projectors import bell_projector
 
 import qpurify.oracle as oracle
 import qpurify.recurrence as recurrence
-from qpurify.bell import PAULI_LABEL_SHIFT, PauliIndex, bcnot_map, rotation_step3
+from qpurify.bell import PAULI_LABEL_SHIFT, bcnot_map, rotation_step3
 from qpurify.errors import DegenerateRoundError
 from qpurify.flags import FLAG_UPDATE_TABLE
-from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, NoiseModel
+from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, PLACEMENTS, NoiseModel
 from qpurify.oracle import (
     ATOL,
     BELL_VECTORS,
@@ -92,6 +94,96 @@ def broken(value):
 
         return refuse
     return (np.asarray(value) + 1) % 4
+
+
+def dense_kraus_sum(branches, f):
+    """The noise step as dense products: each event's flag-shifted branches conjugated by
+    its 16x16 Kraus operator, the events summed in ascending order."""
+    # event mu*4 + nu moves flags (a, b) to (a ^ s[mu], b ^ s[nu]), s = _NOISE_FLAG_SHIFT;
+    # each shift is its own inverse, so its branch at (a, b) comes from (a ^ s[mu], b ^ s[nu])
+    kraus, source = oracle._NOISE_KRAUS, oracle._FLAGS ^ oracle._NOISE_FLAG_SHIFT[:, None]
+    return sum(
+        f[e] * (kraus[e] @ branches[np.ix_(source[e >> 2], source[e & 3])] @ kraus[e].conj().T)
+        for e in np.flatnonzero(f)
+    )
+
+
+def dense_round(monkeypatch, state, noise):
+    """``oracle_one_round`` with its noise step replaced by the dense Kraus sum."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_apply_noise", dense_kraus_sum)
+        return oracle_one_round(state, noise)
+
+
+def noise_with_zeros(rng, placement):
+    """Dirichlet(0.3) noise with about a quarter of its events at exactly zero."""
+    f = rng.dirichlet(np.full(16, 0.3)) * (rng.random(16) > 0.25)
+    return NoiseModel(f / f.sum(), placement)
+
+
+def conformance_instances(monkeypatch):
+    """The (state, noise) pairs ``run_conformance_checks`` hands the dense round by default."""
+    instances, real = [], oracle.oracle_one_round
+
+    def record(state, noise):
+        instances.append((state, noise))
+        return real(state, noise)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "oracle_one_round", record)
+        assert run_conformance_checks().ok
+    return instances
+
+
+class TestNoiseStep:
+    """The noise step applies each Kraus operator as a checked phase-permutation, to the bit."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_the_dense_kraus_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        half = rng.normal(size=(4, 4, 16, 16, 2)) @ [1, 1j]
+        branches = half + half.conj().swapaxes(-1, -2)
+        f = noise_with_zeros(rng, BEFORE_ROTATION).f.ravel()
+        assert np.array_equal(oracle._apply_noise(branches, f), dense_kraus_sum(branches, f))
+
+    def test_round_equals_the_dense_round_on_the_conformance_instances(self, monkeypatch):
+        instances = conformance_instances(monkeypatch)
+        assert len(instances) == 20
+        assert {noise.placement for _, noise in instances} == set(PLACEMENTS)
+        for state, noise in instances:
+            out, keep = oracle_one_round(state, noise)
+            expected, expected_keep = dense_round(monkeypatch, state, noise)
+            assert keep == expected_keep
+            assert np.array_equal(out.p, expected.p)
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_round_equals_the_dense_round_on_random_instances(self, monkeypatch, placement):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            state = SubensembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
+            noise = noise_with_zeros(rng, placement)
+            out, keep = oracle_one_round(state, noise)
+            expected, expected_keep = dense_round(monkeypatch, state, noise)
+            assert keep == expected_keep
+            assert np.array_equal(out.p, expected.p)
+
+    def test_makes_no_matrix_product(self):
+        tree = ast.parse(inspect.getsource(oracle._apply_noise))
+        products = [node for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
+        calls = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not products and not calls & {"matmul", "dot", "einsum", "tensordot"}
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(8)),  # Hadamard on qubit 0
+            np.kron(np.diag([1, np.exp(0.25j * np.pi)]), np.eye(8)),  # a T gate: phase off +-1, +-i
+        ],
+        ids=["hadamard", "t-gate"],
+    )
+    def test_phase_permutation_check_rejects(self, op):
+        with pytest.raises(AssertionError, match="not a phase-permutation"):
+            oracle._phase_permutation(op[None].astype(complex))
 
 
 class TestOracleRound:

@@ -8,10 +8,11 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from labels import PauliIndex
 
 import qpurify.bell as bell
 import qpurify.recurrence as recurrence
-from qpurify.bell import PauliIndex, flag_match_weight, phi_plus_weight
+from qpurify.bell import flag_match_weight, phi_plus_weight
 from qpurify.errors import DegenerateRoundError, NoThresholdError
 from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, NoiseModel
 from qpurify.recurrence import (
@@ -334,6 +335,18 @@ def bell_marginal_transfer(noise):
     return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=16 * 5).reshape(16, 5)
 
 
+def marginal_trajectory(noise, rounds):
+    """F and the keep probability of ``rounds`` rounds of the Bell marginal map from Werner 0.85."""
+    q = bell_marginal_transfer(noise)
+    marginal, fidelities, keeps = np.array(WERNER_085), [WERNER_085[0]], [1.0]
+    for _ in range(rounds):
+        landed = np.outer(marginal, marginal).ravel() @ q
+        keeps.append(landed[:4].sum())
+        marginal = landed[:4] / keeps[-1]
+        fidelities.append(marginal[0])
+    return fidelities, keeps
+
+
 class TestFactoredRound:
     """The round map, factored through its noise events."""
 
@@ -379,16 +392,25 @@ class TestFactoredRound:
         # F and the keep probability are functions of the 4-label Bell marginal alone
         noise = NoiseModel.from_uniform_residual(0.97, placement)
         traj = iterate(SubensembleState.werner(0.85), noise, max_rounds=10)
-        q = bell_marginal_transfer(noise)
-        marginal, fidelities, keeps = np.array(WERNER_085), [WERNER_085[0]], [1.0]
-        for _ in range(traj.rounds):
-            landed = np.outer(marginal, marginal).ravel() @ q
-            keeps.append(landed[:4].sum())
-            marginal = landed[:4] / keeps[-1]
-            fidelities.append(marginal[0])
+        fidelities, keeps = marginal_trajectory(noise, traj.rounds)
         assert traj.rounds == 10
         assert np.max(np.abs(traj.fidelities() - fidelities)) < 1e-14
         assert np.max(np.abs(traj.keeps - keeps)) < 1e-14
+
+    @pytest.mark.parametrize("placement", [BEFORE_ROTATION, BEFORE_BCNOT])
+    def test_dirichlet_trajectory_follows_its_placements_marginal_map(self, placement):
+        # uniform and product noise commute with the rotation, so their marginal maps
+        # agree across placements; Dirichlet noise does not, and only its own map fits
+        noise = random_noise(3, placement)
+        traj = iterate(SubensembleState.werner(0.85), noise, max_rounds=10)
+        other = BEFORE_BCNOT if placement == BEFORE_ROTATION else BEFORE_ROTATION
+        fidelities, keeps = marginal_trajectory(noise, traj.rounds)
+        other_fidelities, other_keeps = marginal_trajectory(NoiseModel(noise.f, other), traj.rounds)
+        assert traj.rounds == 10
+        assert np.max(np.abs(traj.fidelities() - fidelities)) < 1e-14
+        assert np.max(np.abs(traj.keeps - keeps)) < 1e-14
+        assert np.max(np.abs(traj.fidelities() - other_fidelities)) > 1e-2
+        assert np.max(np.abs(traj.keeps - other_keeps)) > 1e-2
 
     def test_round_buffer_is_not_preallocated(self):
         # a pure Phi+ input is a fixpoint of the noiseless map: one round
