@@ -209,9 +209,10 @@ class ScanSettings:
     A scan bisects the parameter of the configured ``noise.family`` over
     ``[lo, hi]``.  Every setting but ``werner_grid`` is the
     :func:`~qpurify.recurrence.find_thresholds` parameter of that name,
-    with the same default; ``secure_tol``, ``purify_margin`` and
-    ``max_rounds`` are also :func:`~qpurify.recurrence.classify_regime`
-    parameters, with the same defaults.
+    and ``secure_tol``, ``purify_margin`` and ``max_rounds`` are also
+    :func:`~qpurify.recurrence.classify_regime` parameters.  Neither
+    function has defaults: this class is the only home of the scan
+    defaults (with :class:`ExperimentConfig`'s ``fixpoint_tol``).
     """
 
     lo: float = _key(0.88, _number, lo=0.0, hi=1.0)

@@ -61,7 +61,7 @@ __all__ = [
     "bell_diagonal_overlaps",
     "bell_offdiagonal_max",
     "derive_rotation_table",
-    "derive_two_sided_shift_table",
+    "derive_pauli_shift_table",
     "derive_bcnot_table",
     "derive_flag_update_table",
     "oracle_one_round",
@@ -205,16 +205,12 @@ def derive_rotation_table() -> np.ndarray:
     return _relabeling(_UNITARIES["rotation_pair"], BELL_VECTORS)
 
 
-def derive_two_sided_shift_table() -> np.ndarray:
-    """Label map of sigma_mu x sigma_nu conjugation, all 4x16 inputs.
+def derive_pauli_shift_table() -> np.ndarray:
+    """Label map of sigma_p conjugation on the first qubit of a pair, by dense conjugation.
 
-    Returns ``table[label, mu*4 + nu]``; the test suite checks it equals
-    ``label ^ PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu]`` everywhere.
+    Returns ``table[label, p]``, the relabeling of sigma_p x I.
     """
-    return np.stack(
-        [_relabeling(np.kron(PAULIS[e >> 2], PAULIS[e & 3]), BELL_VECTORS) for e in range(16)],
-        axis=1,
-    )
+    return np.stack([_relabeling(np.kron(PAULIS[p], PAULIS[0]), BELL_VECTORS) for p in range(4)], axis=1)
 
 
 def derive_bcnot_table() -> np.ndarray:
@@ -242,9 +238,9 @@ def derive_flag_update_table() -> np.ndarray:
     return np.where((tgt & 1) == 0, src, 0).astype(np.uint8)
 
 
-#: Flag shift of sigma_p on one qubit of a pair: column p*4 of the derived
-#: two-sided table, read at label 0.
-_NOISE_FLAG_SHIFT = derive_two_sided_shift_table()[0, ::4]
+#: Flag shift of sigma_p on one qubit of a pair: the derived Pauli shift
+#: table, read at label 0.
+_NOISE_FLAG_SHIFT = derive_pauli_shift_table()[0]
 
 _FLAGS = np.arange(4)
 
@@ -393,12 +389,11 @@ def run_conformance_checks(
         lambda b, table, oracle: f"label {b}: table {table}, oracle {oracle}",
     )
 
-    # column p * 4 is sigma_p alone on the first qubit of a pair
     _compare(
         report,
         "Pauli label shifts vs dense conjugation",
         _FLAGS[:, None] ^ PAULI_LABEL_SHIFT,
-        derive_two_sided_shift_table()[:, ::4],
+        derive_pauli_shift_table(),
         lambda label, pauli, table, oracle: (
             f"(label {label}, Pauli {pauli}): table {table}, oracle {oracle}"
         ),

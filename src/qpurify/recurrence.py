@@ -52,7 +52,8 @@ row stops at the first round that meets it; it then validates the rows
 produced and drops the rows that stopped.
 :func:`iterate` is a batch of one that records every round,
 :func:`one_round` is an :func:`iterate` of one round, and
-:func:`classify_regime` labels every row that leaves a batch.
+:func:`classify_regime` returns the :class:`Regime` of every row of a
+batch, read from the row's last output: a label and nothing else.
 
 Thresholds are found by bisection.  A threshold scan
 (:func:`find_thresholds`) first fills a table of regimes for each
@@ -94,7 +95,6 @@ __all__ = [
     "Trajectory",
     "iterate",
     "Regime",
-    "RegimeReport",
     "classify_regime",
     "ThresholdScan",
     "find_thresholds",
@@ -188,7 +188,6 @@ class _Block(NamedTuple):
     """
 
     live: np.ndarray  # each column's row index into the batch
-    start: int  # the rounds every row ran before the block
     new: np.ndarray  # (rounds, rows, 16): the outputs, round by round
     keeps: np.ndarray  # (rounds, rows): the keep probabilities
     changes: np.ndarray  # (rounds, rows): the sup-norm changes
@@ -243,7 +242,7 @@ def _lockstep(
         # rows past a stop and a degenerate round become uniform rows, which pass
         skip = np.arange(span)[:, None] >= np.where(degenerate, last, last + 1)
         checked_rows(np.where(skip[..., None], 1 / 16, new), "state")
-        yield _Block(live, start, new, keeps, changes, last + 1, stopped, converged, degenerate)
+        yield _Block(live, new, keeps, changes, last + 1, stopped, converged, degenerate)
         start += span
         stay = np.flatnonzero(~stopped)
         live, latest = live[stay], new[-1, stay]
@@ -402,30 +401,19 @@ class Regime(str, Enum):
     PURIFY_SECURE = "PURIFY_SECURE"
 
 
-@dataclass
-class RegimeReport:
-    regime: Regime
-    f_max: float
-    conditional_limit: float
-    rounds: int
-    converged: bool
-    initial_fidelity: float
-    degenerate: bool = False
-
-
 def classify_regime(
     noises: Sequence[NoiseModel],
     initials: Sequence[SubensembleState],
-    secure_tol: float = 1e-6,
-    purify_margin: float = 1e-4,
-    max_rounds: int = 3000,
-    fixpoint_tol: float = 1e-12,
-) -> list[RegimeReport]:
-    """Label each noise/initial-state row of a :func:`_lockstep` batch by its limiting behavior.
+    *,
+    secure_tol: float,
+    purify_margin: float,
+    max_rounds: int,
+    fixpoint_tol: float,
+) -> list[Regime]:
+    """The regime of each noise/initial-state row of a :func:`_lockstep` batch, by its limiting behavior.
 
     Row ``k`` iterates ``initials[k]`` under ``noises[k]``.  Its final
-    row is its last output, or NaN when it stops degenerate; a
-    degenerate row also reports 0 rounds and not converged.
+    row is its last output, or NaN when it stops degenerate.
 
     In the high-noise regime the iteration collapses to the completely
     depolarized state, so purifying means the limiting fidelity stays
@@ -437,31 +425,20 @@ def classify_regime(
     fidelity to reach 1 within ``secure_tol``.  A row's rank, an index
     into :class:`Regime`, is 1 if it purifies plus 1 if it is also
     secure.  NaN compares False, so a degenerate row ranks 0,
-    NO_PURIFICATION.  The defaults are those of :func:`find_thresholds`,
-    so a row is labelled as a scan labels its parameter.
+    NO_PURIFICATION.  Every setting is required: the scan defaults live
+    in :class:`~qpurify.config.ScanSettings` alone.
     """
-    states = np.array([initial.p.ravel() for initial in initials])
-    final = states.copy()
-    rounds = np.zeros(len(states), dtype=int)
-    converged = np.zeros(len(states), dtype=bool)
-    for block in _lockstep(states, *_factors(noises), max_rounds, fixpoint_tol):
+    final = np.array([initial.p.ravel() for initial in initials])
+    for block in _lockstep(final.copy(), *_factors(noises), max_rounds, fixpoint_tol):
         final[block.live[block.degenerate]] = math.nan
         stopped = np.flatnonzero(block.stopped & ~block.degenerate)
-        rows, ran = block.live[stopped], block.ran[stopped]
-        rounds[rows] = block.start + ran
-        converged[rows] = block.converged[stopped]
-        final[rows] = block.new[ran - 1, stopped]
+        final[block.live[stopped]] = block.new[block.ran[stopped] - 1, stopped]
 
-    f_max, cond_limit = phi_plus_weight(final), flag_match_weight(final)
-    purifies = f_max > DEPOLARIZED_FIDELITY + purify_margin
+    purifies = phi_plus_weight(final) > DEPOLARIZED_FIDELITY + purify_margin
     # an integer sum: bool + bool would be a logical or
-    ranks = purifies.astype(int) + (purifies & (1.0 - cond_limit < secure_tol))
+    ranks = purifies.astype(int) + (purifies & (1.0 - flag_match_weight(final) < secure_tol))
     regimes = list(Regime)
-    columns = ranks, f_max, cond_limit, rounds, converged, phi_plus_weight(states), np.isnan(f_max)
-    return [
-        RegimeReport(regimes[rank], *fields, degenerate=degenerate)
-        for rank, *fields, degenerate in zip(*(column.tolist() for column in columns))
-    ]
+    return [regimes[rank] for rank in ranks.tolist()]
 
 
 @dataclass
@@ -542,13 +519,13 @@ def find_thresholds(
     family: Callable[[float], NoiseModel],
     initials: Sequence[SubensembleState],
     *,
-    lo: float = 0.88,
-    hi: float = 0.92,
-    bisect_tol: float = 1e-5,
-    secure_tol: float = 1e-6,
-    purify_margin: float = 1e-4,
-    max_rounds: int = 3000,
-    fixpoint_tol: float = 1e-12,
+    lo: float,
+    hi: float,
+    bisect_tol: float,
+    secure_tol: float,
+    purify_margin: float,
+    max_rounds: int,
+    fixpoint_tol: float,
 ) -> list[ThresholdScan]:
     """Bisect the purification and security boundaries of several initial states, one scan each.
 
@@ -569,7 +546,8 @@ def find_thresholds(
     whose ends share a regime brackets nothing (see
     :attr:`ThresholdScan.found`), and raises nothing: a caller that
     needs a threshold calls :meth:`ThresholdScan.require_found`.
-    These keyword defaults are the defaults of every threshold scan.
+    Every setting is required; the defaults of a threshold scan are
+    those of :class:`~qpurify.config.ScanSettings`.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -582,9 +560,10 @@ def find_thresholds(
         """Classify (initial state, parameter) requests, none of them known yet, as one batch."""
         noises = [family(x) for _, x in requests]
         states = [initials[k] for k, _ in requests]
-        reports = classify_regime(noises, states, secure_tol, purify_margin, max_rounds, fixpoint_tol)
-        for (k, x), report in zip(requests, reports):
-            known[k][x] = report.regime
+        regimes = classify_regime(noises, states, secure_tol=secure_tol, purify_margin=purify_margin,
+                                  max_rounds=max_rounds, fixpoint_tol=fixpoint_tol)
+        for (k, x), regime in zip(requests, regimes):
+            known[k][x] = regime
 
     def reachable(a: float, b: float, levels: int) -> list[float]:
         """Every midpoint the bisection of [a, b] may visit in its next ``levels`` steps."""

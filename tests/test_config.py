@@ -1,7 +1,5 @@
 """Configuration parsing: rejection cases, seed overrides, round trips."""
 
-import dataclasses
-import inspect
 import json
 from functools import partial
 from pathlib import Path
@@ -12,7 +10,6 @@ import pytest
 from qpurify.config import PRESETS, ExperimentConfig, ScanSettings, load_config_file
 from qpurify.errors import ConfigError
 from qpurify.noise import PLACEMENTS, NoiseModel
-from qpurify.recurrence import classify_regime, find_thresholds
 
 PRODUCT = {"family": "product", "f0": 0.97}
 NAN = float("nan")
@@ -121,20 +118,6 @@ def test_effective_pins_every_default():
             "max_rounds": 3000,
         },
     }
-
-
-def test_scan_defaults_are_the_find_thresholds_defaults():
-    # each ScanSettings field but werner_grid is a find_thresholds parameter
-    parameters = inspect.signature(find_thresholds).parameters
-    for f in dataclasses.fields(ScanSettings):
-        if f.name != "werner_grid":
-            assert f.default == parameters[f.name].default, f.name
-    # classify_regime labels a batch of parameters the way a scan does
-    batch = inspect.signature(classify_regime).parameters
-    shared = {name for name, p in batch.items() if p.default is not p.empty} & parameters.keys()
-    assert shared == {"secure_tol", "purify_margin", "max_rounds", "fixpoint_tol"}
-    for name in shared:
-        assert batch[name].default == parameters[name].default, name
 
 
 def dotted_keys(doc, prefix=""):

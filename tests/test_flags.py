@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 from labels import ErrorFlag, PauliIndex
+from projectors import two_sided_shift_table
 
 from qpurify.bell import BellLabel, event_category_permutation, event_cell_table
 from qpurify.flags import FLAG_UPDATE_TABLE
 from qpurify.noise import BEFORE_ROTATION, PLACEMENTS
-from qpurify.oracle import derive_two_sided_shift_table
 
 F00 = ErrorFlag.CLEAN
 F01 = ErrorFlag.AMPLITUDE
@@ -116,7 +116,7 @@ class TestRecordTwoSided:
     @pytest.mark.parametrize("flag", list(ErrorFlag))
     def test_equals_two_single_records(self, flag):
         # two one-sided records follow the pair's label under dense sigma_mu x sigma_nu
-        dense = derive_two_sided_shift_table()
+        dense = two_sided_shift_table()
         for mu in PauliIndex:
             for nu in PauliIndex:
                 assert record(record(flag, mu), nu) == dense[flag, mu * 4 + nu]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from labels import PauliIndex
-from projectors import bell_projector
+from projectors import bell_projector, two_sided_shift_table
 
 import qpurify.oracle as oracle
 import qpurify.recurrence as recurrence
@@ -20,8 +20,8 @@ from qpurify.oracle import (
     BELL_VECTORS,
     derive_bcnot_table,
     derive_flag_update_table,
+    derive_pauli_shift_table,
     derive_rotation_table,
-    derive_two_sided_shift_table,
     oracle_one_round,
     run_conformance_checks,
 )
@@ -61,11 +61,14 @@ class TestDerivedTables:
                 assert tuple(derived[src, tgt]) == bcnot_map(src, tgt)
 
     def test_two_sided_shift_table(self):
-        derived = derive_two_sided_shift_table()
+        # sigma_mu x sigma_nu relabels as sigma_mu then sigma_nu: the one-sided shifts compose
+        derived = two_sided_shift_table()
         for label in range(4):
             for event in range(16):
                 expected = label ^ PAULI_LABEL_SHIFT[event >> 2] ^ PAULI_LABEL_SHIFT[event & 3]
                 assert derived[label, event] == expected
+        # the oracle's own table is sigma_p alone on the first qubit: column p * 4
+        assert np.array_equal(derive_pauli_shift_table(), derived[:, ::4])
 
     def test_flag_update_table_derivation(self):
         assert np.array_equal(derive_flag_update_table(), FLAG_UPDATE_TABLE)

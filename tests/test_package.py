@@ -14,7 +14,8 @@ import pytest
 import qpurify
 from qpurify.cli import main
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+REPO = Path(__file__).resolve().parents[1]
+PYPROJECT = REPO / "pyproject.toml"
 
 
 def project_version() -> str:
@@ -53,16 +54,19 @@ def module_tree(stem: str) -> ast.Module:
     return ast.parse((PACKAGE / f"{stem}.py").read_text())
 
 
+def bound_names(node: ast.stmt) -> set[str]:
+    """Names a top-level statement binds by ``def``, ``class`` or assignment, not by import."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {target.id for target in targets if isinstance(target, ast.Name)}
+    return set()
+
+
 def defined_names(stem: str) -> set[str]:
     """Names a module binds at top level by ``def``, ``class`` or assignment, not by import."""
-    names = set()
-    for node in module_tree(stem).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(target.id for target in targets if isinstance(target, ast.Name))
-    return names
+    return set().union(*map(bound_names, module_tree(stem).body))
 
 
 def relative_imports(stem: str) -> list[tuple[str, str]]:
@@ -79,6 +83,36 @@ def relative_imports(stem: str) -> list[tuple[str, str]]:
 def test_every_name_a_submodule_exports_is_defined_there(stem):
     module = importlib.import_module(f"qpurify.{stem}")
     assert sorted(set(getattr(module, "__all__", ())) - defined_names(stem)) == []
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """Names ``node`` reads: by a load, as an attribute, or by a ``from .m import``."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom) and n.level == 1:
+            names.update(alias.name for alias in n.names)
+    return names
+
+
+def test_every_exported_name_but_a_function_is_read_in_the_package():
+    # the command guard below covers every def; a class or a constant in __all__ is public
+    # only if the package reads it somewhere other than the statement that binds it
+    stems = ["__init__", *SUBMODULES]
+    read = set()
+    for stem in stems:
+        for node in module_tree(stem).body:
+            read |= read_names(node) - bound_names(node)
+    unread = []
+    for stem in stems:
+        module = importlib.import_module("qpurify" if stem == "__init__" else f"qpurify.{stem}")
+        tree = module_tree(stem)
+        functions = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        unread += [f"{stem}.{name}" for name in getattr(module, "__all__", ()) if name not in functions | read]
+    assert unread == []
 
 
 @pytest.mark.parametrize("stem", ["__init__", *SUBMODULES])
@@ -171,3 +205,16 @@ def test_every_public_function_runs_under_a_command(tmp_path):
     ran = {tuple(entry) for entry in report["ran"]}
     idle = sorted(name for key, name in public_functions().items() if key not in ran)
     assert not idle, f"public, but run under no command: {idle}"
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # the oldest Python that requires-python admits: later grammar, such as except*, is refused
+    files = sorted(path for folder in ("src", "tests", "bench") for path in (REPO / folder).rglob("*.py"))
+    assert files
+    too_new = []
+    for path in files:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            too_new.append(f"{path.relative_to(REPO)}:{exc.lineno}: {exc.msg}")
+    assert too_new == []

@@ -13,11 +13,11 @@ from labels import PauliIndex
 import qpurify.bell as bell
 import qpurify.recurrence as recurrence
 from qpurify.bell import flag_match_weight, phi_plus_weight
+from qpurify.config import ExperimentConfig, ScanSettings
 from qpurify.errors import DegenerateRoundError, NoThresholdError
 from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, NoiseModel
 from qpurify.recurrence import (
     Regime,
-    RegimeReport,
     SubensembleState,
     classify_regime,
     find_thresholds,
@@ -26,6 +26,26 @@ from qpurify.recurrence import (
 )
 
 WERNER_085 = [0.85, 0.05, 0.05, 0.05]
+
+#: The default scan settings, read from ``config`` as ``qpurify scan`` reads them: every
+#: ``ScanSettings`` key but the Werner grid, and the configuration's ``fixpoint_tol``.
+SCAN_DEFAULTS = {
+    **{key: value for key, value in ScanSettings().as_dict().items() if key != "werner_grid"},
+    "fixpoint_tol": ExperimentConfig.from_document({"noise": {"family": "product", "f0": 0.97}}).fixpoint_tol,
+}
+
+#: The default scan settings that ``classify_regime`` takes.
+LABEL_DEFAULTS = {key: SCAN_DEFAULTS[key] for key in ("secure_tol", "purify_margin", "max_rounds", "fixpoint_tol")}
+
+
+def scan_settings(**overrides):
+    """The default scan settings, some of them replaced."""
+    return {**SCAN_DEFAULTS, **overrides}
+
+
+def label_settings(**overrides):
+    """The default settings of ``classify_regime``, some of them replaced."""
+    return {**LABEL_DEFAULTS, **overrides}
 
 
 def flagless_round(bell_probs, noise):
@@ -535,42 +555,40 @@ class TestIterate:
 
 class TestClassifyRegime:
     def test_low_noise_is_secure(self):
-        (report,) = classify_regime(
-            [NoiseModel.from_one_qubit_depolarizing(0.999)], [SubensembleState.werner(0.85)]
+        (regime,) = classify_regime(
+            [NoiseModel.from_one_qubit_depolarizing(0.999)], [SubensembleState.werner(0.85)], **LABEL_DEFAULTS
         )
-        assert report.regime == Regime.PURIFY_SECURE
+        assert regime == Regime.PURIFY_SECURE
 
     def test_high_noise_no_purification(self):
-        (report,) = classify_regime(
-            [NoiseModel.from_one_qubit_depolarizing(0.80)], [SubensembleState.werner(0.85)]
-        )
-        assert report.regime == Regime.NO_PURIFICATION
-        assert report.f_max == pytest.approx(0.25, abs=1e-6)
+        noise, initial = NoiseModel.from_one_qubit_depolarizing(0.80), SubensembleState.werner(0.85)
+        (regime,) = classify_regime([noise], [initial], **LABEL_DEFAULTS)
+        assert regime == Regime.NO_PURIFICATION
+        trajectory = iterate(initial, noise, LABEL_DEFAULTS["max_rounds"], LABEL_DEFAULTS["fixpoint_tol"])
+        assert trajectory.limiting_fidelity == pytest.approx(0.25, abs=1e-6)
 
     def test_intermediate_regime_at_08985(self):
-        (report,) = classify_regime(
-            [NoiseModel.from_one_qubit_depolarizing(0.8985)],
-            [SubensembleState.werner(0.85)],
-            max_rounds=3000,
-        )
-        assert report.regime == Regime.PURIFY_INSECURE
-        assert report.f_max > 0.5
-        assert 1.0 - report.conditional_limit > 1e-3
+        noise, initial = NoiseModel.from_one_qubit_depolarizing(0.8985), SubensembleState.werner(0.85)
+        (regime,) = classify_regime([noise], [initial], **label_settings(max_rounds=3000))
+        assert regime == Regime.PURIFY_INSECURE
+        trajectory = iterate(initial, noise, 3000, LABEL_DEFAULTS["fixpoint_tol"])
+        assert trajectory.limiting_fidelity > 0.5
+        assert 1.0 - trajectory.limiting_conditional_fidelity > 1e-3
 
     def test_degenerate_maps_to_no_purification(self):
         f = np.zeros(16)
         f[PauliIndex.X] = 1.0
-        (report,) = classify_regime(
-            [NoiseModel(f)], [SubensembleState.from_bell_probs([1, 0, 0, 0])]
-        )
-        assert report.regime == Regime.NO_PURIFICATION
-        assert report.degenerate
+        noise, initial = NoiseModel(f), SubensembleState.from_bell_probs([1, 0, 0, 0])
+        (regime,) = classify_regime([noise], [initial], **LABEL_DEFAULTS)
+        assert regime == Regime.NO_PURIFICATION
+        with pytest.raises(DegenerateRoundError):
+            iterate(initial, noise)
 
     def test_noiseless_limit_is_secure(self):
-        (report,) = classify_regime(
-            [NoiseModel.from_one_qubit_depolarizing(1.0)], [SubensembleState.werner(0.85)]
+        (regime,) = classify_regime(
+            [NoiseModel.from_one_qubit_depolarizing(1.0)], [SubensembleState.werner(0.85)], **LABEL_DEFAULTS
         )
-        assert report.regime == Regime.PURIFY_SECURE
+        assert regime == Regime.PURIFY_SECURE
 
     @pytest.mark.parametrize(
         "f0, regime",
@@ -580,33 +598,31 @@ class TestClassifyRegime:
     )
     def test_defaults_label_as_the_default_scan(self, f0, regime):
         # parameters of the default primary scan whose label takes more than 500 rounds
-        (report,) = classify_regime(
-            [NoiseModel.from_one_qubit_depolarizing(f0)], [SubensembleState.from_bell_probs(WERNER_085)]
+        (label,) = classify_regime(
+            [NoiseModel.from_one_qubit_depolarizing(f0)], [SubensembleState.from_bell_probs(WERNER_085)],
+            **LABEL_DEFAULTS,
         )
-        assert report.regime == regime
+        assert label == regime
 
 
-def serial_report(noise, initial, max_rounds, secure_tol=1e-6, purify_margin=1e-4, fixpoint_tol=1e-12):
-    """One row classified on its own: the reference loop, then the labels of ``classify_regime``.
+def serial_regime(noise, initial, *, secure_tol, purify_margin, max_rounds, fixpoint_tol):
+    """One row labelled on its own, with the settings of ``classify_regime``: the reference loop, then its labels.
 
     Built on ``reference_iterate``, not on ``iterate``, so it shares no
     loop with the batch it checks.
     """
-    f0 = phi_plus_weight(initial.p.ravel())
     try:
-        rows, _, converged = reference_iterate(initial, noise, max_rounds, fixpoint_tol)
+        rows, _, _ = reference_iterate(initial, noise, max_rounds, fixpoint_tol)
     except DegenerateRoundError:
-        return RegimeReport(Regime.NO_PURIFICATION, math.nan, math.nan, 0, False, f0, degenerate=True)
+        return Regime.NO_PURIFICATION
     last = SubensembleState(rows[-1])
     f_max, cond_limit = phi_plus_weight(last.p.ravel()), flag_match_weight(last.p.ravel())
     purifies = f_max > 0.25 + purify_margin
     if purifies and 1.0 - cond_limit < secure_tol:
-        regime = Regime.PURIFY_SECURE
-    elif purifies:
-        regime = Regime.PURIFY_INSECURE
-    else:
-        regime = Regime.NO_PURIFICATION
-    return RegimeReport(regime, f_max, cond_limit, len(rows) - 1, converged, f0)
+        return Regime.PURIFY_SECURE
+    if purifies:
+        return Regime.PURIFY_INSECURE
+    return Regime.NO_PURIFICATION
 
 
 def x_flip_noise():
@@ -638,38 +654,21 @@ class TestBatchedClassification:
     def test_batch_matches_each_row_classified_alone(self, max_rounds):
         initials = [initial for _, initial in BATCH_ROWS]
         noises = [noise for noise, _ in BATCH_ROWS]
-        batch = classify_regime(noises, initials, 1e-6, 1e-4, max_rounds, 1e-12)
-        expected = [serial_report(noise, initial, max_rounds) for noise, initial in BATCH_ROWS]
-
-        def labels(report):
-            return (report.regime, report.rounds, report.converged, report.degenerate,
-                    report.initial_fidelity)
-
-        def limits(reports):
-            return np.array([(r.f_max, r.conditional_limit) for r in reports])
-
-        assert [labels(r) for r in batch] == [labels(r) for r in expected]
-        # NaN on the degenerate row, on both sides
-        np.testing.assert_allclose(limits(batch), limits(expected), rtol=0, atol=1e-12)
+        settings = label_settings(max_rounds=max_rounds, fixpoint_tol=1e-12)
+        batch = classify_regime(noises, initials, **settings)
+        expected = [serial_regime(noise, initial, **settings) for noise, initial in BATCH_ROWS]
         alone = [
-            classify_regime(noises[k:k + 1], initials[k:k + 1], 1e-6, 1e-4, max_rounds, 1e-12)[0]
-            for k in range(len(BATCH_ROWS))
+            classify_regime(noises[k:k + 1], initials[k:k + 1], **settings)[0] for k in range(len(BATCH_ROWS))
         ]
-
-        def fields(report):
-            # repr compares floats bit for bit and NaN equal to NaN
-            return (report.regime, repr(report.f_max), repr(report.conditional_limit), report.rounds,
-                    report.converged, report.degenerate, repr(report.initial_fidelity))
-
-        assert [fields(r) for r in batch] == [fields(r) for r in alone]
+        assert batch == expected == alone
         if max_rounds == 400:
-            assert [(r.regime, r.rounds, r.converged, r.degenerate) for r in batch] == [
-                (Regime.PURIFY_SECURE, 24, True, False),
-                (Regime.NO_PURIFICATION, 0, False, True),
-                (Regime.PURIFY_INSECURE, 400, False, False),
-                (Regime.NO_PURIFICATION, 35, True, False),
-                (Regime.PURIFY_SECURE, 1, True, False),
-                (Regime.PURIFY_INSECURE, 41, True, False),
+            assert batch == [
+                Regime.PURIFY_SECURE,
+                Regime.NO_PURIFICATION,
+                Regime.PURIFY_INSECURE,
+                Regime.NO_PURIFICATION,
+                Regime.PURIFY_SECURE,
+                Regime.PURIFY_INSECURE,
             ]
 
     @pytest.mark.parametrize(
@@ -686,10 +685,11 @@ class TestBatchedClassification:
         # F = F_cond = 0.75 and every sum is exact; with no round the input is the final row
         initial = SubensembleState.from_bell_probs([0.75, 0.25, 0, 0])
         noise = NoiseModel.from_one_qubit_depolarizing(1.0)
-        (report,) = classify_regime([noise], [initial], secure_tol, purify_margin, 0, 1e-12)
-        expected = serial_report(noise, initial, 0, secure_tol, purify_margin)
-        assert report.regime == expected.regime == regime
-        assert (report.f_max, report.conditional_limit) == (0.75, 0.75)
+        settings = label_settings(secure_tol=secure_tol, purify_margin=purify_margin, max_rounds=0)
+        (label,) = classify_regime([noise], [initial], **settings)
+        assert label == serial_regime(noise, initial, **settings) == regime
+        row = initial.p.ravel()
+        assert (phi_plus_weight(row), flag_match_weight(row)) == (0.75, 0.75)
 
     def test_non_finite_rows_fail_at_the_first_check_block(self, monkeypatch):
         rounds = []
@@ -697,7 +697,8 @@ class TestBatchedClassification:
         nan_tables(monkeypatch)
         initials = [SubensembleState.werner(0.85)] * 2
         with pytest.raises(ValueError, match="NaN"):
-            classify_regime([NoiseModel.from_one_qubit_depolarizing(1.0)] * 2, initials, 1e-6, 1e-4, 10_000, 1e-12)
+            classify_regime([NoiseModel.from_one_qubit_depolarizing(1.0)] * 2, initials,
+                            **label_settings(max_rounds=10_000, fixpoint_tol=1e-12))
         assert rounds == [2] * recurrence._CHECK_EVERY
 
     def test_shared_midpoints_are_classified_once(self, monkeypatch):
@@ -709,16 +710,16 @@ class TestBatchedClassification:
             built.append(x)
             return NoiseModel.from_one_qubit_depolarizing(x)
 
-        def counting(noises, initials, *args):
+        def counting(noises, initials, **settings):
             assert len(initials) == len(built)
             batches.append(built[:])
             built.clear()
-            return real(noises, initials, *args)
+            return real(noises, initials, **settings)
 
         monkeypatch.setattr(recurrence, "classify_regime", counting)
         lo, hi = 0.895, 0.905
-        (scan,) = find_thresholds(family, [SubensembleState.werner(0.85)], lo=lo, hi=hi, bisect_tol=1e-3,
-                                  max_rounds=500)
+        (scan,) = find_thresholds(family, [SubensembleState.werner(0.85)],
+                                  **scan_settings(lo=lo, hi=hi, bisect_tol=1e-3, max_rounds=500))
         classified = [x for batch in batches for x in batch]
         evaluated = {x for x, _ in scan.evaluations}
         # both bisections read the midpoints they share off the table, so the evaluations
@@ -758,19 +759,30 @@ def blocked_lockstep(states, tables, gathers, max_rounds, tol=1e-12):
     rows = [[np.empty((0, 16))] for _ in states]
     keeps = [[np.empty(0)] for _ in states]
     stops = [None] * len(states)
+    start = 0  # the rounds every row of a block ran before it
     for block in recurrence._lockstep(states, tables, gathers, max_rounds, tol):
         for j, k in enumerate(block.live.tolist()):
             ran = block.ran[j]
             rows[k].append(block.new[:ran, j].copy())
             keeps[k].append(block.keeps[:ran, j].copy())
             if block.stopped[j]:
-                stops[k] = (block.start + int(ran), bool(block.converged[j]), bool(block.degenerate[j]))
+                stops[k] = (start + int(ran), bool(block.converged[j]), bool(block.degenerate[j]))
+        start += len(block.new)
     return [(np.concatenate(r), np.concatenate(kp), stop) for r, kp, stop in zip(rows, keeps, stops)]
+
+
+#: Where each of BATCH_ROWS stops, as ``(rounds, converged, degenerate)``, at two caps.
+BATCH_STOPS = {
+    400: [(24, True, False), (1, False, True), (400, False, False),
+          (35, True, False), (1, True, False), (41, True, False)],
+    3000: [(24, True, False), (1, False, True), (2409, True, False),
+           (35, True, False), (1, True, False), (41, True, False)],
+}
 
 
 class TestBlockedLockstep:
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("max_rounds", [0, 1, 63, 64, 65, 130, 3000])
+    @pytest.mark.parametrize("max_rounds", [0, 1, 63, 64, 65, 130, 400, 3000])
     def test_blocks_match_a_per_round_loop(self, max_rounds):
         # BATCH_ROWS stop mid-block (24, 35 and 41 rounds), degenerate in round 1,
         # converged in round 1, and at the cap
@@ -784,11 +796,8 @@ class TestBlockedLockstep:
             assert np.array_equal(rows, expected_rows)
             assert np.array_equal(keeps, expected_keeps)
             assert stop == expected_stop
-        if max_rounds == 3000:
-            assert [stop for _, _, stop in blocked] == [
-                (24, True, False), (1, False, True), (2409, True, False),
-                (35, True, False), (1, True, False), (41, True, False),
-            ]
+        if max_rounds in BATCH_STOPS:
+            assert [stop for _, _, stop in blocked] == BATCH_STOPS[max_rounds]
 
     def test_rows_before_a_degenerate_round_are_validated(self):
         # from pure category 0 this table keeps a third, from events 5 and 7, and round 1
@@ -887,11 +896,11 @@ class TestTwoLevelScan:
         ids=["default-grid", "uniform-bcnot", "odd-levels", "tol-above-range", "duplicate-initials"],
     )
     def test_scan_matches_serial_bisection(self, family, initials, settings):
-        settings = {"lo": 0.88, "hi": 0.92, **settings}
+        settings = scan_settings(**settings)
         scans = find_thresholds(family, initials, **settings)
         bisection = {key: settings.pop(key) for key in ("lo", "hi", "bisect_tol")}
         assert [scan.as_dict() for scan in scans] == [
-            serial_scan(lambda x: classify_regime([family(x)], [initial], **settings)[0].regime, **bisection)
+            serial_scan(lambda x: classify_regime([family(x)], [initial], **settings)[0], **bisection)
             for initial in initials
         ]
 
@@ -899,13 +908,13 @@ class TestTwoLevelScan:
         rows = []
         real = recurrence.classify_regime
 
-        def counting(noises, initials, *args):
+        def counting(noises, initials, **settings):
             rows.append(len(initials))
-            return real(noises, initials, *args)
+            return real(noises, initials, **settings)
 
         monkeypatch.setattr(recurrence, "classify_regime", counting)
         (scan,) = find_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS[:1],
-                                  bisect_tol=6e-3, max_rounds=500)
+                                  **scan_settings(bisect_tol=6e-3, max_rounds=500))
         # each bisection reads three levels: after the ends, one batch of two levels, then
         # the one midpoint below each bracket still open
         assert len(scan.evaluations) == 2 + 3 + 3
@@ -920,13 +929,13 @@ class TestTwoLevelScan:
             params.append(x)
             return NoiseModel.from_one_qubit_depolarizing(x)
 
-        def recording(noises, initials, *args):
+        def recording(noises, initials, **settings):
             batches.append((len(initials), len(noises), len(set(params))))
             params.clear()
-            return real_rows(noises, initials, *args)
+            return real_rows(noises, initials, **settings)
 
         monkeypatch.setattr(recurrence, "classify_regime", recording)
-        find_thresholds(family, DEFAULT_SCAN_INITIALS)
+        find_thresholds(family, DEFAULT_SCAN_INITIALS, **SCAN_DEFAULTS)
         for rows, noises, _ in batches:
             assert noises == rows
         # the ends and the first midpoints are shared by all four initial states
@@ -938,7 +947,7 @@ class TestTwoLevelScan:
         # 0.76 MB, nearly all of it block buffers; a block-sized temporary for the changes
         # or the clipped rows would make it about 0.93 MB
         def scan():
-            return find_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS)
+            return find_thresholds(NoiseModel.from_one_qubit_depolarizing, DEFAULT_SCAN_INITIALS, **SCAN_DEFAULTS)
 
         scan()
         tracemalloc.start()
@@ -978,17 +987,17 @@ class TestRegimeTable:
         owner = {initial.p.tobytes(): k for k, initial in enumerate(initials)}
         classified = []
 
-        def labelled(noises, states, *args):
-            reports = []
+        def labelled(noises, states, **settings):
+            labels = []
             for state, x in zip(states, noises):
                 k = owner[state.p.tobytes()]
                 classified.append((k, x))
-                reports.append(RegimeReport(regimes[k](x), math.nan, math.nan, 0, True, 0.0))
-            return reports
+                labels.append(regimes[k](x))
+            return labels
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrence, "classify_regime", labelled)
-            scans = find_thresholds(lambda x: x, initials, bisect_tol=bisect_tol)
+            scans = find_thresholds(lambda x: x, initials, **scan_settings(bisect_tol=bisect_tol))
         assert len(classified) == len(set(classified))
         assert [scan.as_dict() for scan in scans] == [
             serial_scan(regime, 0.88, 0.92, bisect_tol) for regime in regimes
@@ -1000,10 +1009,7 @@ class TestThresholds:
         (scan,) = find_thresholds(
             NoiseModel.from_one_qubit_depolarizing,
             [SubensembleState.werner(0.85)],
-            lo=0.895,
-            hi=0.905,
-            bisect_tol=1e-5,
-            max_rounds=3000,
+            **scan_settings(lo=0.895, hi=0.905, bisect_tol=1e-5, max_rounds=3000),
         )
         assert scan.f_purify == pytest.approx(0.8983, abs=5e-4)
         assert scan.f_secure == pytest.approx(0.8988, abs=5e-4)
@@ -1017,8 +1023,7 @@ class TestThresholds:
         (scan,) = find_thresholds(
             NoiseModel.from_one_qubit_depolarizing,
             [SubensembleState.werner(0.85)],
-            bisect_tol=1e-5,
-            max_rounds=3000,
+            **scan_settings(bisect_tol=1e-5, max_rounds=3000),
         )
         assert scan.f_purify == pytest.approx(0.8983056640624999, abs=1e-5)
         assert scan.f_secure == pytest.approx(0.8987451171874999, abs=1e-5)
@@ -1028,8 +1033,7 @@ class TestThresholds:
         (scan,) = find_thresholds(
             NoiseModel.from_one_qubit_depolarizing,
             [SubensembleState.werner(0.85)],
-            lo=0.99,
-            hi=1.0,
+            **scan_settings(lo=0.99, hi=1.0),
         )
         with pytest.raises(NoThresholdError):
             scan.require_found()
@@ -1038,10 +1042,7 @@ class TestThresholds:
         (scan,) = find_thresholds(
             NoiseModel.from_uniform_residual,
             [SubensembleState.werner(0.85)],
-            lo=0.82,
-            hi=0.92,
-            bisect_tol=1e-4,
-            max_rounds=2000,
+            **scan_settings(lo=0.82, hi=0.92, bisect_tol=1e-4, max_rounds=2000),
         )
         assert scan.f_purify is not None and scan.f_secure is not None
         assert scan.f_purify <= scan.f_secure
@@ -1050,10 +1051,7 @@ class TestThresholds:
         scans = find_thresholds(
             NoiseModel.from_one_qubit_depolarizing,
             [SubensembleState.werner(0.85), SubensembleState.werner(0.95)],
-            lo=0.895,
-            hi=0.905,
-            bisect_tol=1e-4,
-            max_rounds=2000,
+            **scan_settings(lo=0.895, hi=0.905, bisect_tol=1e-4, max_rounds=2000),
         )
         assert len(scans) == 2
         for scan in scans:
@@ -1065,8 +1063,7 @@ class TestThresholds:
             find_thresholds(
                 NoiseModel.from_one_qubit_depolarizing,
                 [SubensembleState.werner(0.85)],
-                lo=0.9,
-                hi=0.9,
+                **scan_settings(lo=0.9, hi=0.9),
             )
 
     @pytest.mark.parametrize("bisect_tol", [0.0, -1.0, float("nan")])
@@ -1081,5 +1078,5 @@ class TestThresholds:
             find_thresholds(
                 NoiseModel.from_one_qubit_depolarizing,
                 [SubensembleState.werner(0.85)],
-                bisect_tol=bisect_tol,
+                **scan_settings(bisect_tol=bisect_tol),
             )
