@@ -13,14 +13,19 @@ Bell states are indexed by two bits packed into one integer,
 Every operation the protocol uses (local Pauli errors, the bilateral
 half-x rotation, the bilateral CNOT, the target measurement) maps Bell
 states onto Bell states up to a global phase, so the hot-path arithmetic
-happens on these 2-bit labels.  This module is the one home of every
-label-level table: the label maps, the label shift of each Pauli
-(:data:`PAULI_LABEL_SHIFT`), which every round reads through
-:func:`event_category_permutation`, the two factors of a round and the
-event cell table composed from them with the flag table of
-:mod:`qpurify.flags` (:func:`event_cell_table`), and the
+happens on these 2-bit labels.  This module holds each label map once,
+as a read-only uint8 table: the label shift of each Pauli
+(:data:`PAULI_LABEL_SHIFT`), the bilateral rotation
+(:data:`ROTATION_MAP`) and the bilateral CNOT (:data:`BCNOT_MAP`).  It
+also holds the two factors of a round composed from them, the event cell
+table composed from the factors (:func:`event_cell_table`), and the
 readers of a row of cells packed ``flag * 4 + bell``
-(:func:`phi_plus_weight`, :func:`flag_match_weight`).
+(:func:`phi_plus_weight`, :func:`flag_match_weight`).  The flag
+combination table is the one table here that is not a label map: it is
+the normative bookkeeping rule, which the oracle re-derives but does not
+referee as a map of Bell states, so it lives with the flags in
+:mod:`qpurify.flags` (where the benchmark's gate tests import it from),
+and this module reads it to build the pair cell table.
 
 A round factors through its noise event.  Each Pauli of an event acts on
 one pair alone: it shifts that pair's Bell label and records the same
@@ -39,14 +44,13 @@ through the composed table; the exact engine in
 so that a noise model enters a round as its 4x4 table alone.
 
 The dense matrices that ground these maps (Pauli matrices, Bell vectors)
-live in :mod:`qpurify.oracle`, which re-derives every label table from
-them; the conformance checks and the test suite cross-check the two
-routes exhaustively.
+live in :mod:`qpurify.oracle`, which reads every label table back off
+the operators its dense round applies; the conformance checks and the
+test suite cross-check the two routes exhaustively.
 """
 
 from __future__ import annotations
 
-from enum import IntEnum
 from functools import lru_cache
 
 import numpy as np
@@ -55,11 +59,9 @@ from .flags import FLAG_UPDATE_TABLE
 from .noise import BEFORE_ROTATION, check_placement
 
 __all__ = [
-    "BellLabel",
     "PAULI_LABEL_SHIFT",
-    "rotation_step3",
-    "bcnot_map",
-    "measurement_coincides",
+    "ROTATION_MAP",
+    "BCNOT_MAP",
     "DISCARDED",
     "event_category_permutation",
     "pair_cell_table",
@@ -69,13 +71,9 @@ __all__ = [
 ]
 
 
-class BellLabel(IntEnum):
-    """One of the four Bell states, packed as ``(phase << 1) | amplitude``."""
-
-    PHI_PLUS = 0b00
-    PSI_PLUS = 0b01
-    PHI_MINUS = 0b10
-    PSI_MINUS = 0b11
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 #: Packed label shift induced by sigma_p on one qubit of a pair, indexed by
@@ -83,51 +81,31 @@ class BellLabel(IntEnum):
 #: z flips the phase bit, y flips both.  The shift is the same whichever
 #: side the Pauli acts on, and sigma_mu on one qubit with sigma_nu on the
 #: other shifts by ``PAULI_LABEL_SHIFT[mu] ^ PAULI_LABEL_SHIFT[nu]``.
-PAULI_LABEL_SHIFT = (0b00, 0b01, 0b11, 0b10)
+PAULI_LABEL_SHIFT = _read_only(np.array([0b00, 0b01, 0b11, 0b10], dtype=np.uint8))
 
+#: Label after the bilateral half-x rotation, ``(1 - i sigma_x)/sqrt2`` on one
+#: side and its conjugate on the other: the amplitude bit flips iff the phase
+#: bit is set, so Phi+ and Psi+ stay and Phi- and Psi- swap.  An involution.
+ROTATION_MAP = _read_only(np.array([0b00, 0b01, 0b11, 0b10], dtype=np.uint8))
 
-def rotation_step3(label: BellLabel | int) -> BellLabel:
-    """Relabeling induced by the bilateral half-x rotation.
-
-    One party applies ``(1 - i sigma_x)/sqrt2``, the other the conjugate
-    ``(1 + i sigma_x)/sqrt2``.  On labels this fixes Phi+ and Psi+ and
-    exchanges Phi- with Psi-, i.e. it flips the amplitude bit iff the
-    phase bit is set.  An involution.
-    """
-    return BellLabel(label ^ ((label >> 1) & 1))
-
-
-def bcnot_map(
-    source: BellLabel | int, target: BellLabel | int
-) -> tuple[BellLabel, BellLabel]:
-    """Bell labels of (source, target) after the bilateral CNOT.
-
-    Phase bits propagate target-to-source, amplitude bits
-    source-to-target; the map is a bijection on label pairs.
-    """
-    return (
-        BellLabel(source ^ (target & 0b10)),
-        BellLabel(target ^ (source & 0b01)),
+#: Labels after the bilateral CNOT, ``BCNOT_MAP[source, target]`` packed
+#: ``source' * 4 + target'``: the target's phase bit is XORed into the source,
+#: the source's amplitude bit into the target.  A bijection on label pairs.
+BCNOT_MAP = _read_only(
+    np.array(
+        [
+            [0b0000, 0b0001, 0b1010, 0b1011],
+            [0b0101, 0b0100, 0b1111, 0b1110],
+            [0b1000, 0b1001, 0b0010, 0b0011],
+            [0b1101, 0b1100, 0b0111, 0b0110],
+        ],
+        dtype=np.uint8,
     )
-
-
-def measurement_coincides(target: BellLabel | int) -> bool:
-    """True iff z measurements on both halves of the target pair agree.
-
-    Phi-type labels (amplitude bit 0) are supported on |00> and |11>,
-    so both sides read the same bit; the sign never matters.
-    """
-    return (target & 0b01) == 0
-
+)
 
 #: Cell index of a discarded pair of pairs in :func:`pair_cell_table` and
 #: :func:`event_cell_table`.
 DISCARDED = 16
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.setflags(write=False)
-    return table
 
 
 @lru_cache(maxsize=None)
@@ -144,14 +122,13 @@ def event_category_permutation(placement: str) -> np.ndarray:
     read-only uint8.
     """
     check_placement(placement)
-    rotated = np.array([rotation_step3(b) for b in range(4)], dtype=np.uint8)
-    shift = np.array(PAULI_LABEL_SHIFT, dtype=np.uint8)[:, None]
+    shift = PAULI_LABEL_SHIFT[:, None]
     category = np.arange(16, dtype=np.uint8)
     flag, bell = category >> 2, category & 3
     if placement == BEFORE_ROTATION:
-        bell = rotated[bell ^ shift]
+        bell = ROTATION_MAP[bell ^ shift]
     else:
-        bell = rotated[bell] ^ shift
+        bell = ROTATION_MAP[bell] ^ shift
     return _read_only((flag ^ shift) << 2 | bell)
 
 
@@ -164,15 +141,13 @@ def pair_cell_table() -> np.ndarray:
     not coincide; the kept control pair's flag is
     ``FLAG_UPDATE_TABLE[control flag, target flag]``.  Read-only uint8.
     """
-    labels = range(4)
-    after_bcnot = [[bcnot_map(b1, b2) for b2 in labels] for b1 in labels]
-    source = np.array([[s for s, _ in row] for row in after_bcnot], dtype=np.uint8)
-    kept = np.array([[measurement_coincides(t) for _, t in row] for row in after_bcnot])
     category = np.arange(16, dtype=np.uint8)
-    flag1, bell1 = category[:, None] >> 2, category[:, None] & 3
-    flag2, bell2 = category[None, :] >> 2, category[None, :] & 3
-    cell = FLAG_UPDATE_TABLE[flag1, flag2] * 4 + source[bell1, bell2]
-    return _read_only(np.where(kept[bell1, bell2], cell, DISCARDED).astype(np.uint8))
+    flag1, flag2 = category[:, None] >> 2, category[None, :] >> 2
+    after_bcnot = BCNOT_MAP[category[:, None] & 3, category[None, :] & 3]
+    # z measurements on both halves of the target agree iff its amplitude bit is 0
+    kept = (after_bcnot & 1) == 0
+    cell = FLAG_UPDATE_TABLE[flag1, flag2] * 4 + (after_bcnot >> 2)
+    return _read_only(np.where(kept, cell, DISCARDED).astype(np.uint8))
 
 
 @lru_cache(maxsize=None)

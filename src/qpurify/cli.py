@@ -22,7 +22,9 @@ that fails, in its work or in a write, removes the files and directories
 it created, so a fresh ``--out`` is left absent.
 
 A trajectory file holds the rows of a :class:`~qpurify.recurrence.Trajectory`
-or :class:`~qpurify.montecarlo.McTrajectory` under that type's ``columns``.
+or :class:`~qpurify.montecarlo.McTrajectory` under that type's ``columns``;
+JSON has no NaN, so ``trajectory.json`` writes the fidelities of a round
+that leaves no pair as ``null`` where the CSV writes ``nan``.
 Every data file embeds the full effective configuration (defaults made
 explicit); with ``--deterministic`` the timestamp is suppressed so
 identical (config, seed) runs produce byte-identical files.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -55,7 +58,8 @@ def _csv(columns: Sequence[str], rows: list, config: ExperimentConfig) -> str:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # RFC 8259 has no NaN or Infinity, so a non-finite number raises rather than writing invalid JSON
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _trajectory_file(trajectory, config: ExperimentConfig, fmt: str) -> dict[str, str]:
@@ -63,6 +67,7 @@ def _trajectory_file(trajectory, config: ExperimentConfig, fmt: str) -> dict[str
     columns, rows = trajectory.columns, trajectory.rows()
     if fmt == "csv":
         return {"trajectory.csv": _csv(columns, rows, config)}
+    rows = [[None if math.isnan(value) else value for value in row] for row in rows]  # NaN is null
     return {"trajectory.json": _json({"config": config.effective(), "columns": columns, "rows": rows})}
 
 

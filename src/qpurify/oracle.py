@@ -6,11 +6,16 @@ package: the Pauli matrices (:data:`PAULIS`), the Bell vectors
 (:data:`BELL_VECTORS`) and the reading of a matrix in the Bell basis
 (:func:`bell_diagonal_overlaps`, :func:`bell_offdiagonal_max`).  The
 dense operators are module constants, built and checked once at
-import: the three protocol unitaries, the sixteen noise Kraus operators,
-the coinciding-measurement projector and the two-pair Bell basis, whose
-row ``c*4 + t`` is |B_c, B_t>.  Every Bell-label table is read back from
-these operators through one relabeling, :func:`_relabeling`, and one
-full noisy purification round is executed on density matrices with the
+import: the round's two 16x16 unitaries (the bilateral rotation and the
+bilateral CNOT on both pairs), its sixteen noise Kraus operators, the
+coinciding-measurement projector and the two-pair Bell basis, whose row
+``c*4 + t`` is |B_c, B_t>.  Every Bell-label table is read off the
+operators the round applies, through one relabeling on that basis,
+:func:`_relabeling`: the rotation and the Pauli shifts from their action
+on the control pair, the BCNOT as a packed ``source' * 4 + target'``
+table, and the flag table from the BCNOT after the rotation.  So a wrong
+operator in the round fails the table check that reads it.  One full
+noisy purification round is executed on density matrices with the
 error flags carried as classical side labels; its sixteen kept branches
 are read in the Bell basis in one pass, as one ``(4, 4, 4, 4)`` stack.
 The label-based engine in :mod:`qpurify.recurrence` must agree with this
@@ -29,11 +34,12 @@ every entry of K B K^dagger has one nonzero term and a phase of +-1 or
 The oracle stays an independent referee.  The dense round records a
 noise event on the flags by the one-sided Pauli shift the oracle derives
 itself, and reads neither the event cell table
-(:func:`qpurify.bell.event_cell_table`) nor the label maps and Pauli
-label shifts of :mod:`qpurify.bell` it is composed from; those tables
-are what the conformance checks compare against, and the only names
-this module takes from :mod:`qpurify.bell`.  The round shares only the
-normative flag table, ``FLAG_UPDATE_TABLE``.
+(:func:`qpurify.bell.event_cell_table`) nor the label tables of
+:mod:`qpurify.bell` it is composed from (``ROTATION_MAP``,
+``BCNOT_MAP``, ``PAULI_LABEL_SHIFT``); those tables are what the
+conformance checks compare, packed table to packed table, and the only
+names this module takes from :mod:`qpurify.bell`.  The round shares
+only the normative flag table, ``FLAG_UPDATE_TABLE``.
 
 Qubit ordering on the two-pair space is fixed once and used everywhere:
 (alice_control, alice_target, bob_control, bob_target).  The control
@@ -48,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bell import PAULI_LABEL_SHIFT, bcnot_map, rotation_step3
+from .bell import BCNOT_MAP, PAULI_LABEL_SHIFT, ROTATION_MAP
 from .errors import DegenerateRoundError
 from .flags import FLAG_UPDATE_TABLE
 from .noise import BEFORE_ROTATION, PLACEMENTS, NoiseModel
@@ -132,10 +138,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-#: ``rotation_pair`` (4x4, one pair), ``rotation`` (16x16, both pairs) and
-#: ``bcnot`` (16x16).
+#: The two unitaries of a round on both pairs, 16x16: ``rotation`` and ``bcnot``.
 _UNITARIES = {
-    "rotation_pair": np.kron(_HALF_X_MINUS, _HALF_X_PLUS),
     "rotation": _kron(_HALF_X_MINUS, _HALF_X_MINUS, _HALF_X_PLUS, _HALF_X_PLUS),
     "bcnot": np.kron(_CNOT, _CNOT),
 }
@@ -187,55 +191,52 @@ _TWO_PAIR_BASIS = _read_only(
 )
 
 
-def _relabeling(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Index of the basis projector that ``u`` conjugates each basis vector onto.
+def _relabeling(u: np.ndarray) -> np.ndarray:
+    """Label pair ``c*4 + t`` that ``u`` conjugates each |B_c, B_t> onto.
 
-    ``overlaps[image, source]`` is ``|<image| u |source>|^2``; raises
-    AssertionError unless every image is exactly one basis projector.
+    ``overlaps[image, source]`` is ``|<image| u |source>|^2`` on
+    :data:`_TWO_PAIR_BASIS`; raises AssertionError unless every image is
+    exactly one basis projector.
     """
-    overlaps = np.abs(basis.conj() @ u @ basis.T) ** 2
+    overlaps = np.abs(_TWO_PAIR_BASIS.conj() @ u @ _TWO_PAIR_BASIS.T) ** 2
     images = np.argmax(overlaps, axis=0)
-    if np.max(np.abs(overlaps[images, np.arange(len(basis))] - 1.0)) > ATOL:
+    if np.max(np.abs(overlaps[images, np.arange(16)] - 1.0)) > ATOL:
         raise AssertionError("a conjugated basis projector is not a basis projector")
     return images.astype(np.uint8)
 
 
 def derive_rotation_table() -> np.ndarray:
-    """Relabeling of the bilateral half-x rotation, by dense conjugation."""
-    return _relabeling(_UNITARIES["rotation_pair"], BELL_VECTORS)
+    """Label map of the bilateral half-x rotation, read off the round's rotation on the control pair."""
+    return _relabeling(_UNITARIES["rotation"])[::4] >> 2
 
 
 def derive_pauli_shift_table() -> np.ndarray:
-    """Label map of sigma_p conjugation on the first qubit of a pair, by dense conjugation.
+    """Label map of sigma_p on the first qubit of a pair, read off the round's noise Kraus operators.
 
-    Returns ``table[label, p]``, the relabeling of sigma_p x I.
+    Returns ``table[label, p]``: the control pair's label under event
+    ``p * 4``, sigma_p on the noisy lab's control qubit alone.
     """
-    return np.stack([_relabeling(np.kron(PAULIS[p], PAULIS[0]), BELL_VECTORS) for p in range(4)], axis=1)
+    return np.stack([_relabeling(kraus)[::4] >> 2 for kraus in _NOISE_KRAUS[::4]], axis=1)
 
 
 def derive_bcnot_table() -> np.ndarray:
-    """Label-pair map of the bilateral CNOT, by 16-dim conjugation.
-
-    Returns ``table[source, target] = (source', target')``.
-    """
-    images = _relabeling(_UNITARIES["bcnot"], _TWO_PAIR_BASIS)
-    return np.stack([images >> 2, images & 3], axis=-1).reshape(4, 4, 2)
+    """Label-pair map of the round's bilateral CNOT, ``table[source, target]`` packed ``source' * 4 + target'``."""
+    return _relabeling(_UNITARIES["bcnot"]).reshape(4, 4)
 
 
 def derive_flag_update_table() -> np.ndarray:
     """Re-derive the flag combination table from the label algebra.
 
     Treat the two flags as if they were the true Bell labels of the two
-    pairs and run a noiseless round on them: combinations consistent
-    with keeping the control pair propagate its post-round label, the
-    others (where the measurement would have said discard) reset to
-    (00).  Reproducing the normative table this way guards against a
-    silently transposed row/column convention.
+    pairs and run a noiseless round on them, the round's BCNOT after its
+    rotation: combinations consistent with keeping the control pair
+    propagate its post-round label, the others (where the measurement
+    would have said discard) reset to (00).  Reproducing the normative
+    table this way guards against a silently transposed row/column
+    convention.
     """
-    rotation = derive_rotation_table()
-    pairs = derive_bcnot_table()[rotation[:, None], rotation[None, :]]
-    src, tgt = pairs[..., 0], pairs[..., 1]
-    return np.where((tgt & 1) == 0, src, 0).astype(np.uint8)
+    pairs = _relabeling(_UNITARIES["bcnot"] @ _UNITARIES["rotation"]).reshape(4, 4)
+    return np.where((pairs & 1) == 0, pairs >> 2, 0).astype(np.uint8)
 
 
 #: Flag shift of sigma_p on one qubit of a pair: the derived Pauli shift
@@ -384,7 +385,7 @@ def run_conformance_checks(
     _compare(
         report,
         "rotation relabeling vs dense conjugation",
-        [rotation_step3(b) for b in range(4)],
+        ROTATION_MAP,
         derive_rotation_table(),
         lambda b, table, oracle: f"label {b}: table {table}, oracle {oracle}",
     )
@@ -399,18 +400,16 @@ def run_conformance_checks(
         ),
     )
 
-    # label pairs packed as source*4 + target
-    shipped_bcnot = np.array([[bcnot_map(s, t) for t in range(4)] for s in range(4)]) @ [4, 1]
     _compare(
         report,
         "BCNOT label map vs dense conjugation",
-        shipped_bcnot,
-        derive_bcnot_table() @ [4, 1],
+        BCNOT_MAP,
+        derive_bcnot_table(),
         lambda s, t, table, oracle: (
             f"(source {s}, target {t}): table {divmod(table, 4)}, oracle {divmod(oracle, 4)}"
         ),
     )
-    distinct = len(set(shipped_bcnot.flat))
+    distinct = len(set(BCNOT_MAP.flat))
     report.add(
         "BCNOT label map is a bijection",
         distinct == 16,

@@ -1,6 +1,15 @@
-"""Named indices for the tests: the Pauli order and the packed error flags."""
+"""Named indices for the tests: the packed Bell labels, the Pauli order and the packed error flags."""
 
 from enum import IntEnum
+
+
+class BellLabel(IntEnum):
+    """One of the four Bell states, packed as ``(phase << 1) | amplitude``."""
+
+    PHI_PLUS = 0b00
+    PSI_PLUS = 0b01
+    PHI_MINUS = 0b10
+    PSI_MINUS = 0b11
 
 
 class PauliIndex(IntEnum):

@@ -6,19 +6,17 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from labels import PauliIndex
+from labels import BellLabel, PauliIndex
 from projectors import bell_projector
 
 from qpurify.bell import (
+    BCNOT_MAP,
     DISCARDED,
     PAULI_LABEL_SHIFT,
-    BellLabel,
-    bcnot_map,
+    ROTATION_MAP,
     event_category_permutation,
     event_cell_table,
-    measurement_coincides,
     pair_cell_table,
-    rotation_step3,
 )
 from qpurify.flags import FLAG_UPDATE_TABLE
 from qpurify.noise import BEFORE_ROTATION, PLACEMENTS
@@ -94,19 +92,19 @@ class TestTwoSidedPauli:
 
 class TestRotation:
     def test_fixes_phi_plus_and_psi_plus(self):
-        assert rotation_step3(PHI_PLUS) == PHI_PLUS
-        assert rotation_step3(PSI_PLUS) == PSI_PLUS
+        assert ROTATION_MAP[PHI_PLUS] == PHI_PLUS
+        assert ROTATION_MAP[PSI_PLUS] == PSI_PLUS
 
     def test_exchanges_minus_states(self):
-        assert rotation_step3(PHI_MINUS) == PSI_MINUS
-        assert rotation_step3(PSI_MINUS) == PHI_MINUS
+        assert ROTATION_MAP[PHI_MINUS] == PSI_MINUS
+        assert ROTATION_MAP[PSI_MINUS] == PHI_MINUS
 
     def test_involution(self):
         for label in BellLabel:
-            assert rotation_step3(rotation_step3(label)) == label
+            assert ROTATION_MAP[ROTATION_MAP[label]] == label
             out = label
             for _ in range(4):
-                out = rotation_step3(out)
+                out = ROTATION_MAP[out]
             assert out == label
 
     @pytest.mark.parametrize("label", list(BellLabel))
@@ -114,7 +112,7 @@ class TestRotation:
         half_x_minus = (PAULIS[0] - 1j * PAULIS[1]) / np.sqrt(2)
         half_x_plus = (PAULIS[0] + 1j * PAULIS[1]) / np.sqrt(2)
         op = np.kron(half_x_minus, half_x_plus)
-        assert dense_conjugate_label(label, op) == rotation_step3(label)
+        assert dense_conjugate_label(label, op) == ROTATION_MAP[label]
 
 
 class TestBcnot:
@@ -127,29 +125,40 @@ class TestBcnot:
         ],
     )
     def test_examples(self, source, target, expected):
-        assert bcnot_map(source, target) == expected
+        assert divmod(int(BCNOT_MAP[source, target]), 4) == expected
 
     def test_bit_structure(self):
         for source in BellLabel:
             for target in BellLabel:
                 (phase1, amplitude1), (phase2, amplitude2) = bits(source), bits(target)
-                out_source, out_target = map(bits, bcnot_map(source, target))
+                out_source, out_target = map(bits, divmod(int(BCNOT_MAP[source, target]), 4))
                 assert out_source == (phase1 ^ phase2, amplitude1)
                 assert out_target == (phase2, amplitude1 ^ amplitude2)
 
     def test_bijection_on_label_pairs(self):
-        images = {bcnot_map(s, t) for s in BellLabel for t in BellLabel}
-        assert len(images) == 16
+        assert sorted(BCNOT_MAP.flat) == list(range(16))
+
+
+#: Both halves of one pair read the same z value: the kept branch of the target measurement.
+COINCIDING = np.diag([1.0, 0.0, 0.0, 1.0])
+
+
+def kept_by_the_pair_cell_table(target):
+    """Whether the pair cell table keeps each pair of clean pairs whose target leaves the BCNOT as ``target``."""
+    kept = pair_cell_table()[:4, :4] != DISCARDED  # flag 0: [control label, target label]
+    return set(kept[(BCNOT_MAP & 3) == target].tolist())
 
 
 class TestMeasurement:
     def test_phi_type_coincides(self):
-        assert measurement_coincides(PHI_PLUS)
-        assert measurement_coincides(PHI_MINUS)
+        for label in (PHI_PLUS, PHI_MINUS):
+            assert np.trace(COINCIDING @ bell_projector(label)).real == pytest.approx(1.0, abs=ATOL)
+            assert kept_by_the_pair_cell_table(label) == {True}
 
     def test_psi_type_anticoincides(self):
-        assert not measurement_coincides(PSI_PLUS)
-        assert not measurement_coincides(PSI_MINUS)
+        for label in (PSI_PLUS, PSI_MINUS):
+            assert np.trace(COINCIDING @ bell_projector(label)).real == pytest.approx(0.0, abs=ATOL)
+            assert kept_by_the_pair_cell_table(label) == {False}
 
 
 #: SHA-256 of ``event_cell_table(placement).tobytes()``: the Monte Carlo reads this
@@ -210,8 +219,8 @@ class TestRoundFactors:
             assert np.array_equal(marginal[control_flag, :, target_flag], marginal[0, :, 0])
 
     def test_tables_are_read_only(self):
-        for table in (pair_cell_table(), *map(event_category_permutation, PLACEMENTS),
-                      *map(event_cell_table, PLACEMENTS)):
+        for table in (PAULI_LABEL_SHIFT, ROTATION_MAP, BCNOT_MAP, pair_cell_table(),
+                      *map(event_category_permutation, PLACEMENTS), *map(event_cell_table, PLACEMENTS)):
             with pytest.raises(ValueError):
                 table[0] = 0
 

@@ -353,7 +353,7 @@ PINNED_TRAJECTORIES = [
     (HALTED_MC, "csv", "28af42e459906999b5c49d511c27c26127b2b98baae3c80219242d1bf9121afd", 2, 1),
     (HALTED_MC, "json", "6f60f1c8bda12b80a3989c7b454a4124084c0070f0457d8f54c567be5df8bd0c", 2, 1),
     (EMPTIED_MC, "csv", "0357b4820bbd3b490f30c0d84151fccca0600798d4484a80a0933c9a0d494b53", 1, 0),
-    (EMPTIED_MC, "json", "b6178ac037253a620819d7287f528042fb05b50a5a388fd7bcd7315bffe2edda", 1, 0),
+    (EMPTIED_MC, "json", "16cf2ccb632f4f4ab6b6cc8082121c8360847c1501637777dfc4e64e7fb74ab2", 1, 0),
 ]
 
 
@@ -370,6 +370,27 @@ def test_mc_trajectory_bytes_are_pinned(tmp_path, doc, fmt, digest, rounds, surv
     metadata = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert metadata["halted"] is True
     assert (metadata["rounds"], metadata["final_survivors"]) == (rounds, survivors)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON value under RFC 8259")
+
+
+def test_an_emptied_round_writes_strict_json(tmp_path):
+    # a round that leaves no pair has no fidelity: its JSON says null, not the NaN literal
+    path = write_config(tmp_path, EMPTIED_MC)
+    assert run(["mc", "--config", path, "--format", "json"], tmp_path / "out") == 0
+    files = sorted((tmp_path / "out").iterdir())
+    assert [f.name for f in files] == ["metadata.json", "trajectory.json"]
+    for f in files:
+        json.loads(f.read_text(), parse_constant=refuse_constant)
+    rows = json.loads((tmp_path / "out" / "trajectory.json").read_text())["rows"]
+    assert rows[-1][1:3] == [None, None] and rows[-1][-1] is None
+
+
+def test_json_output_refuses_a_non_finite_number():
+    with pytest.raises(ValueError):
+        cli._json({"value": float("nan")})
 
 
 #: Product family, noise between rotation and CNOT, uniformly random input

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from labels import ErrorFlag, PauliIndex
+from labels import BellLabel, ErrorFlag, PauliIndex
 from projectors import two_sided_shift_table
 
-from qpurify.bell import BellLabel, event_category_permutation, event_cell_table
+from qpurify.bell import event_category_permutation, event_cell_table
 from qpurify.flags import FLAG_UPDATE_TABLE
 from qpurify.noise import BEFORE_ROTATION, PLACEMENTS
 

@@ -12,15 +12,13 @@ from scipy import stats
 
 import qpurify.montecarlo as montecarlo
 from qpurify.bell import (
+    BCNOT_MAP,
     DISCARDED,
     PAULI_LABEL_SHIFT,
-    BellLabel,
-    bcnot_map,
+    ROTATION_MAP,
     event_cell_table,
     flag_match_weight,
-    measurement_coincides,
     phi_plus_weight,
-    rotation_step3,
 )
 from qpurify.errors import ProtocolHaltError
 from qpurify.flags import FLAG_UPDATE_TABLE
@@ -49,23 +47,23 @@ def dirichlet_noise(placement=BEFORE_ROTATION, seed=3):
 
 
 def scalar_survivor(control, target, event, placement):
-    """Output cell of one pair of pairs, walked with the scalar label primitives; None if discarded."""
+    """Output cell of one pair of pairs, walked one label table at a time; None if discarded."""
 
     def noisy(record, mu):
-        flag, bell = record >> 2, BellLabel(record & 3)
-        shift = PAULI_LABEL_SHIFT[mu]
+        flag, bell = record >> 2, record & 3
+        shift = int(PAULI_LABEL_SHIFT[mu])
         if placement == BEFORE_ROTATION:
-            bell = rotation_step3(BellLabel(bell ^ shift))
+            bell = int(ROTATION_MAP[bell ^ shift])
         else:
-            bell = BellLabel(rotation_step3(bell) ^ shift)
+            bell = int(ROTATION_MAP[bell]) ^ shift
         return flag ^ shift, bell
 
     flag1, bell1 = noisy(control, event >> 2)
     flag2, bell2 = noisy(target, event & 3)
-    source, target_label = bcnot_map(bell1, bell2)
-    if not measurement_coincides(target_label):
+    source, target_label = divmod(int(BCNOT_MAP[bell1, bell2]), 4)
+    if target_label & 1:  # the target's halves read different z values
         return None
-    return (int(FLAG_UPDATE_TABLE[flag1, flag2]) << 2) | int(source)
+    return (int(FLAG_UPDATE_TABLE[flag1, flag2]) << 2) | source
 
 
 def records_of(counts):

@@ -7,17 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from labels import PauliIndex
-from projectors import bell_projector, two_sided_shift_table
+from projectors import two_sided_shift_table
 
 import qpurify.oracle as oracle
 import qpurify.recurrence as recurrence
-from qpurify.bell import PAULI_LABEL_SHIFT, bcnot_map, rotation_step3
+from qpurify.bell import BCNOT_MAP, PAULI_LABEL_SHIFT, ROTATION_MAP
 from qpurify.errors import DegenerateRoundError
 from qpurify.flags import FLAG_UPDATE_TABLE
 from qpurify.noise import BEFORE_BCNOT, BEFORE_ROTATION, PLACEMENTS, NoiseModel
 from qpurify.oracle import (
     ATOL,
-    BELL_VECTORS,
     derive_bcnot_table,
     derive_flag_update_table,
     derive_pauli_shift_table,
@@ -30,14 +29,16 @@ from qpurify.recurrence import SubensembleState, one_round
 
 class TestUnitaries:
     def test_unitarity(self):
+        # the round's two unitaries, each on both pairs
+        assert set(oracle._UNITARIES) == {"rotation", "bcnot"}
         for name, u in oracle._UNITARIES.items():
-            dim = u.shape[0]
-            assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < ATOL, name
+            assert np.max(np.abs(u @ u.conj().T - np.eye(16))) < ATOL, name
 
     def test_rotation_moves_phi_minus_to_psi_minus(self):
-        u = oracle._UNITARIES["rotation_pair"]
-        rho = u @ bell_projector(0b10) @ u.conj().T
-        assert np.max(np.abs(rho - bell_projector(0b11))) < ATOL
+        # |Phi-, Phi+> (row 0b10 * 4 + 0b00 of the two-pair basis) goes to |Psi-, Phi+>
+        u, basis = oracle._UNITARIES["rotation"], oracle._TWO_PAIR_BASIS
+        rho = u @ np.outer(basis[0b1000], basis[0b1000].conj()) @ u.conj().T
+        assert np.max(np.abs(rho - np.outer(basis[0b1100], basis[0b1100].conj()))) < ATOL
 
     def test_unitaries_are_read_only(self):
         with pytest.raises(ValueError):
@@ -52,13 +53,14 @@ class TestDerivedTables:
     def test_rotation_table(self):
         derived = derive_rotation_table()
         for label in range(4):
-            assert derived[label] == rotation_step3(label)
+            assert derived[label] == ROTATION_MAP[label]
 
     def test_bcnot_table(self):
         derived = derive_bcnot_table()
+        assert derived.dtype == np.uint8 and derived.shape == (4, 4)
         for src in range(4):
             for tgt in range(4):
-                assert tuple(derived[src, tgt]) == bcnot_map(src, tgt)
+                assert derived[src, tgt] == BCNOT_MAP[src, tgt]
 
     def test_two_sided_shift_table(self):
         # sigma_mu x sigma_nu relabels as sigma_mu then sigma_nu: the one-sided shifts compose
@@ -76,7 +78,7 @@ class TestDerivedTables:
     def test_relabeling_rejects_an_image_off_the_basis(self):
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         with pytest.raises(AssertionError, match="not a basis projector"):
-            oracle._relabeling(np.kron(hadamard, np.eye(2)), BELL_VECTORS)
+            oracle._relabeling(np.kron(hadamard, np.eye(8)))
 
 
 def names_the_oracle_imports_from_bell() -> list[str]:
@@ -89,14 +91,9 @@ def names_the_oracle_imports_from_bell() -> list[str]:
     ]
 
 
-def broken(value):
-    """A function that refuses to be called, or a table with every entry changed."""
-    if callable(value):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the dense round read a label map")
-
-        return refuse
-    return (np.asarray(value) + 1) % 4
+def broken(table):
+    """A copy of a label table with every entry changed."""
+    return (np.asarray(table) + 1) % 4
 
 
 def dense_kraus_sum(branches, f):
@@ -328,30 +325,36 @@ class TestConformance:
         # pair by entry nu of the one table, so a swap of x and z reaches both
         events = np.arange(16)
         read = events >> 2 if side == "control" else events & 3
-        shift = list(oracle.PAULI_LABEL_SHIFT)
-        shift[PauliIndex.X], shift[PauliIndex.Z] = shift[PauliIndex.Z], shift[PauliIndex.X]
-        moved = np.take(shift, read) != np.take(PAULI_LABEL_SHIFT, read)
+        shift = PAULI_LABEL_SHIFT[[PauliIndex.I, PauliIndex.Z, PauliIndex.Y, PauliIndex.X]]
+        moved = shift[read] != PAULI_LABEL_SHIFT[read]
         assert set(read[moved]) == {PauliIndex.X, PauliIndex.Z}
-        monkeypatch.setattr(oracle, "PAULI_LABEL_SHIFT", tuple(shift))
+        monkeypatch.setattr(oracle, "PAULI_LABEL_SHIFT", shift)
         report = run_conformance_checks(round_samples=0)
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == ["Pauli label shifts vs dense conjugation"]
 
     def test_mutated_bcnot_breaks_bijection(self, monkeypatch):
-        def broken(src, tgt):
-            out_src, _ = bcnot_map(src, tgt)
-            # drop the amplitude propagation: outputs collide
-            return out_src, tgt | (src & 1)
-
-        monkeypatch.setattr(oracle, "bcnot_map", broken)
+        src, tgt = np.indices((4, 4))
+        # drop the amplitude propagation: outputs collide
+        broken = (BCNOT_MAP >> 2) * 4 + (tgt | (src & 1))
+        monkeypatch.setattr(oracle, "BCNOT_MAP", broken)
         report = run_conformance_checks(round_samples=0)
         names = {c.name for c in report.checks if not c.passed}
         assert any("bijection" in n for n in names)
         assert any("BCNOT label map vs dense" in n for n in names)
 
     def test_rotation_fault_fails_only_the_rotation_check(self, monkeypatch):
-        monkeypatch.setattr(oracle, "rotation_step3", lambda label: label)
+        monkeypatch.setattr(oracle, "ROTATION_MAP", np.arange(4, dtype=np.uint8))
         report = run_conformance_checks(round_samples=0)
         failing = [c for c in report.checks if not c.passed]
         assert [c.name for c in failing] == ["rotation relabeling vs dense conjugation"]
         assert "label 2" in failing[0].detail and "label 3" in failing[0].detail
+
+    def test_a_wrong_rotation_operator_fails_the_rotation_check(self, monkeypatch):
+        # the rotation table is read off the 16x16 operator the dense round applies,
+        # so a fault in that operator fails the rotation check itself
+        monkeypatch.setitem(oracle._UNITARIES, "rotation", np.eye(16, dtype=complex))
+        report = run_conformance_checks(round_samples=0)
+        failing = [c for c in report.checks if not c.passed]
+        assert "rotation relabeling vs dense conjugation" in [c.name for c in failing]
+        assert "label 2: table 3, oracle 2" in failing[0].detail
